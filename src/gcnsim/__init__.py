@@ -7,7 +7,6 @@ from .model import (
     CloudletSpec,
     DelayParams,
     PowerParams,
-    ServerPacking,
     SiteTopology,
     active_server_count,
     avatar_weight,
@@ -15,14 +14,11 @@ from .model import (
     cloudlet_power_exact,
     default_delay_params,
     default_power_params,
-    feasible_set,
+    nearest_feasible_order,
     ongrid_energy,
-    pack_first_fit,
     propagation_delay,
-    server_power,
 )
 from .solver import (
-    BnbNode,
     Infeasible,
     InfeasibleAvatar,
     InsufficientCapacity,

@@ -1,10 +1,13 @@
 """Slot-by-slot simulation of one day in the cloudlet network.
 
-Each slot the engine advances every UE, samples its avatar's CPU for the
-coming slot, computes each cloudlet's green supply, hands the resulting
-state to the chosen strategy, and accounts energy under both power models
-(exact server-counting and the linearized per-avatar form the optimizer
-uses), so the cost of the linearization stays visible in the output.
+Before the first slot the engine scatters the UEs and parks every avatar
+with FAR's nearest-with-room greedy (`far_placement`), so both strategies
+start from the same placement. Each slot the engine then advances every
+UE, samples its avatar's CPU for the coming slot, computes each cloudlet's
+green supply, hands the resulting state to the chosen strategy, and
+accounts energy under both power models (exact server-counting and the
+linearized per-avatar form the optimizer uses), so the cost of the
+linearization stays visible in the output.
 
 Strategies see the exact next-slot loads and green supply rather than
 forecasts. This is deliberate: it isolates the quality of the migration
@@ -32,7 +35,6 @@ from .model import (
     default_delay_params,
     default_power_params,
     ongrid_energy,
-    pack_first_fit,
     propagation_delay,
 )
 from .scenario import (
@@ -47,7 +49,13 @@ from .scenario import (
     step_mobility,
 )
 from .solver import Infeasible, SolverConfig
-from .strategy import SlotState, StrategyOutcome, far_assign, gear_assign
+from .strategy import (
+    SlotState,
+    StrategyOutcome,
+    far_assign,
+    far_placement,
+    gear_assign,
+)
 
 STRATEGIES = ("far", "gear")
 
@@ -86,10 +94,7 @@ def compute_slot_metrics(slot: int, state: SlotState,
     n_cloudlets = len(state.specs)
     power, delay = state.power, state.delay
     groups = assignment_loads(state.loads, outcome.assignment, n_cloudlets)
-    power_exact = tuple(
-        cloudlet_power_exact(pack_first_fit(g, power.server_capacity), power)
-        for g in groups
-    )
+    power_exact = tuple(cloudlet_power_exact(g, power) for g in groups)
     power_approx = tuple(cloudlet_power_approx(g, power) for g in groups)
     ongrid_exact = sum(
         ongrid_energy(p, g, delay.slot_length)
@@ -123,8 +128,10 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
         delay: DelayParams | None = None) -> RunResult:
     """Simulate one full day under the given strategy.
 
-    Raises Infeasible (tagged with the slot index) if the strategy cannot
-    place every avatar in some slot.
+    Raises Infeasible, tagged "initial placement" if the greedy finds no
+    room for some avatar before the first slot, or tagged with the slot
+    index if the strategy cannot place every avatar in some slot. FAR fails
+    whenever its greedy does; GEAR only when its solver finds no placement.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -134,8 +141,13 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
 
     rng = random.Random(config.rng_seed)
     topo, specs = init_topology(config, rng)
+    ues = init_ues(config, topo, rng)
     try:
-        ues, assignment = init_ues(config, topo, specs, power, delay, rng)
+        # Called directly rather than through far_assign: the initial
+        # placement is not a slot decision of either strategy.
+        assignment = far_placement(
+            [(ue.avatar_id, enb_of(ue.position, topo)) for ue in ues],
+            topo, specs, power, delay)
     except Infeasible as exc:
         raise Infeasible(f"initial placement: {exc}") from exc
 

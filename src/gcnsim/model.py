@@ -1,10 +1,11 @@
 """Power, delay and energy models for a green cloudlet network.
 
 Every function here is a pure closed-form expression over immutable inputs:
-server and cloudlet power draw, avatar placement weights, eNB-to-cloudlet
-propagation delay, and per-slot on-grid energy. The simulation engine and
-the assignment solver are both built on top of these primitives, so any
-power number reported anywhere in the package traces back to this module.
+cloudlet power draw, avatar placement weights, eNB-to-cloudlet propagation
+delay, the per-eNB table of cloudlets within the delay bound, and per-slot
+on-grid energy. The simulation engine and the assignment solver are both
+built on top of these primitives, so any power number reported anywhere in
+the package traces back to this module.
 """
 
 from __future__ import annotations
@@ -151,21 +152,6 @@ class Assignment:
         return out
 
 
-@dataclass(frozen=True)
-class ServerPacking:
-    """One cloudlet's avatars grouped into servers (filled first-fit)."""
-
-    servers: tuple[tuple[AvatarLoad, ...], ...]
-
-    @property
-    def server_ids(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(a.avatar_id for a in srv) for srv in self.servers)
-
-    @property
-    def hosted_count(self) -> int:
-        return sum(len(srv) for srv in self.servers)
-
-
 def active_server_count(avatar_count: int, server_capacity: int) -> int:
     """Servers needed to host `avatar_count` avatars, `server_capacity` each."""
     if avatar_count < 0 or server_capacity < 1:
@@ -173,35 +159,18 @@ def active_server_count(avatar_count: int, server_capacity: int) -> int:
     return -(-avatar_count // server_capacity)
 
 
-def pack_first_fit(avatars: list[AvatarLoad], server_capacity: int) -> ServerPacking:
-    """Fill servers in arrival order, each up to capacity before opening the next.
+def cloudlet_power_exact(loads: list[AvatarLoad] | tuple[AvatarLoad, ...],
+                         params: PowerParams) -> float:
+    """Cloudlet power (W): standby draw of its active servers plus every
+    hosted avatar's hypervisor overhead and CPU draw; 0 if empty.
 
-    Packing is power-neutral for homogeneous servers; first-fit is used purely
-    so that runs are reproducible.
+    Packing is power-neutral for homogeneous servers, so only the count of
+    servers needed matters, not which avatar shares a server with which.
     """
-    if server_capacity < 1:
-        raise ValueError("server_capacity must be >= 1")
-    servers = [
-        tuple(avatars[j : j + server_capacity])
-        for j in range(0, len(avatars), server_capacity)
-    ]
-    return ServerPacking(servers=tuple(servers))
-
-
-def server_power(avatars_on_server: list[AvatarLoad] | tuple[AvatarLoad, ...],
-                 params: PowerParams) -> float:
-    """Power draw (W) of one active server hosting the given avatars."""
-    if len(avatars_on_server) > params.server_capacity:
-        raise ValueError("server hosts more avatars than its capacity")
-    cpu_total = sum(a.total_cpu for a in avatars_on_server)
-    return (params.standby_power
-            + params.avatar_coeff * len(avatars_on_server)
-            + params.cpu_coeff * cpu_total)
-
-
-def cloudlet_power_exact(packing: ServerPacking, params: PowerParams) -> float:
-    """Cloudlet power (W) as the sum over its active servers; 0 if empty."""
-    return sum(server_power(srv, params) for srv in packing.servers)
+    return (active_server_count(len(loads), params.server_capacity)
+            * params.standby_power
+            + params.avatar_coeff * len(loads)
+            + params.cpu_coeff * sum(a.total_cpu for a in loads))
 
 
 def avatar_weight(total_cpu: float, params: PowerParams) -> float:
@@ -232,12 +201,21 @@ def propagation_delay(cloudlet: int, enb: int, topo: SiteTopology,
     return params.dist_coeff * topo.distances[cloudlet][enb]
 
 
-def feasible_set(enb: int, topo: SiteTopology, params: DelayParams) -> frozenset[int]:
-    """Cloudlets an avatar attached at `enb` may use without breaking the SLA."""
-    sigma, eps = params.dist_coeff, params.sla_max_delay
-    return frozenset(
-        i for i in range(topo.site_count) if sigma * topo.distances[i][enb] <= eps
-    )
+def nearest_feasible_order(topo: SiteTopology,
+                           delay: DelayParams) -> list[list[int]]:
+    """For each eNB, the cloudlets an avatar attached there may use without
+    breaking the SLA, sorted nearest-first.
+
+    Distance ties break toward the lower cloudlet index.
+    """
+    sigma, eps = delay.dist_coeff, delay.sla_max_delay
+    order = []
+    for e in range(topo.site_count):
+        cands = [(topo.distances[i][e], i) for i in range(topo.site_count)
+                 if sigma * topo.distances[i][e] <= eps]
+        cands.sort()
+        order.append([i for _, i in cands])
+    return order
 
 
 def ongrid_energy(power_demand: float, green_power: float,

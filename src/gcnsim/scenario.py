@@ -19,15 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import (
-    Assignment,
-    CloudletSpec,
-    DelayParams,
-    PowerParams,
-    SiteTopology,
-)
-from .solver import InsufficientCapacity
-from .strategy import nearest_feasible_order
+from .model import CloudletSpec, SiteTopology
 
 
 class ParseError(ValueError):
@@ -167,19 +159,14 @@ def _draw_destination(config: ScenarioConfig,
 
 
 def init_ues(config: ScenarioConfig, topo: SiteTopology,
-             specs: tuple[CloudletSpec, ...], power: PowerParams,
-             delay: DelayParams,
-             rng: random.Random) -> tuple[list[UEState], Assignment]:
-    """Scatter UEs uniformly and park each avatar at its nearest cloudlet.
+             rng: random.Random) -> list[UEState]:
+    """Scatter UEs uniformly over the area, each with a first waypoint and
+    speed, in ascending avatar id.
 
-    Initial placement follows the FAR rule (nearest in-range cloudlet with
-    room), so the starting state is valid for either strategy.
+    The initial avatar placement is not drawn here; the engine derives it
+    from the UE positions.
     """
-    order = nearest_feasible_order(topo, delay)
-    cap = [s.server_count * power.server_capacity for s in specs]
-    used = [0] * len(specs)
     ues: list[UEState] = []
-    placement: dict[int, int] = {}
     for avatar_id in range(config.ue_count):
         pos = (rng.uniform(0.0, config.area_side),
                rng.uniform(0.0, config.area_side))
@@ -187,15 +174,7 @@ def init_ues(config: ScenarioConfig, topo: SiteTopology,
         speed = rng.uniform(*config.speed_range)
         ues.append(UEState(position=pos, destination=dest, speed=speed,
                            avatar_id=avatar_id))
-        for i in order[enb_of(pos, topo)]:
-            if used[i] < cap[i]:
-                placement[avatar_id] = i
-                used[i] += 1
-                break
-        else:
-            raise InsufficientCapacity(
-                f"no in-range cloudlet has room for avatar {avatar_id}")
-    return ues, Assignment(placement)
+    return ues
 
 
 def step_mobility(ue: UEState, slot_seconds: float, config: ScenarioConfig,

@@ -34,7 +34,7 @@ from .model import (
     PowerParams,
     SiteTopology,
     avatar_weight,
-    feasible_set,
+    nearest_feasible_order,
 )
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
@@ -127,12 +127,6 @@ class MilpInstance:
     def n_cloudlets(self) -> int:
         return len(self.green_power)
 
-    def index_of(self, avatar_id: int) -> int:
-        try:
-            return self.avatar_ids.index(avatar_id)
-        except ValueError:
-            raise KeyError(f"unknown avatar id {avatar_id}") from None
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -161,38 +155,6 @@ class Solution:
     proven_optimal: bool
 
 
-@dataclass(frozen=True)
-class BnbNode:
-    """A partial placement in the search tree.
-
-    `fixed` maps already-placed avatar ids to cloudlets; `remaining` lists
-    unplaced avatar ids in branch order. The committed fields are derived
-    from `fixed`, and `bound` is an admissible lower bound on the best
-    completion of this node.
-    """
-
-    fixed: dict[int, int]
-    committed_load: tuple[float, ...]
-    committed_count: tuple[int, ...]
-    remaining: tuple[int, ...]
-    bound: float
-
-    @staticmethod
-    def from_partial(inst: MilpInstance, fixed: dict[int, int]) -> "BnbNode":
-        load = [0.0] * inst.n_cloudlets
-        count = [0] * inst.n_cloudlets
-        for avatar_id, i in fixed.items():
-            k = inst.index_of(avatar_id)
-            load[i] += inst.weights[k]
-            count[i] += 1
-        remaining = tuple(a for a in inst.avatar_ids if a not in fixed)
-        node = BnbNode(fixed=dict(fixed), committed_load=tuple(load),
-                       committed_count=tuple(count), remaining=remaining,
-                       bound=0.0)
-        object.__setattr__(node, "bound", aggregate_bound(node, inst))
-        return node
-
-
 def build_instance(loads: list[AvatarLoad], specs: list[CloudletSpec],
                    green: list[float], topo: SiteTopology,
                    power: PowerParams, delay: DelayParams) -> MilpInstance:
@@ -203,10 +165,10 @@ def build_instance(loads: list[AvatarLoad], specs: list[CloudletSpec],
     """
     if len(specs) != topo.site_count or len(green) != topo.site_count:
         raise ValueError("specs/green length must match the topology")
+    reach = [frozenset(row) for row in nearest_feasible_order(topo, delay)]
     return MilpInstance(
         weights=tuple(avatar_weight(a.total_cpu, power) for a in loads),
-        feasible_sets=tuple(feasible_set(a.attached_enb, topo, delay)
-                            for a in loads),
+        feasible_sets=tuple(reach[a.attached_enb] for a in loads),
         green_power=tuple(green),
         count_capacity=tuple(s.server_count * power.server_capacity
                              for s in specs),
@@ -241,17 +203,25 @@ def _int_objective(place: list[int], iw: tuple[int, ...],
     return sum(load[i] - ig[i] for i in range(m) if load[i] > ig[i])
 
 
-def aggregate_bound(node: BnbNode, inst: MilpInstance) -> float:
+def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
     """Lower bound (W) on the best completion of a partial placement.
 
-    Computed from `node.fixed` in exact fixed-point arithmetic, so the
-    admissibility relation to `brute_force` optima carries over to the
-    returned floats unchanged.
+    `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the root
+    bound. Computed in exact fixed-point arithmetic by the same routine the
+    search prunes with, so the admissibility relation to `brute_force`
+    optima carries over to the returned floats unchanged.
     """
     load = [0] * inst.n_cloudlets
-    for avatar_id, i in node.fixed.items():
-        load[i] += inst._iw[inst.index_of(avatar_id)]
-    wrem = sum(inst._iw[inst.index_of(a)] for a in node.remaining)
+    wrem = placed = 0
+    for k, avatar_id in enumerate(inst.avatar_ids):
+        i = fixed.get(avatar_id)
+        if i is None:
+            wrem += inst._iw[k]
+        else:
+            load[i] += inst._iw[k]
+            placed += 1
+    if placed != len(fixed):
+        raise KeyError("fixed placement names avatars outside the instance")
     return _to_watts(_int_bound(load, wrem, inst._ig))
 
 
@@ -385,10 +355,14 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
         nodes = 1
         stop = stopped_by_gap = True
     else:
-        needed = n + 500
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
-        visit(0, 0, sum(ig))
+        # The recursive search is one frame per avatar; the raised limit is
+        # put back so that solving leaves the interpreter as it found it.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, n + 500))
+        try:
+            visit(0, 0, sum(ig))
+        finally:
+            sys.setrecursionlimit(limit)
     exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
 
     if best_obj is None or best_place is None:

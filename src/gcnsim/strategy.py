@@ -4,10 +4,13 @@ Both strategies map one slot's state to a complete assignment:
 
 * FAR (follow-me): every avatar goes to the cloudlet nearest its UE's eNB
   that still has room, never breaking the delay bound. It minimizes
-  propagation delay and ignores energy entirely.
+  propagation delay and ignores energy entirely. `far_placement` is this
+  nearest-with-room greedy; the engine also uses it for the initial
+  placement.
 * GEAR (green-aware): solves the on-grid power minimization with branch
   and bound, warm-started with the better of FAR's placement and the
-  previous slot's placement, so its objective can never exceed either.
+  previous slot's placement, so its linearized objective can never exceed
+  either.
 
 Strategies are deterministic functions of their inputs; they draw no
 randomness and keep no state between slots.
@@ -15,6 +18,7 @@ randomness and keep no state between slots.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -26,6 +30,7 @@ from .model import (
     SiteTopology,
     assignment_loads,
     cloudlet_power_approx,
+    nearest_feasible_order,
 )
 from .solver import (
     Infeasible,
@@ -66,43 +71,38 @@ def _count_migrations(new: Assignment, prev: Assignment) -> int:
     return sum(1 for k, i in new.placement.items() if prev.placement.get(k) != i)
 
 
-def nearest_feasible_order(topo: SiteTopology, delay: DelayParams) -> list[list[int]]:
-    """For each eNB, its delay-feasible cloudlets sorted nearest-first.
+def far_placement(avatars: Iterable[tuple[int, int]], topo: SiteTopology,
+                  specs: tuple[CloudletSpec, ...], power: PowerParams,
+                  delay: DelayParams) -> Assignment:
+    """Nearest-with-room greedy: place each (avatar id, eNB) in the given
+    order at the nearest in-range cloudlet that still has room.
 
-    Distance ties break toward the lower cloudlet index.
+    When the nearest cloudlet is full the avatar overflows to the
+    next-nearest with room, still within the delay bound. Raises Infeasible
+    if every in-range cloudlet is full; that proves only that the greedy
+    failed, not that no placement exists.
     """
-    sigma, eps = delay.dist_coeff, delay.sla_max_delay
-    order = []
-    for e in range(topo.site_count):
-        cands = [(topo.distances[i][e], i) for i in range(topo.site_count)
-                 if sigma * topo.distances[i][e] <= eps]
-        cands.sort()
-        order.append([i for _, i in cands])
-    return order
-
-
-def far_assign(state: SlotState) -> StrategyOutcome:
-    """Place each avatar at the nearest cloudlet with spare capacity.
-
-    Avatars are processed in ascending id. When the nearest cloudlet is
-    full the avatar overflows to the next-nearest with room, still within
-    the delay bound; if every in-range cloudlet is full the slot is
-    infeasible.
-    """
-    order = nearest_feasible_order(state.topo, state.delay)
-    cap = [s.server_count * state.power.server_capacity for s in state.specs]
-    used = [0] * len(state.specs)
+    order = nearest_feasible_order(topo, delay)
+    room = [s.server_count * power.server_capacity for s in specs]
     placement: dict[int, int] = {}
-    for load in sorted(state.loads, key=lambda a: a.avatar_id):
-        for i in order[load.attached_enb]:
-            if used[i] < cap[i]:
-                placement[load.avatar_id] = i
-                used[i] += 1
+    for avatar_id, enb in avatars:
+        for i in order[enb]:
+            if room[i] > 0:
+                placement[avatar_id] = i
+                room[i] -= 1
                 break
         else:
             raise Infeasible(
-                f"no in-range cloudlet has room for avatar {load.avatar_id}")
-    assignment = Assignment(placement)
+                f"no in-range cloudlet has room for avatar {avatar_id}")
+    return Assignment(placement)
+
+
+def far_assign(state: SlotState) -> StrategyOutcome:
+    """FAR: the nearest-with-room greedy over avatars in ascending id."""
+    assignment = far_placement(
+        ((a.avatar_id, a.attached_enb)
+         for a in sorted(state.loads, key=lambda a: a.avatar_id)),
+        state.topo, state.specs, state.power, state.delay)
     return StrategyOutcome(
         assignment=assignment,
         migrations=_count_migrations(assignment, state.prev_assignment),
@@ -134,33 +134,43 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     fixed-point objective and the engine's float accounting; the solver's
     result replaces the warm start under the same double test. The double
     test guarantees the returned placement never accounts worse than FAR's
-    in the engine, down to the last bit.
+    under the linearized model, down to the last bit. Under exact
+    server-counting accounting it can draw more than FAR's.
+
+    When FAR's greedy finds no room for some avatar, a still-feasible
+    previous placement is the warm start; failing that the solver runs
+    unseeded and its placement is returned. Infeasible is raised only when
+    the solver finds no placement at all.
     """
     cfg = config or SolverConfig()
     inst = build_instance(list(state.loads), list(state.specs),
                           list(state.green_power), state.topo,
                           state.power, state.delay)
-    far = far_assign(state)
-
-    seed = far.assignment
-    seed_units = _int_objective(_placement_from_assignment(inst, seed),
-                                inst._iw, inst._ig, inst.n_cloudlets)
-    seed_gap = _approx_power_gap(state, seed)
+    try:
+        seed: Assignment | None = far_assign(state).assignment
+    except Infeasible:
+        seed = None  # the greedy can fail where a placement exists
     prev_place = _feasible_or_none(inst, state.prev_assignment)
-    if prev_place is not None:
-        prev_units = _int_objective(prev_place, inst._iw, inst._ig,
-                                    inst.n_cloudlets)
-        prev_gap = _approx_power_gap(state, state.prev_assignment)
-        if prev_units < seed_units and prev_gap < seed_gap:
-            seed = state.prev_assignment
-            seed_units, seed_gap = prev_units, prev_gap
+    if seed is not None:
+        seed_gap = _approx_power_gap(state, seed)
+        if prev_place is not None:
+            seed_units = _int_objective(_placement_from_assignment(inst, seed),
+                                        inst._iw, inst._ig, inst.n_cloudlets)
+            prev_units = _int_objective(prev_place, inst._iw, inst._ig,
+                                        inst.n_cloudlets)
+            prev_gap = _approx_power_gap(state, state.prev_assignment)
+            if prev_units < seed_units and prev_gap < seed_gap:
+                seed, seed_gap = state.prev_assignment, prev_gap
+    elif prev_place is not None:
+        seed = state.prev_assignment
+        seed_gap = _approx_power_gap(state, seed)
 
     sol = solve(inst, replace(cfg, seed_assignment=seed))
 
     chosen = seed
-    if sol.assignment.placement != seed.placement:
-        if _approx_power_gap(state, sol.assignment) < seed_gap:
-            chosen = sol.assignment
+    if seed is None or (sol.assignment.placement != seed.placement
+                        and _approx_power_gap(state, sol.assignment) < seed_gap):
+        chosen = sol.assignment
     return StrategyOutcome(
         assignment=chosen,
         migrations=_count_migrations(chosen, state.prev_assignment),

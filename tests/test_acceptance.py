@@ -21,7 +21,7 @@ from gcnsim import (
     solve,
 )
 from gcnsim.cli import main
-from gcnsim.solver import BnbNode, Infeasible, _SCALE, _to_units
+from gcnsim.solver import Infeasible, _SCALE, _to_units
 from gcnsim.engine import run
 
 DAY_CONFIG = ScenarioConfig()          # 4x4 grid, 200 UEs, 96 slots, seed 1
@@ -148,13 +148,13 @@ def test_criterion_02_bound_admissibility(solver_cases):
     cases, _ = solver_cases
     violations = sum(
         1 for inst, reference in cases
-        if aggregate_bound(BnbNode.from_partial(inst, {}), inst)
+        if aggregate_bound(inst, {})
         > reference.objective
     )
     tight = _perfect_absorption_instances(40)
     inequalities = sum(
         1 for inst in tight
-        if aggregate_bound(BnbNode.from_partial(inst, {}), inst)
+        if aggregate_bound(inst, {})
         != brute_force(inst).objective
     )
     ok = violations == 0 and inequalities == 0

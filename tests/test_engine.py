@@ -132,6 +132,16 @@ class TestRun:
         with pytest.raises(Infeasible):
             run(cfg, "far", bell_trace)
 
+    def test_gear_survives_far_greedy_failure(self, bell_trace):
+        # FAR's greedy runs out of room at slot 23, but a placement exists
+        cfg = ScenarioConfig(capacity_range=(1, 2), ue_count=300,
+                             slot_count=48, rng_seed=1)
+        with pytest.raises(Infeasible, match="slot 23"):
+            run(cfg, "far", bell_trace)
+        gear = run(cfg, "gear", bell_trace)
+        assert len(gear.slots) == 48
+        assert all(s.sla_violations == 0 for s in gear.slots)
+
     def test_node_budget_respected_but_feasible(self, bell_trace):
         cfg = ScenarioConfig(ue_count=40, slot_count=48)
         tight = run(cfg, "gear", bell_trace, SolverConfig(node_limit=50))

@@ -11,11 +11,9 @@ from gcnsim import (
     avatar_weight,
     cloudlet_power_approx,
     cloudlet_power_exact,
-    feasible_set,
+    nearest_feasible_order,
     ongrid_energy,
-    pack_first_fit,
     propagation_delay,
-    server_power,
 )
 from gcnsim.model import Assignment, assignment_loads
 
@@ -43,64 +41,37 @@ class TestServerCounting:
         assert active_server_count(count, cap) == math.ceil(count / cap)
 
 
-class TestFirstFitPacking:
-    def test_seventeen_split_sixteen_one(self):
-        packing = pack_first_fit(loads(*[10.0] * 17), 16)
-        assert [len(s) for s in packing.servers] == [16, 1]
-        assert packing.server_ids[0] == tuple(range(16))
-        assert packing.server_ids[1] == (16,)
-
-    def test_empty_list_gives_zero_servers(self):
-        assert pack_first_fit([], 16).servers == ()
-
-    def test_every_avatar_packed_exactly_once(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            avs = loads(*[rng.uniform(10, 100) for _ in range(rng.randint(0, 40))])
-            packing = pack_first_fit(avs, 16)
-            flat = [i for srv in packing.server_ids for i in srv]
-            assert sorted(flat) == [a.avatar_id for a in avs]
-            assert all(len(s) <= 16 for s in packing.servers)
-            assert len(packing.servers) == active_server_count(len(avs), 16)
-
-
 class TestServerPower:
+    """One-server cloudlets: the closed form reduces to a single server's draw."""
+
     def test_single_full_load_avatar(self, power):
         # 80 + 0.3 + 0.2*100 = 100.3 W
-        assert server_power(loads(100.0), power) == pytest.approx(100.3, rel=1e-12)
-
-    def test_idle_server_draws_standby_only(self, power):
-        assert server_power([], power) == pytest.approx(80.0, rel=1e-12)
+        assert cloudlet_power_exact(loads(100.0), power) == pytest.approx(100.3, rel=1e-12)
 
     def test_full_server_mid_load(self, power):
         # 80 + 16*0.3 + 16*0.2*55 = 80 + 4.8 + 176 = 260.8 W
-        assert server_power(loads(*[55.0] * 16), power) == pytest.approx(260.8, rel=1e-12)
-
-    def test_over_capacity_rejected(self, power):
-        with pytest.raises(ValueError):
-            server_power(loads(*[10.0] * 17), power)
+        assert cloudlet_power_exact(loads(*[55.0] * 16), power) == pytest.approx(260.8, rel=1e-12)
 
     def test_additive_in_avatars(self, power):
         rng = random.Random(3)
         group = loads(*[rng.uniform(10, 100) for _ in range(10)])
         extra = AvatarLoad(avatar_id=99, total_cpu=42.0, attached_enb=0)
-        before = server_power(group, power)
-        after = server_power(group + [extra], power)
+        before = cloudlet_power_exact(group, power)
+        after = cloudlet_power_exact(group + [extra], power)
         assert after - before == pytest.approx(0.3 + 0.2 * 42.0, rel=1e-12)
 
 
 class TestCloudletPower:
     def test_two_servers_seventeen_avatars(self, power):
         # 2*80 + 17*0.3 + 17*0.2*10 = 160 + 5.1 + 34 = 199.1 W
-        packing = pack_first_fit(loads(*[10.0] * 17), 16)
-        assert cloudlet_power_exact(packing, power) == pytest.approx(199.1, rel=1e-12)
+        assert cloudlet_power_exact(loads(*[10.0] * 17), power) == pytest.approx(199.1, rel=1e-12)
 
     def test_empty_cloudlet_draws_nothing(self, power):
-        assert cloudlet_power_exact(pack_first_fit([], 16), power) == 0.0
+        assert cloudlet_power_exact([], power) == 0.0
 
     def test_full_server_boundary_matches_linearized(self, power):
         group = loads(*[10.0] * 16)
-        exact = cloudlet_power_exact(pack_first_fit(group, 16), power)
+        exact = cloudlet_power_exact(group, power)
         # 80 + 16*0.3 + 32 = 116.8 W, no ceiling slack at a full server
         assert exact == pytest.approx(116.8, rel=1e-12)
         assert cloudlet_power_approx(group, power) == pytest.approx(exact, rel=1e-12)
@@ -109,7 +80,7 @@ class TestCloudletPower:
         rng = random.Random(11)
         for _ in range(50):
             group = loads(*[rng.uniform(10, 100) for _ in range(rng.randint(0, 45))])
-            exact = cloudlet_power_exact(pack_first_fit(group, 16), power)
+            exact = cloudlet_power_exact(group, power)
             approx = cloudlet_power_approx(group, power)
             gap = exact - approx
             assert gap >= -1e-9
@@ -168,21 +139,26 @@ class TestPropagationDelay:
 
 
 class TestFeasibleSet:
+    """Rows of the reachability table: one per eNB, nearest cloudlet first."""
+
     def test_corner_site_reaches_four(self, grid_topo, delay):
         # sites within 10/3.33 = 3.003 km of (1,1): itself, two at 2 km, diagonal
-        assert feasible_set(0, grid_topo, delay) == {0, 1, 4, 5}
+        row = nearest_feasible_order(grid_topo, delay)[0]
+        assert set(row) == {0, 1, 4, 5}
+        # the 2 km tie between 1 and 4 breaks toward the lower index
+        assert row == [0, 1, 4, 5]
 
     def test_zero_budget_keeps_colocated_only(self, grid_topo):
         params = DelayParams(dist_coeff=3.33, sla_max_delay=0.0)
-        assert feasible_set(6, grid_topo, params) == {6}
+        assert set(nearest_feasible_order(grid_topo, params)[6]) == {6}
 
     def test_unbounded_budget_reaches_all(self, grid_topo):
         params = DelayParams(dist_coeff=3.33, sla_max_delay=1e9)
-        assert feasible_set(0, grid_topo, params) == set(range(16))
+        assert set(nearest_feasible_order(grid_topo, params)[0]) == set(range(16))
 
     def test_shrinks_as_budget_tightens(self, grid_topo):
         budgets = [1e9, 20.0, 10.0, 6.0, 0.0]
-        sets = [feasible_set(9, grid_topo, DelayParams(sla_max_delay=b))
+        sets = [set(nearest_feasible_order(grid_topo, DelayParams(sla_max_delay=b))[9])
                 for b in budgets]
         for wider, tighter in zip(sets, sets[1:]):
             assert tighter <= wider

@@ -18,6 +18,7 @@ from gcnsim import (
 )
 from gcnsim.scenario import CountError, ParseError, dump_solar_trace
 from gcnsim.model import CloudletSpec
+from gcnsim.strategy import far_placement
 
 
 def flat_trace(value):
@@ -51,19 +52,26 @@ class TestTopology:
         assert urban == {5, 6, 9, 10}
 
 
+def initial_placement(ues, topo, specs, power, delay):
+    """The engine's initial placement: the shared greedy in avatar order."""
+    return far_placement([(ue.avatar_id, enb_of(ue.position, topo)) for ue in ues],
+                         topo, specs, power, delay)
+
+
 class TestInitUes:
     def test_empty_world(self, power, delay):
         cfg = ScenarioConfig(ue_count=0)
         topo, specs = init_topology(cfg, random.Random(4))
-        ues, assignment = init_ues(cfg, topo, specs, power, delay,
-                                   random.Random(4))
+        ues = init_ues(cfg, topo, random.Random(4))
+        assignment = initial_placement(ues, topo, specs, power, delay)
         assert ues == [] and assignment.placement == {}
 
     def test_initial_placements_respect_sla(self, power, delay):
         cfg = ScenarioConfig(ue_count=300)
         rng = random.Random(5)
         topo, specs = init_topology(cfg, rng)
-        ues, assignment = init_ues(cfg, topo, specs, power, delay, rng)
+        ues = init_ues(cfg, topo, rng)
+        assignment = initial_placement(ues, topo, specs, power, delay)
         for ue in ues:
             i = assignment.placement[ue.avatar_id]
             e = enb_of(ue.position, topo)
@@ -75,7 +83,8 @@ class TestInitUes:
         def build():
             rng = random.Random(cfg.rng_seed)
             topo, specs = init_topology(cfg, rng)
-            return init_ues(cfg, topo, specs, power, delay, rng)
+            ues = init_ues(cfg, topo, rng)
+            return ues, initial_placement(ues, topo, specs, power, delay)
 
         assert build() == build()
 

@@ -1,11 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from gcnsim import (
     Assignment,
     AvatarLoad,
-    BnbNode,
     CloudletSpec,
     Infeasible,
     InfeasibleAvatar,
@@ -69,21 +69,21 @@ class TestBuildInstance:
 class TestAggregateBound:
     def test_root_is_total_demand_minus_total_green(self):
         inst = full_instance([60.0, 40.0], [30.0, 30.0])
-        root = BnbNode.from_partial(inst, {})
-        assert aggregate_bound(root, inst) == pytest.approx(40.0, rel=1e-12)
-        assert root.bound == aggregate_bound(root, inst)
+        assert aggregate_bound(inst, {}) == pytest.approx(40.0, rel=1e-12)
 
     def test_root_zero_when_green_covers_everything(self):
         inst = full_instance([60.0, 40.0], [200.0, 200.0])
-        assert aggregate_bound(BnbNode.from_partial(inst, {}), inst) == 0.0
+        assert aggregate_bound(inst, {}) == 0.0
 
     def test_committed_deficit_with_nothing_remaining(self):
         inst = full_instance([50.0], [30.0, 100.0])
-        node = BnbNode.from_partial(inst, {0: 0})
         # deficit max(0,50-30)=20; no remaining weight to spill
-        assert aggregate_bound(node, inst) == pytest.approx(20.0, rel=1e-12)
-        assert node.remaining == ()
-        assert node.committed_load[0] == pytest.approx(50.0)
+        assert aggregate_bound(inst, {0: 0}) == pytest.approx(20.0, rel=1e-12)
+
+    def test_unknown_avatar_rejected(self):
+        inst = full_instance([50.0], [30.0, 100.0])
+        with pytest.raises(KeyError):
+            aggregate_bound(inst, {7: 0})
 
     def test_never_exceeds_subproblem_optimum(self):
         rng = random.Random(404)
@@ -99,12 +99,11 @@ class TestAggregateBound:
                 counts[i] += 1
             if any(c > cap for c, cap in zip(counts, inst.count_capacity)):
                 continue
-            node = BnbNode.from_partial(inst, fixed)
             best = self._exhaustive_completion(inst, fixed)
             if best is None:
                 continue
             # oracle works in floats, the bound in 2^-20 W fixed point
-            assert aggregate_bound(node, inst) <= best + 1e-5
+            assert aggregate_bound(inst, fixed) <= best + 1e-5
             checked += 1
 
     @staticmethod
@@ -251,6 +250,14 @@ class TestSolve:
         assert sol.lower_bound <= sol.objective
         if not sol.proven_optimal:
             assert sol.gap > 0.0
+
+    def test_deep_search_leaves_recursion_limit_unchanged(self):
+        # one cloudlet: a single dive 5000 frames deep, past the default limit
+        inst = full_instance([1.0] * 5000, [0.0], cap_each=5000)
+        limit = sys.getrecursionlimit()
+        assert limit < 5000
+        assert solve(inst).proven_optimal
+        assert sys.getrecursionlimit() == limit
 
     def test_deterministic_across_calls(self):
         rng = random.Random(37)

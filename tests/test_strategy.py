@@ -166,3 +166,41 @@ class TestGear:
         gear = gear_assign(state)
         assert gear.assignment.placement == {0: 0}
         assert gear.migrations == 1
+
+    def test_far_failure_warm_starts_from_feasible_previous(
+            self, grid_topo, delay):
+        # one avatar per cloudlet; avatar 0 takes site 5, so the fourth
+        # avatar of corner cell 0 finds {0, 1, 4, 5} full, although moving
+        # avatar 0 to site 6 would make room
+        tiny = PowerParams(server_capacity=1)
+        specs = tuple(CloudletSpec(server_count=1)
+                      for _ in range(grid_topo.site_count))
+        loads = [AvatarLoad(0, 50.0, 5)] + [AvatarLoad(k, 50.0, 0)
+                                            for k in range(1, 5)]
+        prev = Assignment({0: 6, 1: 0, 2: 1, 3: 4, 4: 5})
+        state = make_state(grid_topo, loads, zero_green(grid_topo), prev=prev,
+                           specs=specs, power=tiny, default_delay=delay)
+        with pytest.raises(Infeasible):
+            far_assign(state)
+        gear = gear_assign(state)
+        assert gear.assignment == prev
+        assert gear.migrations == 0
+
+    def test_far_failure_without_previous_solves_unseeded(
+            self, grid_topo, delay):
+        tiny = PowerParams(server_capacity=1)
+        specs = tuple(CloudletSpec(server_count=1)
+                      for _ in range(grid_topo.site_count))
+        loads = [AvatarLoad(0, 50.0, 5)] + [AvatarLoad(k, 50.0, 0)
+                                            for k in range(1, 5)]
+        stale = Assignment({k: 15 for k in range(5)})
+        state = make_state(grid_topo, loads, zero_green(grid_topo), prev=stale,
+                           specs=specs, power=tiny, default_delay=delay)
+        gear = gear_assign(state)
+        placement = gear.assignment.placement
+        assert sorted(placement[k] for k in range(1, 5)) == [0, 1, 4, 5]
+        assert placement[0] not in (0, 1, 4, 5)
+        for a in loads:
+            assert propagation_delay(placement[a.avatar_id], a.attached_enb,
+                                     grid_topo, delay) <= delay.sla_max_delay
+        assert gear.assignment == gear.solver_stats.assignment
