@@ -47,6 +47,6 @@ from .scenario import (
     sample_utilization,
     step_mobility,
 )
-from .engine import RunResult, SlotMetrics, compute_slot_metrics, run
+from .engine import RunResult, SlotMetrics, World, compute_slot_metrics, run
 
 __version__ = "0.1.0"

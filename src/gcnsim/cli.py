@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .engine import RunResult, SlotMetrics, run
+from .engine import RunResult, SlotMetrics, World, run
 from .scenario import (
     CountError,
     ParseError,
@@ -116,8 +116,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.strategy == "both":
-        far = run(config, "far", trace, solver_config)
-        gear = run(config, "gear", trace, solver_config)
+        world = World(config)  # drawn during the FAR run, replayed for GEAR
+        far = run(config, "far", trace, solver_config, world=world)
+        gear = run(config, "gear", trace, solver_config, world=world)
         _emit_slots_pair(far, gear, str(out / "slots.csv"))
         _emit_summary([far, gear], str(out / "summary.csv"))
     else:
@@ -144,12 +145,15 @@ def cmd_sweep(args: argparse.Namespace, variable: str) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
+    world = None
     for value in spec.values:
         point = replace(config, **{variable: value})
         fmt = _fmt_value(variable, value)
+        if world is None or not world.matches(point):
+            world = World(point)  # kappa points share one world
         try:
-            far = run(point, "far", trace, solver_config)
-            gear = run(point, "gear", trace, solver_config)
+            far = run(point, "far", trace, solver_config, world=world)
+            gear = run(point, "gear", trace, solver_config, world=world)
         except Infeasible as exc:
             print(f"sweep point {variable}={fmt} infeasible: {exc}",
                   file=sys.stderr)

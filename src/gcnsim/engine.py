@@ -1,29 +1,33 @@
 """Slot-by-slot simulation of one day in the cloudlet network.
 
-Before the first slot the engine scatters the UEs and parks every avatar
-with FAR's nearest-with-room greedy (`far_placement`), so both strategies
-start from the same placement. Each slot the engine then advances every
-UE, samples its avatar's CPU for the coming slot, computes each cloudlet's
-green supply, hands the resulting state to the chosen strategy, and
-accounts energy under both power models (exact server-counting and the
-linearized per-avatar form the optimizer uses), so the cost of the
-linearization stays visible in the output.
+A day has two parts. The world (`World`) is everything no strategy can
+influence: the topology, each UE's movement and eNB, and each avatar's CPU
+demand per slot. It consumes one RNG stream in a fixed order and never
+depends on a placement decision, so it is drawn once and replayed: `run`
+with the same `World` gives FAR, GEAR and every kappa point the identical
+world (common random numbers by construction). The world is drawn lazily,
+one slot at a time as the first run reaches it, and recorded compactly.
+
+A strategy pass (`run`) reads the world slot by slot. Before the first
+slot it parks every avatar with FAR's nearest-with-room greedy
+(`far_placement`), so both strategies start from the same placement. Each
+slot it takes the world's loads, computes each cloudlet's green supply,
+hands the resulting state to the chosen strategy, and accounts energy under
+both power models (exact server-counting and the linearized per-avatar
+form the optimizer uses), so the cost of the linearization stays visible
+in the output.
 
 Strategies see the exact next-slot loads and green supply rather than
 forecasts. This is deliberate: it isolates the quality of the migration
 decision from the quality of any predictor, and it is the one place this
 simulator is kinder than a deployment would be.
-
-World evolution consumes the run's single RNG stream in a fixed order and
-never depends on the strategy's decisions, so runs with the same seed and
-different strategies compare against the identical world (common random
-numbers).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 
 from .model import (
     AvatarLoad,
@@ -40,7 +44,6 @@ from .model import (
 from .scenario import (
     ScenarioConfig,
     SolarTrace,
-    UEState,
     enb_of,
     green_power,
     init_topology,
@@ -88,6 +91,66 @@ class RunResult:
     total_migrations: int
 
 
+class World:
+    """The strategy-independent part of one day, drawn once and replayed.
+
+    Construction draws the topology and the initial UEs from
+    `random.Random(config.rng_seed)` and nothing else. `loads(t)` draws
+    slot t when it is the next undrawn slot, per UE in ascending avatar id
+    (mobility, then CPU, then eNB lookup), and records it; a recorded slot
+    is rebuilt from the record. The record keeps one CPU float and one eNB
+    index per avatar and slot. The world serves every config that differs
+    from its own only in `kappa`, which touches green supply alone.
+    """
+
+    def __init__(self, config: ScenarioConfig,
+                 slot_length: float = DelayParams.slot_length):
+        self.config = config
+        self.slot_length = slot_length
+        self._rng: random.Random | None = random.Random(config.rng_seed)
+        self.topo, self.specs = init_topology(config, self._rng)
+        self._ues = init_ues(config, self.topo, self._rng)
+        self.initial_enbs = tuple(enb_of(ue.position, self.topo)
+                                  for ue in self._ues)
+        sites = self.topo.site_count  # the smallest eNB index type that fits
+        self._enb_code = ("B" if sites <= 1 << 8
+                          else "H" if sites <= 1 << 16 else "L")
+        self._cpu: list[array] = []
+        self._enb: list[array] = []
+
+    def matches(self, config: ScenarioConfig,
+                slot_length: float = DelayParams.slot_length) -> bool:
+        """True if this world is the one `config` and `slot_length` draw."""
+        return (slot_length == self.slot_length
+                and replace(config, kappa=self.config.kappa) == self.config)
+
+    def loads(self, t: int) -> tuple[AvatarLoad, ...]:
+        """Slot t's avatar loads in ascending avatar id (ids 0..n-1, as
+        `init_ues` numbers them)."""
+        if t == len(self._cpu) < self.config.slot_count:
+            self._draw_next()
+        if not 0 <= t < len(self._cpu):
+            raise IndexError(f"slot {t} is neither recorded nor next "
+                             f"({len(self._cpu)} of {self.config.slot_count} "
+                             "drawn)")
+        cpu = self._cpu[t]
+        return tuple(map(AvatarLoad, range(len(cpu)), cpu, self._enb[t]))
+
+    def _draw_next(self) -> None:
+        config, rng, topo, ues = self.config, self._rng, self.topo, self._ues
+        slot_seconds = self.slot_length * 3600.0
+        cpu = array("d", [0.0]) * len(ues)
+        enb = array(self._enb_code, [0]) * len(ues)
+        for k, ue in enumerate(ues):  # the draw order is part of the contract
+            ues[k] = moved = step_mobility(ue, slot_seconds, config, rng)
+            cpu[k] = sample_utilization(config, rng)
+            enb[k] = enb_of(moved.position, topo)
+        self._cpu.append(cpu)
+        self._enb.append(enb)
+        if len(self._cpu) == config.slot_count:
+            self._ues = self._rng = None  # fully drawn; only the record is read
+
+
 def compute_slot_metrics(slot: int, state: SlotState,
                          outcome: StrategyOutcome) -> SlotMetrics:
     """Account one slot's assignment under both power models."""
@@ -125,8 +188,15 @@ def compute_slot_metrics(slot: int, state: SlotState,
 def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
         solver_config: SolverConfig | None = None,
         power: PowerParams | None = None,
-        delay: DelayParams | None = None) -> RunResult:
+        delay: DelayParams | None = None,
+        world: World | None = None) -> RunResult:
     """Simulate one full day under the given strategy.
+
+    `world` is the day's drawn world; runs given the same `World` replay
+    its record instead of drawing the world again. It must have been made
+    for `config` (up to `kappa`) and `delay.slot_length`, else ValueError.
+    Without one the run draws a fresh world from `config.rng_seed`, which
+    is the same world.
 
     Raises Infeasible, tagged "initial placement" if the greedy finds no
     room for some avatar before the first slot, or tagged with the slot
@@ -138,36 +208,28 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     power = power or default_power_params(kernel_cpu=config.kernel_cpu)
     delay = delay or default_delay_params()
     solver_config = solver_config or SolverConfig()
+    if world is None:
+        world = World(config, delay.slot_length)
+    elif not world.matches(config, delay.slot_length):
+        raise ValueError("the world was drawn for another config or slot length")
 
-    rng = random.Random(config.rng_seed)
-    topo, specs = init_topology(config, rng)
-    ues = init_ues(config, topo, rng)
+    topo, specs = world.topo, world.specs
     try:
         # Called directly rather than through far_assign: the initial
         # placement is not a slot decision of either strategy.
-        assignment = far_placement(
-            [(ue.avatar_id, enb_of(ue.position, topo)) for ue in ues],
-            topo, specs, power, delay)
+        assignment = far_placement(enumerate(world.initial_enbs),
+                                   topo, specs, power, delay)
     except Infeasible as exc:
         raise Infeasible(f"initial placement: {exc}") from exc
 
-    slot_seconds = delay.slot_length * 3600.0
     slots: list[SlotMetrics] = []
     for t in range(config.slot_count):
-        loads: list[AvatarLoad] = []
-        next_ues: list[UEState] = []
-        for ue in ues:  # ascending avatar id; draw order is part of the contract
-            moved = step_mobility(ue, slot_seconds, config, rng)
-            cpu = sample_utilization(config, rng)
-            next_ues.append(moved)
-            loads.append(AvatarLoad(avatar_id=moved.avatar_id, total_cpu=cpu,
-                                    attached_enb=enb_of(moved.position, topo)))
-        ues = next_ues
+        loads = world.loads(t)
         green = tuple(
             green_power(trace, t, spec, config.kappa, delay.slot_length)
             for spec in specs
         )
-        state = SlotState(loads=tuple(loads), green_power=green,
+        state = SlotState(loads=loads, green_power=green,
                           prev_assignment=assignment, topo=topo, specs=specs,
                           power=power, delay=delay)
         try:

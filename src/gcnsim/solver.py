@@ -90,7 +90,9 @@ class MilpInstance:
 
     def __post_init__(self) -> None:
         self.weights = tuple(float(w) for w in self.weights)
-        self.feasible_sets = tuple(frozenset(fs) for fs in self.feasible_sets)
+        self.feasible_sets = tuple(
+            fs if isinstance(fs, frozenset) else frozenset(fs)
+            for fs in self.feasible_sets)
         self.green_power = tuple(float(g) for g in self.green_power)
         self.count_capacity = tuple(int(c) for c in self.count_capacity)
         if not self.avatar_ids:
@@ -108,9 +110,12 @@ class MilpInstance:
             raise ValueError("green power must be non-negative")
         if any(c < 0 for c in self.count_capacity):
             raise ValueError("capacities must be non-negative")
-        for k, fs in enumerate(self.feasible_sets):
+        # Avatars on one eNB share one set, so each distinct set is checked
+        # once, in order of first use: the first bad avatar is still named.
+        for fs in dict.fromkeys(self.feasible_sets):
             if not fs:
-                raise InfeasibleAvatar(self.avatar_ids[k])
+                raise InfeasibleAvatar(
+                    self.avatar_ids[self.feasible_sets.index(fs)])
             if any(i < 0 or i >= m for i in fs):
                 raise ValueError("feasible set references unknown cloudlet")
         if sum(self.count_capacity) < n:
@@ -244,6 +249,13 @@ def _placement_from_assignment(inst: MilpInstance,
     return place
 
 
+def _sorted_sets(inst: MilpInstance) -> list[list[int]]:
+    """Each avatar's feasible cloudlets in ascending order; avatars with
+    the same feasible set share one list."""
+    ascending = {fs: sorted(fs) for fs in set(inst.feasible_sets)}
+    return [ascending[fs] for fs in inst.feasible_sets]
+
+
 def _to_assignment(inst: MilpInstance, place: list[int]) -> Assignment:
     return Assignment({inst.avatar_ids[k]: place[k] for k in range(inst.n_avatars)})
 
@@ -265,7 +277,7 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     n, m = inst.n_avatars, inst.n_cloudlets
     iw, ig = inst._iw, inst._ig
     cap = inst.count_capacity
-    fsets = [sorted(fs) for fs in inst.feasible_sets]
+    fsets = _sorted_sets(inst)
 
     # Static branch order: heaviest first, then lowest instance index.
     order = sorted(range(n), key=lambda k: (-iw[k], k))
@@ -363,6 +375,10 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
             visit(0, 0, sum(ig))
         finally:
             sys.setrecursionlimit(limit)
+    # `visit` reaches itself through its closure; unbinding it breaks that
+    # cycle, so the search state is freed on return instead of being left
+    # for the cyclic garbage collector.
+    visit = None
     exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
 
     if best_obj is None or best_place is None:
@@ -397,7 +413,7 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
         if combos > enumeration_limit:
             raise TooLarge(
                 f"enumeration would exceed {enumeration_limit} placements")
-    fsets = [sorted(fs) for fs in inst.feasible_sets]
+    fsets = _sorted_sets(inst)
     iw, ig = inst._iw, inst._ig
     cap = inst.count_capacity
 
@@ -429,6 +445,7 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
             place[k] = -1
 
     enumerate_from(0)
+    enumerate_from = None  # breaks the closure's cycle, as in solve
     if best_obj is None or best_place is None:
         raise Infeasible("no feasible placement exists")
     objective = _to_watts(best_obj)

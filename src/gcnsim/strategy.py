@@ -158,9 +158,10 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
                                         inst._iw, inst._ig, inst.n_cloudlets)
             prev_units = _int_objective(prev_place, inst._iw, inst._ig,
                                         inst.n_cloudlets)
-            prev_gap = _approx_power_gap(state, state.prev_assignment)
-            if prev_units < seed_units and prev_gap < seed_gap:
-                seed, seed_gap = state.prev_assignment, prev_gap
+            if prev_units < seed_units:  # the float check only if needed
+                prev_gap = _approx_power_gap(state, state.prev_assignment)
+                if prev_gap < seed_gap:
+                    seed, seed_gap = state.prev_assignment, prev_gap
     elif prev_place is not None:
         seed = state.prev_assignment
         seed_gap = _approx_power_gap(state, seed)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,12 +7,15 @@ from gcnsim import (
     Assignment,
     AvatarLoad,
     CloudletSpec,
+    DelayParams,
     ScenarioConfig,
     SolarTrace,
     SolverConfig,
+    World,
     compute_slot_metrics,
     run,
 )
+from gcnsim import engine
 from gcnsim.solver import Infeasible
 from gcnsim.strategy import SlotState, StrategyOutcome
 
@@ -148,3 +152,67 @@ class TestRun:
         roomy = run(cfg, "gear", bell_trace, SolverConfig(node_limit=100_000))
         assert all(s.sla_violations == 0 for s in tight.slots)
         assert roomy.total_ongrid_approx_wh <= tight.total_ongrid_approx_wh + 1e-9
+
+
+class TestWorld:
+    @pytest.fixture
+    def mobility_calls(self, monkeypatch):
+        calls = [0]
+        step = engine.step_mobility
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+        monkeypatch.setattr(engine, "step_mobility", counted)
+        return calls
+
+    def test_shared_world_matches_fresh_runs(self, bell_trace):
+        cfg = ScenarioConfig(ue_count=60, slot_count=48, rng_seed=5)
+        world = World(cfg)
+        for strategy in ("far", "gear"):
+            assert (run(cfg, strategy, bell_trace, world=world)
+                    == run(cfg, strategy, bell_trace))
+
+    def test_world_reused_at_another_kappa(self, bell_trace):
+        cfg = ScenarioConfig(ue_count=60, slot_count=48)
+        world = World(cfg)
+        run(cfg, "far", bell_trace, world=world)
+        derated = replace(cfg, kappa=0.3)
+        for strategy in ("gear", "far"):
+            assert (run(derated, strategy, bell_trace, world=world)
+                    == run(derated, strategy, bell_trace))
+
+    @pytest.mark.parametrize("change", [{"ue_count": 61}, {"rng_seed": 2},
+                                        {"slot_count": 47}])
+    def test_world_of_another_config_rejected(self, bell_trace, change):
+        cfg = ScenarioConfig(ue_count=60, slot_count=48)
+        with pytest.raises(ValueError, match="world"):
+            run(replace(cfg, **change), "far", bell_trace, world=World(cfg))
+
+    def test_world_of_another_slot_length_rejected(self, bell_trace):
+        cfg = ScenarioConfig(ue_count=10, slot_count=4)
+        with pytest.raises(ValueError, match="world"):
+            run(cfg, "far", bell_trace, delay=DelayParams(slot_length=0.5),
+                world=World(cfg))
+
+    def test_each_slot_drawn_once(self, bell_trace, mobility_calls):
+        cfg = ScenarioConfig(ue_count=30, slot_count=7)
+        world = World(cfg)
+        assert mobility_calls[0] == 0  # construction draws no slot
+        run(cfg, "far", bell_trace, world=world)
+        assert mobility_calls[0] == 7 * 30
+        run(cfg, "gear", bell_trace, world=world)
+        assert mobility_calls[0] == 7 * 30
+
+    def test_slots_drawn_in_order_and_replayed(self):
+        world = World(ScenarioConfig(ue_count=5, slot_count=3))
+        with pytest.raises(IndexError):
+            world.loads(1)
+        first = world.loads(0)
+        assert [a.avatar_id for a in first] == list(range(5))
+        assert world.loads(0) == first
+        world.loads(1)
+        world.loads(2)
+        with pytest.raises(IndexError):
+            world.loads(3)
+        assert world.loads(0) == first

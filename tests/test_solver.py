@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -57,6 +58,30 @@ class TestBuildInstance:
                          green_power=(0.0,), count_capacity=(5,),
                          avatar_ids=(42,))
         assert err.value.avatar_id == 42
+
+    def test_first_avatar_with_empty_set_named(self):
+        ok, empty = frozenset({0}), frozenset()
+        with pytest.raises(InfeasibleAvatar) as err:
+            MilpInstance(weights=(1.0,) * 4,
+                         feasible_sets=(ok, empty, ok, empty),
+                         green_power=(0.0,), count_capacity=(5,),
+                         avatar_ids=(7, 8, 9, 10))
+        assert err.value.avatar_id == 8
+
+    def test_unknown_cloudlet_rejected(self):
+        with pytest.raises(ValueError, match="unknown cloudlet"):
+            MilpInstance(weights=(1.0, 1.0),
+                         feasible_sets=(frozenset({0}), frozenset({0, 2})),
+                         green_power=(0.0, 0.0), count_capacity=(5, 5))
+
+    def test_feasible_sets_become_frozensets(self):
+        shared = frozenset({0, 1})
+        inst = MilpInstance(weights=(1.0, 1.0, 1.0),
+                            feasible_sets=(shared, [1, 0], shared),
+                            green_power=(0.0, 0.0), count_capacity=(5, 5))
+        assert inst.feasible_sets == (shared,) * 3
+        assert inst.feasible_sets[0] is shared
+        assert all(type(fs) is frozenset for fs in inst.feasible_sets)
 
     def test_capacity_shortfall_rejected(self, power, delay):
         topo = line_topology(2.0, 2)
@@ -258,6 +283,20 @@ class TestSolve:
         assert limit < 5000
         assert solve(inst).proven_optimal
         assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("gap", [0.0, 1.0])  # 1.0: the seed shortcut
+    def test_search_state_freed_without_cyclic_gc(self, gap):
+        inst = random_instance(random.Random(3))
+        seed = solve(inst).assignment
+        gc.collect()
+        gc.disable()
+        try:
+            solve(random_instance(random.Random(3)))
+            solve(inst, SolverConfig(gap_tolerance=gap, seed_assignment=seed))
+            brute_force(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deterministic_across_calls(self):
         rng = random.Random(37)
