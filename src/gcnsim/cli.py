@@ -42,11 +42,10 @@ DEFAULT_KAPPA_VALUES = (0.0, 0.1, 0.2, 0.3)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the variable, its values, and the shared seed."""
+    """One sweep: the variable and its values."""
 
     variable: str
     values: tuple
-    seed: int
 
     def __post_init__(self) -> None:
         if self.variable not in ("ue_count", "kappa"):
@@ -140,7 +139,7 @@ def cmd_sweep(args: argparse.Namespace, variable: str) -> int:
     else:
         values = (DEFAULT_UE_VALUES if variable == "ue_count"
                   else DEFAULT_KAPPA_VALUES)
-    spec = SweepSpec(variable=variable, values=values, seed=config.rng_seed)
+    spec = SweepSpec(variable=variable, values=values)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

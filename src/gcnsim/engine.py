@@ -205,7 +205,7 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    power = power or default_power_params(kernel_cpu=config.kernel_cpu)
+    power = power or default_power_params()
     delay = delay or default_delay_params()
     solver_config = solver_config or SolverConfig()
     if world is None:

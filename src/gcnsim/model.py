@@ -20,23 +20,19 @@ class PowerParams:
     An active server draws `standby_power` watts at zero load, plus
     `avatar_coeff` watts of hypervisor overhead per hosted avatar, plus
     `cpu_coeff` watts per percentage point of CPU in use. A server hosts
-    at most `server_capacity` avatars; every avatar burns `kernel_cpu`
-    percent CPU just running its OS kernel.
+    at most `server_capacity` avatars.
     """
 
     standby_power: float = 80.0
     cpu_coeff: float = 0.2
     avatar_coeff: float = 0.3
     server_capacity: int = 16
-    kernel_cpu: float = 10.0
 
     def __post_init__(self) -> None:
         if self.standby_power <= 0 or self.cpu_coeff <= 0 or self.avatar_coeff <= 0:
             raise ValueError("power coefficients must be positive")
         if not isinstance(self.server_capacity, int) or self.server_capacity < 1:
             raise ValueError("server_capacity must be a positive integer")
-        if not 0 < self.kernel_cpu < 100:
-            raise ValueError("kernel_cpu must be in (0, 100)")
 
 
 @dataclass(frozen=True)
@@ -61,9 +57,9 @@ class DelayParams:
             raise ValueError("slot_length must be positive")
 
 
-def default_power_params(kernel_cpu: float = 10.0) -> PowerParams:
+def default_power_params() -> PowerParams:
     """Power constants used throughout the experiments."""
-    return PowerParams(kernel_cpu=kernel_cpu)
+    return PowerParams()
 
 
 def default_delay_params() -> DelayParams:
@@ -140,9 +136,6 @@ class Assignment:
     """Placement map: avatar_id -> cloudlet index, one cloudlet per avatar."""
 
     placement: dict[int, int] = field(default_factory=dict)
-
-    def cloudlet_of(self, avatar_id: int) -> int:
-        return self.placement[avatar_id]
 
     def counts(self, n_cloudlets: int) -> list[int]:
         """Number of avatars hosted per cloudlet."""

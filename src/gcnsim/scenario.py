@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import CloudletSpec, SiteTopology
 
@@ -262,18 +262,23 @@ def dump_solar_trace(trace: SolarTrace, path: str) -> None:
             f.write(f"{hour},{value}\n")
 
 
-_INT_FIELDS = {"grid_dim", "ue_count", "slot_count", "rng_seed"}
-_FLOAT_FIELDS = {"area_side", "dest_mean", "dest_stddev", "kernel_cpu",
-                 "panel_area", "panel_efficiency", "kappa"}
-_INT_PAIR_FIELDS = {"capacity_range"}
-_FLOAT_PAIR_FIELDS = {"speed_range", "cpu_range"}
-_RECT_FIELDS = {"urban_region"}
+# Each config key parses like its ScenarioConfig default: an int, a float,
+# or a comma-separated tuple of the default's length and element type.
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+
+def _parse_like(default, value: str):
+    if isinstance(default, tuple):
+        return tuple(type(d)(part) for d, part
+                     in zip(default, value.split(","), strict=True))
+    return type(default)(value)
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
     """Read a scenario config: `key = value` lines using the ScenarioConfig
     field names, `#` comments, pairs and rectangles comma-separated.
-    Unspecified fields keep their defaults."""
+    Each value is read as the type of the field's default. Unspecified
+    fields keep their defaults."""
     overrides: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -284,24 +289,10 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         if "=" not in text:
             raise ParseError(path, line_no, "expected 'key = value'")
         key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _DEFAULTS:
+            raise ParseError(path, line_no, f"unknown key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                overrides[key] = float(value)
-            elif key in _INT_PAIR_FIELDS:
-                lo, hi = value.split(",")
-                overrides[key] = (int(lo), int(hi))
-            elif key in _FLOAT_PAIR_FIELDS:
-                lo, hi = value.split(",")
-                overrides[key] = (float(lo), float(hi))
-            elif key in _RECT_FIELDS:
-                x0, y0, x1, y1 = value.split(",")
-                overrides[key] = (float(x0), float(y0), float(x1), float(y1))
-            else:
-                raise ParseError(path, line_no, f"unknown key {key!r}")
-        except ParseError:
-            raise
+            overrides[key] = _parse_like(_DEFAULTS[key], value)
         except ValueError:
             raise ParseError(path, line_no,
                              f"malformed value for {key!r}: {value!r}") from None

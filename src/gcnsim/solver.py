@@ -11,7 +11,8 @@ cloudlet i. The problem is NP-hard (it contains the partition problem), so
 `solve` runs depth-first branch and bound with an admissible aggregate
 bound and supports truncation by node budget or relative gap, returning
 the best incumbent found. `brute_force` is an exhaustive oracle for small
-instances, used to validate the search.
+instances, used to validate the search. Neither search recurses, so the
+number of avatars is not limited by the interpreter's stack.
 
 Arithmetic note: objectives and bounds are computed in fixed-point integer
 watts (1/2^20 W resolution). All partial sums are exact, so two placements
@@ -23,8 +24,8 @@ converted back to float watts.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from itertools import product
 
 from .model import (
     Assignment,
@@ -123,6 +124,7 @@ class MilpInstance:
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
         self._iw = tuple(_to_units(w) for w in self.weights)
         self._ig = tuple(_to_units(g) for g in self.green_power)
+        self._by_id = sorted(zip(self.avatar_ids, self.weights))
 
     @property
     def n_avatars(self) -> int:
@@ -131,6 +133,42 @@ class MilpInstance:
     @property
     def n_cloudlets(self) -> int:
         return len(self.green_power)
+
+    def check_assignment(self, assignment: Assignment) -> list[int]:
+        """Check a complete assignment against the instance and return its
+        cloudlet per instance position.
+
+        Raises ValueError if it misses an avatar or places one outside the
+        instance, outside its feasible set, or on a cloudlet over capacity.
+        """
+        if set(assignment.placement) != set(self.avatar_ids):
+            raise ValueError("assignment does not cover the avatar population")
+        place = [assignment.placement[a] for a in self.avatar_ids]
+        used = [0] * self.n_cloudlets
+        for k, i in enumerate(place):
+            if i not in self.feasible_sets[k]:
+                raise ValueError(f"avatar {self.avatar_ids[k]} placed outside "
+                                 "its feasible set")
+            used[i] += 1
+        for i, cap in enumerate(self.count_capacity):
+            if used[i] > cap:
+                raise ValueError(f"cloudlet {i} over capacity in assignment")
+        return place
+
+    def ongrid_power(self, assignment: Assignment) -> float:
+        """Linearized on-grid power (W) of a complete assignment in float
+        watts: each cloudlet's weights summed in ascending avatar id, then
+        the cloudlets' excess over green supply summed in index order.
+
+        This is the engine's slot accounting term for term, so for a
+        power-of-two slot length (the default 0.25 h) the result times the
+        slot length equals `compute_slot_metrics`'s `ongrid_approx_wh`.
+        """
+        placement = assignment.placement
+        load = [0] * self.n_cloudlets
+        for avatar_id, w in self._by_id:
+            load[placement[avatar_id]] += w
+        return sum(max(0.0, p - g) for p, g in zip(load, self.green_power))
 
 
 @dataclass(frozen=True)
@@ -199,13 +237,12 @@ def _int_bound(load: list[int], wrem: int, ig: tuple[int, ...]) -> int:
     return deficit + (spill if spill > 0 else 0)
 
 
-def _int_objective(place: list[int], iw: tuple[int, ...],
-                   ig: tuple[int, ...], m: int) -> int:
-    """Exact on-grid power (fixed-point) of a complete placement."""
-    load = [0] * m
+def _int_objective(place, iw: tuple[int, ...], ig: tuple[int, ...]) -> int:
+    """Exact on-grid power (fixed-point) of a complete index-form placement."""
+    load = [0] * len(ig)
     for k, i in enumerate(place):
         load[i] += iw[k]
-    return sum(load[i] - ig[i] for i in range(m) if load[i] > ig[i])
+    return sum(li - gi for li, gi in zip(load, ig) if li > gi)
 
 
 def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
@@ -230,25 +267,6 @@ def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
     return _to_watts(_int_bound(load, wrem, inst._ig))
 
 
-def _placement_from_assignment(inst: MilpInstance,
-                               assignment: Assignment) -> list[int]:
-    """Validate an assignment against the instance; return index-form placement."""
-    if set(assignment.placement) != set(inst.avatar_ids):
-        raise ValueError("assignment does not cover the avatar population")
-    place = [0] * inst.n_avatars
-    used = [0] * inst.n_cloudlets
-    for k, avatar_id in enumerate(inst.avatar_ids):
-        i = assignment.placement[avatar_id]
-        if i not in inst.feasible_sets[k]:
-            raise ValueError(f"avatar {avatar_id} placed outside its feasible set")
-        place[k] = i
-        used[i] += 1
-    for i, cap in enumerate(inst.count_capacity):
-        if used[i] > cap:
-            raise ValueError(f"cloudlet {i} over capacity in seed assignment")
-    return place
-
-
 def _sorted_sets(inst: MilpInstance) -> list[list[int]]:
     """Each avatar's feasible cloudlets in ascending order; avatars with
     the same feasible set share one list."""
@@ -267,11 +285,14 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     cloudlets with spare capacity, visited in order of residual green
     supply. Avatars with identical weight and feasible set are
     interchangeable, so their cloudlet indices are forced non-decreasing
-    to kill the symmetry. A feasible `seed_assignment` is installed as the
-    initial incumbent and can only be improved on; without one, the node
-    budget starts binding only after the first complete placement is found,
-    so truncated searches still return a feasible answer. All ties break
-    toward the lowest index, which makes runs bit-reproducible.
+    to kill the symmetry. A `seed_assignment`, checked by
+    `MilpInstance.check_assignment` (ValueError if it does not fit), is
+    installed as the initial incumbent and can only be improved on; without
+    one, the node budget starts binding only after the first complete
+    placement is found, so truncated searches still return a feasible
+    answer. All ties break toward the lowest index, which makes runs
+    bit-reproducible. The depth-first walk keeps its own stack of open
+    nodes instead of recursing, so any number of avatars can be searched.
     """
     cfg = config or SolverConfig()
     n, m = inst.n_avatars, inst.n_cloudlets
@@ -297,11 +318,9 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
 
     best_obj: int | None = None
     best_place: list[int] | None = None
-    seeded_place: list[int] | None = None
     if cfg.seed_assignment is not None:
-        seeded_place = _placement_from_assignment(inst, cfg.seed_assignment)
-        best_obj = _int_objective(seeded_place, iw, ig, m)
-        best_place = seeded_place
+        best_place = inst.check_assignment(cfg.seed_assignment)
+        best_obj = _int_objective(best_place, iw, ig)
 
     root_bound = _int_bound([0] * m, wrem_suffix[0], ig)
 
@@ -309,76 +328,77 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     load = [0] * m
     used = [0] * m
     nodes = 0
-    stop = False
-    stopped_by_gap = False
-
-    def visit(depth: int, deficit: int, slack: int) -> None:
-        nonlocal nodes, stop, stopped_by_gap, best_obj, best_place
-        nodes += 1
-        if depth == n:
-            if best_obj is None or deficit < best_obj:
-                best_obj = deficit
-                best_place = place.copy()
-                if best_obj - root_bound <= cfg.gap_tolerance * best_obj:
-                    stop = True  # incumbent provably within tolerance
-                    stopped_by_gap = True
-            return
-        if best_obj is not None and nodes >= cfg.node_limit:
-            # The budget binds only once an incumbent exists, so truncation
-            # still returns a feasible placement.
-            stop = True
-            return
-        k = order[depth]
-        wk = iw[k]
-        wr = wrem_suffix[depth + 1]
-        floor_i = place[group_prev[k]] if k in group_prev else 0
-        children: list[tuple[int, int, int, int, int]] = []
-        for i in fsets[k]:
-            if i < floor_i or used[i] >= cap[i]:
-                continue
-            li, gi = load[i], ig[i]
-            d2 = deficit - (li - gi if li > gi else 0)
-            s2 = slack - (gi - li if gi > li else 0)
-            li += wk
-            d2 += li - gi if li > gi else 0
-            s2 += gi - li if gi > li else 0
-            spill = wr - s2
-            b = d2 + (spill if spill > 0 else 0)
-            if best_obj is not None and b >= best_obj:
-                continue
-            # sort key: most residual green first, then lowest index
-            children.append((load[i] - gi, i, b, d2, s2))
-        children.sort()
-        for _, i, b, d2, s2 in children:
-            if best_obj is not None and b >= best_obj:
-                continue  # incumbent improved while visiting a sibling
-            place[k] = i
-            load[i] += wk
-            used[i] += 1
-            visit(depth + 1, d2, s2)
-            load[i] -= wk
-            used[i] -= 1
-            place[k] = -1
-            if stop:
-                return
+    stop = stopped_by_gap = False
 
     if best_obj is not None and best_obj - root_bound <= cfg.gap_tolerance * best_obj:
         # Seed already meets the tolerance against the root bound.
         nodes = 1
         stop = stopped_by_gap = True
     else:
-        # The recursive search is one frame per avatar; the raised limit is
-        # put back so that solving leaves the interpreter as it found it.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, n + 500))
-        try:
-            visit(0, 0, sum(ig))
-        finally:
-            sys.setrecursionlimit(limit)
-    # `visit` reaches itself through its closure; unbinding it breaks that
-    # cycle, so the search state is freed on return instead of being left
-    # for the cyclic garbage collector.
-    visit = None
+        # One frame per open node: its branching avatar and an iterator over
+        # the children not yet entered; the child entered last is place[k].
+        frames: list = []
+        depth, deficit, slack = 0, 0, sum(ig)
+        node_limit = cfg.node_limit
+        while True:
+            nodes += 1  # enter the node at `depth`
+            if depth == n:
+                if best_obj is None or deficit < best_obj:
+                    best_obj = deficit
+                    best_place = place.copy()
+                    if best_obj - root_bound <= cfg.gap_tolerance * best_obj:
+                        stop = stopped_by_gap = True  # provably within tolerance
+                        break
+            elif best_obj is not None and nodes >= node_limit:
+                # The budget binds only once an incumbent exists, so
+                # truncation still returns a feasible placement.
+                stop = True
+                break
+            else:
+                k = order[depth]
+                wk = iw[k]
+                wr = wrem_suffix[depth + 1]
+                floor_i = place[group_prev[k]] if k in group_prev else 0
+                children: list[tuple[int, int, int, int, int]] = []
+                for i in fsets[k]:
+                    if i < floor_i or used[i] >= cap[i]:
+                        continue
+                    li, gi = load[i], ig[i]
+                    d2 = deficit - (li - gi if li > gi else 0)
+                    s2 = slack - (gi - li if gi > li else 0)
+                    li += wk
+                    d2 += li - gi if li > gi else 0
+                    s2 += gi - li if gi > li else 0
+                    spill = wr - s2
+                    b = d2 + (spill if spill > 0 else 0)
+                    if best_obj is not None and b >= best_obj:
+                        continue
+                    # sort key: most residual green first, then lowest index
+                    children.append((load[i] - gi, i, b, d2, s2))
+                children.sort()
+                frames.append((k, iter(children)))
+            # Backtrack to the deepest open node with a child left to enter.
+            while frames:
+                k, pending = frames[-1]
+                i = place[k]
+                if i >= 0:  # leave the child entered last
+                    load[i] -= iw[k]
+                    used[i] -= 1
+                    place[k] = -1
+                for _, i, b, deficit, slack in pending:
+                    # the incumbent may have improved under a sibling
+                    if best_obj is None or b < best_obj:
+                        break
+                else:
+                    frames.pop()
+                    continue
+                place[k] = i
+                load[i] += iw[k]
+                used[i] += 1
+                depth = len(frames)
+                break
+            else:
+                break  # every open node is exhausted
     exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
 
     if best_obj is None or best_place is None:
@@ -401,51 +421,30 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
 def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solution:
     """Exhaustive oracle: enumerate every feasible placement.
 
-    Enumerates avatars in instance order over their feasible sets (pruning
-    only on capacity), keeping the first placement that attains the
-    minimum. Raises TooLarge when the feasible-set product exceeds
-    `enumeration_limit`, Infeasible when nothing completes.
+    Enumerates the product of the avatars' ascending feasible sets, first
+    avatar outermost, skips placements that overfill a cloudlet and keeps
+    the first one that attains the minimum; `nodes_explored` counts the
+    placements within capacity. Raises TooLarge when the feasible-set
+    product exceeds `enumeration_limit`, Infeasible when nothing fits.
     """
-    n, m = inst.n_avatars, inst.n_cloudlets
     combos = 1
     for fs in inst.feasible_sets:
         combos *= len(fs)
         if combos > enumeration_limit:
             raise TooLarge(
                 f"enumeration would exceed {enumeration_limit} placements")
-    fsets = _sorted_sets(inst)
     iw, ig = inst._iw, inst._ig
     cap = inst.count_capacity
-
     best_obj: int | None = None
-    best_place: list[int] | None = None
-    place = [-1] * n
-    load = [0] * m
-    used = [0] * m
+    best_place: tuple[int, ...] | None = None
     leaves = 0
-
-    def enumerate_from(k: int) -> None:
-        nonlocal best_obj, best_place, leaves
-        if k == n:
-            leaves += 1
-            obj = sum(load[i] - ig[i] for i in range(m) if load[i] > ig[i])
-            if best_obj is None or obj < best_obj:
-                best_obj = obj
-                best_place = place.copy()
-            return
-        for i in fsets[k]:
-            if used[i] >= cap[i]:
-                continue
-            place[k] = i
-            load[i] += iw[k]
-            used[i] += 1
-            enumerate_from(k + 1)
-            load[i] -= iw[k]
-            used[i] -= 1
-            place[k] = -1
-
-    enumerate_from(0)
-    enumerate_from = None  # breaks the closure's cycle, as in solve
+    for place in product(*_sorted_sets(inst)):
+        if any(place.count(i) > c for i, c in enumerate(cap)):
+            continue
+        leaves += 1
+        obj = _int_objective(place, iw, ig)
+        if best_obj is None or obj < best_obj:
+            best_obj, best_place = obj, place
     if best_obj is None or best_place is None:
         raise Infeasible("no feasible placement exists")
     objective = _to_watts(best_obj)

@@ -9,8 +9,8 @@ Both strategies map one slot's state to a complete assignment:
   placement.
 * GEAR (green-aware): solves the on-grid power minimization with branch
   and bound, warm-started with the better of FAR's placement and the
-  previous slot's placement, so its linearized objective can never exceed
-  either.
+  previous slot's placement, so its linearized on-grid power can never
+  exceed either.
 
 Strategies are deterministic functions of their inputs; they draw no
 randomness and keep no state between slots.
@@ -18,6 +18,7 @@ randomness and keep no state between slots.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -28,20 +29,9 @@ from .model import (
     DelayParams,
     PowerParams,
     SiteTopology,
-    assignment_loads,
-    cloudlet_power_approx,
     nearest_feasible_order,
 )
-from .solver import (
-    Infeasible,
-    MilpInstance,
-    Solution,
-    SolverConfig,
-    _int_objective,
-    _placement_from_assignment,
-    build_instance,
-    solve,
-)
+from .solver import Infeasible, Solution, SolverConfig, build_instance, solve
 
 
 @dataclass(frozen=True)
@@ -109,33 +99,17 @@ def far_assign(state: SlotState) -> StrategyOutcome:
     )
 
 
-def _approx_power_gap(state: SlotState, assignment: Assignment) -> float:
-    """Total on-grid power (W) of an assignment under the linearized model,
-    summed in the canonical per-cloudlet order used by the engine."""
-    groups = assignment_loads(state.loads, assignment, len(state.specs))
-    return sum(
-        max(0.0, cloudlet_power_approx(group, state.power) - green)
-        for group, green in zip(groups, state.green_power)
-    )
-
-
-def _feasible_or_none(inst: MilpInstance, assignment: Assignment) -> list[int] | None:
-    try:
-        return _placement_from_assignment(inst, assignment)
-    except ValueError:
-        return None
-
-
 def gear_assign(state: SlotState, config: SolverConfig | None = None) -> StrategyOutcome:
     """Minimize on-grid power by re-placing avatars, warm-started by FAR.
 
-    The previous slot's placement replaces FAR as the warm start only when
-    it is still feasible and strictly better under both the solver's exact
-    fixed-point objective and the engine's float accounting; the solver's
-    result replaces the warm start under the same double test. The double
-    test guarantees the returned placement never accounts worse than FAR's
-    under the linearized model, down to the last bit. Under exact
-    server-counting accounting it can draw more than FAR's.
+    Complete placements are compared by one float score,
+    `MilpInstance.ongrid_power`: linearized on-grid power summed exactly as
+    the engine accounts a slot. The warm start is FAR's placement, or the
+    previous slot's placement if that still fits and scores strictly lower
+    (FAR wins ties); the solver's result replaces the warm start only if it
+    scores strictly lower. So the returned placement never accounts worse
+    than FAR's under the linearized model, down to the last bit. Under
+    exact server-counting accounting it can draw more than FAR's.
 
     When FAR's greedy finds no room for some avatar, a still-feasible
     previous placement is the warm start; failing that the solver runs
@@ -147,30 +121,24 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
                           list(state.green_power), state.topo,
                           state.power, state.delay)
     try:
-        seed: Assignment | None = far_assign(state).assignment
+        warm: Assignment | None = far_assign(state).assignment
     except Infeasible:
-        seed = None  # the greedy can fail where a placement exists
-    prev_place = _feasible_or_none(inst, state.prev_assignment)
-    if seed is not None:
-        seed_gap = _approx_power_gap(state, seed)
-        if prev_place is not None:
-            seed_units = _int_objective(_placement_from_assignment(inst, seed),
-                                        inst._iw, inst._ig, inst.n_cloudlets)
-            prev_units = _int_objective(prev_place, inst._iw, inst._ig,
-                                        inst.n_cloudlets)
-            if prev_units < seed_units:  # the float check only if needed
-                prev_gap = _approx_power_gap(state, state.prev_assignment)
-                if prev_gap < seed_gap:
-                    seed, seed_gap = state.prev_assignment, prev_gap
-    elif prev_place is not None:
-        seed = state.prev_assignment
-        seed_gap = _approx_power_gap(state, seed)
+        warm = None  # the greedy can fail where a placement exists
+    warm_power = math.inf if warm is None else inst.ongrid_power(warm)
+    prev = state.prev_assignment
+    try:
+        inst.check_assignment(prev)
+    except ValueError:
+        pass  # the previous placement does not fit this slot
+    else:
+        prev_power = inst.ongrid_power(prev)
+        if prev_power < warm_power:
+            warm, warm_power = prev, prev_power
 
-    sol = solve(inst, replace(cfg, seed_assignment=seed))
+    sol = solve(inst, replace(cfg, seed_assignment=warm))
 
-    chosen = seed
-    if seed is None or (sol.assignment.placement != seed.placement
-                        and _approx_power_gap(state, sol.assignment) < seed_gap):
+    chosen = warm
+    if inst.ongrid_power(sol.assignment) < warm_power:
         chosen = sol.assignment
     return StrategyOutcome(
         assignment=chosen,

@@ -158,13 +158,13 @@ class TestSweeps:
 
     def test_sweep_spec_validation(self):
         with pytest.raises(ValueError):
-            SweepSpec(variable="servers", values=(1,), seed=0)
+            SweepSpec(variable="servers", values=(1,))
         with pytest.raises(ValueError):
-            SweepSpec(variable="ue_count", values=(), seed=0)
+            SweepSpec(variable="ue_count", values=())
         with pytest.raises(ValueError):
-            SweepSpec(variable="ue_count", values=(0,), seed=0)
+            SweepSpec(variable="ue_count", values=(0,))
         with pytest.raises(ValueError):
-            SweepSpec(variable="kappa", values=(0.5, 1.5), seed=0)
+            SweepSpec(variable="kappa", values=(0.5, 1.5))
 
 
 class TestBundledTrace:

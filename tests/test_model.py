@@ -190,8 +190,6 @@ class TestParamValidation:
             PowerParams(standby_power=0.0)
         with pytest.raises(ValueError):
             PowerParams(server_capacity=0)
-        with pytest.raises(ValueError):
-            PowerParams(kernel_cpu=100.0)
 
     def test_delay_params_reject_bad_values(self):
         with pytest.raises(ValueError):

@@ -339,6 +339,14 @@ class TestBruteForce:
         assert sol.assignment.placement == {0: 0}
         assert sol.proven_optimal
 
+    def test_one_placement_deeper_than_the_recursion_limit(self):
+        # 1500 avatars, each with feasible set {0}: a single placement, and
+        # more avatars than the interpreter's default recursion limit
+        inst = full_instance([1.0] * 1500, [10.0], cap_each=1500)
+        sol = brute_force(inst)
+        assert sol.objective == 1490.0
+        assert sol.nodes_explored == 1
+
     def test_guard_rejects_huge_enumerations(self):
         inst = full_instance([10.0] * 30, [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(TooLarge):

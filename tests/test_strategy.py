@@ -13,7 +13,8 @@ from gcnsim import (
     build_instance,
     propagation_delay,
 )
-from gcnsim.strategy import SlotState, _approx_power_gap, far_assign, gear_assign
+from gcnsim.engine import compute_slot_metrics
+from gcnsim.strategy import SlotState, far_assign, gear_assign
 
 from conftest import line_topology
 
@@ -37,6 +38,12 @@ def state_factory(grid_topo, power, delay):
         return make_state(grid_topo, loads, green,
                           default_power=power, default_delay=delay, **kwargs)
     return factory
+
+
+def instance_of(state):
+    return build_instance(list(state.loads), list(state.specs),
+                          list(state.green_power), state.topo, state.power,
+                          state.delay)
 
 
 def zero_green(topo):
@@ -118,8 +125,26 @@ class TestGear:
             state = state_factory(loads, green)
             far = far_assign(state)
             gear = gear_assign(state, SolverConfig(node_limit=2000))
-            assert (_approx_power_gap(state, gear.assignment)
-                    <= _approx_power_gap(state, far.assignment))
+            inst = instance_of(state)
+            assert (inst.ongrid_power(gear.assignment)
+                    <= inst.ongrid_power(far.assignment))
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_scorer_is_the_engines_linearized_accounting(
+            self, state_factory, shuffle):
+        rng = random.Random(12)
+        for _ in range(20):
+            loads = [AvatarLoad(k, rng.uniform(10, 100), rng.randrange(16))
+                     for k in range(rng.randint(1, 40))]
+            if shuffle:
+                rng.shuffle(loads)
+            green = [rng.choice((0.0, rng.uniform(0, 300))) for _ in range(16)]
+            state = state_factory(loads, green)
+            for outcome in (far_assign(state),
+                            gear_assign(state, SolverConfig(node_limit=2000))):
+                metrics = compute_slot_metrics(0, state, outcome)
+                assert (instance_of(state).ongrid_power(outcome.assignment)
+                        * state.delay.slot_length == metrics.ongrid_approx_wh)
 
     def test_respects_sla_everywhere(self, grid_topo, state_factory, delay):
         rng = random.Random(8)
