@@ -24,6 +24,7 @@ converted back to float watts.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,7 +35,6 @@ from .model import (
     DelayParams,
     PowerParams,
     SiteTopology,
-    avatar_weight,
     nearest_feasible_order,
 )
 
@@ -90,12 +90,12 @@ class MilpInstance:
     avatar_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        self.weights = tuple(float(w) for w in self.weights)
-        self.feasible_sets = tuple(
-            fs if isinstance(fs, frozenset) else frozenset(fs)
-            for fs in self.feasible_sets)
-        self.green_power = tuple(float(g) for g in self.green_power)
-        self.count_capacity = tuple(int(c) for c in self.count_capacity)
+        # frozenset(fs) and float(w) return fs and w themselves when they
+        # already have the exact type, so canonical inputs are not copied.
+        self.weights = tuple(map(float, self.weights))
+        self.feasible_sets = tuple(map(frozenset, self.feasible_sets))
+        self.green_power = tuple(map(float, self.green_power))
+        self.count_capacity = tuple(map(int, self.count_capacity))
         if not self.avatar_ids:
             self.avatar_ids = tuple(range(len(self.weights)))
         n, m = len(self.weights), len(self.green_power)
@@ -105,7 +105,7 @@ class MilpInstance:
             raise ValueError("avatar ids must be unique")
         if len(self.count_capacity) != m:
             raise ValueError("per-cloudlet field lengths disagree")
-        if any(w < 0 for w in self.weights):
+        if min(self.weights, default=0.0) < 0:
             raise ValueError("weights must be non-negative")
         if any(g < 0 for g in self.green_power):
             raise ValueError("green power must be non-negative")
@@ -122,9 +122,15 @@ class MilpInstance:
         if sum(self.count_capacity) < n:
             raise InsufficientCapacity(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
-        self._iw = tuple(_to_units(w) for w in self.weights)
-        self._ig = tuple(_to_units(g) for g in self.green_power)
-        self._by_id = sorted(zip(self.avatar_ids, self.weights))
+        self._iw = tuple(map(_to_units, self.weights))
+        self._ig = tuple(map(_to_units, self.green_power))
+        # (ids, weights) in ascending avatar id, the scorer's summation
+        # order; the engine's avatar ids already ascend.
+        ids = self.avatar_ids
+        if list(ids) == sorted(ids):
+            self._by_id = (ids, self.weights)
+        else:
+            self._by_id = tuple(zip(*sorted(zip(ids, self.weights))))
 
     @property
     def n_avatars(self) -> int:
@@ -166,7 +172,7 @@ class MilpInstance:
         """
         placement = assignment.placement
         load = [0] * self.n_cloudlets
-        for avatar_id, w in self._by_id:
+        for avatar_id, w in zip(*self._by_id):
             load[placement[avatar_id]] += w
         return sum(max(0.0, p - g) for p, g in zip(load, self.green_power))
 
@@ -198,8 +204,8 @@ class Solution:
     proven_optimal: bool
 
 
-def build_instance(loads: list[AvatarLoad], specs: list[CloudletSpec],
-                   green: list[float], topo: SiteTopology,
+def build_instance(loads: Sequence[AvatarLoad], specs: Sequence[CloudletSpec],
+                   green: Sequence[float], topo: SiteTopology,
                    power: PowerParams, delay: DelayParams) -> MilpInstance:
     """Assemble the placement problem for one slot.
 
@@ -209,13 +215,20 @@ def build_instance(loads: list[AvatarLoad], specs: list[CloudletSpec],
     if len(specs) != topo.site_count or len(green) != topo.site_count:
         raise ValueError("specs/green length must match the topology")
     reach = [frozenset(row) for row in nearest_feasible_order(topo, delay)]
+    # `avatar_weight` term for term, its placement-independent part hoisted;
+    # AvatarLoad has already range-checked every CPU figure.
+    base = power.standby_power / power.server_capacity + power.avatar_coeff
+    coeff = power.cpu_coeff
+    rows = [(a.avatar_id, base + coeff * a.total_cpu, reach[a.attached_enb])
+            for a in loads]
+    ids, weights, fsets = zip(*rows) if rows else ((), (), ())
     return MilpInstance(
-        weights=tuple(avatar_weight(a.total_cpu, power) for a in loads),
-        feasible_sets=tuple(reach[a.attached_enb] for a in loads),
+        weights=weights,
+        feasible_sets=fsets,
         green_power=tuple(green),
         count_capacity=tuple(s.server_count * power.server_capacity
                              for s in specs),
-        avatar_ids=tuple(a.avatar_id for a in loads),
+        avatar_ids=ids,
     )
 
 
@@ -287,14 +300,74 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     interchangeable, so their cloudlet indices are forced non-decreasing
     to kill the symmetry. A `seed_assignment`, checked by
     `MilpInstance.check_assignment` (ValueError if it does not fit), is
-    installed as the initial incumbent and can only be improved on; without
-    one, the node budget starts binding only after the first complete
-    placement is found, so truncated searches still return a feasible
-    answer. All ties break toward the lowest index, which makes runs
-    bit-reproducible. The depth-first walk keeps its own stack of open
-    nodes instead of recursing, so any number of avatars can be searched.
+    installed as the initial incumbent and can only be improved on; if no
+    leaf improves on it, the returned `Solution.assignment` is the seed
+    object itself. Without a seed, the node budget starts binding only
+    after the first complete placement is found, so truncated searches
+    still return a feasible answer. All ties break toward the lowest index,
+    which makes runs bit-reproducible. The depth-first walk keeps its own
+    stack of open nodes instead of recursing, so any number of avatars can
+    be searched.
+
+    The root bound is max(0, total weight - total green). A seed that meets
+    the gap tolerance against it is returned after one node, before any
+    search structure is built.
+
+    Sibling bounds are computed lazily. For a node with deficit D and slack
+    S, branching avatar weight wk and weight wr left after it, the bound of
+    the child on a cloudlet with e = load - green is
+    D + max(0, wr + wk - S) for e <= -wk, D + e + wk + max(0, wr - S - e)
+    for -wk < e < 0 and D + wk + max(0, wr - S) for e >= 0: continuous and
+    non-decreasing in e. Children are visited in order of (e, index), so the
+    children that beat the incumbent are a prefix of that order. A child's
+    bound is computed only when the walk is about to enter it, and the
+    first child that cannot beat the incumbent closes its parent.
     """
     cfg = config or SolverConfig()
+    iw, ig = inst._iw, inst._ig
+    spill = sum(iw) - sum(ig)
+    root_bound = spill if spill > 0 else 0
+
+    seed_place: list[int] | None = None
+    best_obj: int | None = None
+    if cfg.seed_assignment is not None:
+        seed_place = inst.check_assignment(cfg.seed_assignment)
+        best_obj = _int_objective(seed_place, iw, ig)
+
+    if best_obj is not None and best_obj - root_bound <= cfg.gap_tolerance * best_obj:
+        # Seed already meets the tolerance against the root bound.
+        best_place, nodes, stop, stopped_by_gap = seed_place, 1, True, True
+    else:
+        best_obj, best_place, nodes, stop, stopped_by_gap = _search(
+            inst, cfg, root_bound, best_obj, seed_place)
+    exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
+
+    if best_obj is None or best_place is None:
+        raise Infeasible("no feasible placement exists")
+
+    objective = _to_watts(best_obj)
+    lb_units = best_obj if exhausted else root_bound
+    lower_bound = _to_watts(lb_units)
+    gap = 0.0 if best_obj == lb_units else (objective - lower_bound) / max(objective, _TINY)
+    return Solution(
+        assignment=(cfg.seed_assignment if best_place is seed_place
+                    else _to_assignment(inst, best_place)),
+        objective=objective,
+        lower_bound=lower_bound,
+        gap=gap,
+        nodes_explored=nodes,
+        proven_optimal=exhausted or stopped_by_gap or gap <= cfg.gap_tolerance,
+    )
+
+
+def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
+            best_obj: int | None, best_place: list[int] | None):
+    """The depth-first walk of `solve`, from the root.
+
+    Returns (best objective, best placement, nodes, stop, stopped_by_gap);
+    the best placement is the `best_place` object passed in unless a leaf
+    improved on `best_obj`.
+    """
     n, m = inst.n_avatars, inst.n_cloudlets
     iw, ig = inst._iw, inst._ig
     cap = inst.count_capacity
@@ -316,106 +389,73 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
             group_prev[k] = last_of[key]
         last_of[key] = k
 
-    best_obj: int | None = None
-    best_place: list[int] | None = None
-    if cfg.seed_assignment is not None:
-        best_place = inst.check_assignment(cfg.seed_assignment)
-        best_obj = _int_objective(best_place, iw, ig)
-
-    root_bound = _int_bound([0] * m, wrem_suffix[0], ig)
-
     place = [-1] * n
     load = [0] * m
     used = [0] * m
     nodes = 0
     stop = stopped_by_gap = False
-
-    if best_obj is not None and best_obj - root_bound <= cfg.gap_tolerance * best_obj:
-        # Seed already meets the tolerance against the root bound.
-        nodes = 1
-        stop = stopped_by_gap = True
-    else:
-        # One frame per open node: its branching avatar and an iterator over
-        # the children not yet entered; the child entered last is place[k].
-        frames: list = []
-        depth, deficit, slack = 0, 0, sum(ig)
-        node_limit = cfg.node_limit
-        while True:
-            nodes += 1  # enter the node at `depth`
-            if depth == n:
-                if best_obj is None or deficit < best_obj:
-                    best_obj = deficit
-                    best_place = place.copy()
-                    if best_obj - root_bound <= cfg.gap_tolerance * best_obj:
-                        stop = stopped_by_gap = True  # provably within tolerance
-                        break
-            elif best_obj is not None and nodes >= node_limit:
-                # The budget binds only once an incumbent exists, so
-                # truncation still returns a feasible placement.
-                stop = True
-                break
-            else:
-                k = order[depth]
+    # One frame per open node: its branching avatar, an iterator over its
+    # (load - green, cloudlet) children not yet entered, and the node's
+    # deficit and slack; the child entered last is place[k].
+    frames: list = []
+    depth, deficit, slack = 0, 0, sum(ig)
+    node_limit = cfg.node_limit
+    while True:
+        nodes += 1  # enter the node at `depth`
+        if depth == n:
+            if best_obj is None or deficit < best_obj:
+                best_obj = deficit
+                best_place = place.copy()
+                if best_obj - root_bound <= cfg.gap_tolerance * best_obj:
+                    stop = stopped_by_gap = True  # provably within tolerance
+                    break
+        elif best_obj is not None and nodes >= node_limit:
+            # The budget binds only once an incumbent exists, so
+            # truncation still returns a feasible placement.
+            stop = True
+            break
+        else:
+            k = order[depth]
+            floor_i = place[group_prev[k]] if k in group_prev else 0
+            # sort key: most residual green first, then lowest index
+            children = [(load[i] - ig[i], i) for i in fsets[k]
+                        if i >= floor_i and used[i] < cap[i]]
+            children.sort()
+            frames.append((k, iter(children), deficit, slack))
+        # Backtrack to the deepest open node with a child left to enter.
+        while frames:
+            k, pending, deficit, slack = frames[-1]
+            i = place[k]
+            if i >= 0:  # leave the child entered last
+                load[i] -= iw[k]
+                used[i] -= 1
+                place[k] = -1
+            child = next(pending, None)
+            if child is not None:
+                e, i = child
                 wk = iw[k]
-                wr = wrem_suffix[depth + 1]
-                floor_i = place[group_prev[k]] if k in group_prev else 0
-                children: list[tuple[int, int, int, int, int]] = []
-                for i in fsets[k]:
-                    if i < floor_i or used[i] >= cap[i]:
-                        continue
-                    li, gi = load[i], ig[i]
-                    d2 = deficit - (li - gi if li > gi else 0)
-                    s2 = slack - (gi - li if gi > li else 0)
-                    li += wk
-                    d2 += li - gi if li > gi else 0
-                    s2 += gi - li if gi > li else 0
-                    spill = wr - s2
-                    b = d2 + (spill if spill > 0 else 0)
-                    if best_obj is not None and b >= best_obj:
-                        continue
-                    # sort key: most residual green first, then lowest index
-                    children.append((load[i] - gi, i, b, d2, s2))
-                children.sort()
-                frames.append((k, iter(children)))
-            # Backtrack to the deepest open node with a child left to enter.
-            while frames:
-                k, pending = frames[-1]
-                i = place[k]
-                if i >= 0:  # leave the child entered last
-                    load[i] -= iw[k]
-                    used[i] -= 1
-                    place[k] = -1
-                for _, i, b, deficit, slack in pending:
-                    # the incumbent may have improved under a sibling
-                    if best_obj is None or b < best_obj:
-                        break
+                # the child's bound, from the node's deficit and slack
+                if e > 0:
+                    deficit -= e
                 else:
-                    frames.pop()
-                    continue
-                place[k] = i
-                load[i] += iw[k]
-                used[i] += 1
-                depth = len(frames)
-                break
-            else:
-                break  # every open node is exhausted
-    exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
-
-    if best_obj is None or best_place is None:
-        raise Infeasible("no feasible placement exists")
-
-    objective = _to_watts(best_obj)
-    lb_units = best_obj if exhausted else root_bound
-    lower_bound = _to_watts(lb_units)
-    gap = 0.0 if best_obj == lb_units else (objective - lower_bound) / max(objective, _TINY)
-    return Solution(
-        assignment=_to_assignment(inst, best_place),
-        objective=objective,
-        lower_bound=lower_bound,
-        gap=gap,
-        nodes_explored=nodes,
-        proven_optimal=exhausted or stopped_by_gap or gap <= cfg.gap_tolerance,
-    )
+                    slack += e
+                e += wk
+                if e > 0:
+                    deficit += e
+                else:
+                    slack -= e
+                spill = wrem_suffix[len(frames)] - slack
+                if best_obj is None or deficit + (spill if spill > 0 else 0) < best_obj:
+                    place[k] = i
+                    load[i] += wk
+                    used[i] += 1
+                    depth = len(frames)
+                    break
+            # no child left, or this and every later sibling is pruned
+            frames.pop()
+        else:
+            break  # every open node is exhausted
+    return best_obj, best_place, nodes, stop, stopped_by_gap
 
 
 def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solution:

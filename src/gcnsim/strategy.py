@@ -89,10 +89,11 @@ def far_placement(avatars: Iterable[tuple[int, int]], topo: SiteTopology,
 
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id."""
-    assignment = far_placement(
-        ((a.avatar_id, a.attached_enb)
-         for a in sorted(state.loads, key=lambda a: a.avatar_id)),
-        state.topo, state.specs, state.power, state.delay)
+    avatars = [(a.avatar_id, a.attached_enb) for a in state.loads]
+    if avatars != sorted(avatars):  # the engine's loads already ascend
+        avatars.sort(key=lambda pair: pair[0])
+    assignment = far_placement(avatars, state.topo, state.specs, state.power,
+                               state.delay)
     return StrategyOutcome(
         assignment=assignment,
         migrations=_count_migrations(assignment, state.prev_assignment),
@@ -117,13 +118,13 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     the solver finds no placement at all.
     """
     cfg = config or SolverConfig()
-    inst = build_instance(list(state.loads), list(state.specs),
-                          list(state.green_power), state.topo,
-                          state.power, state.delay)
+    inst = build_instance(state.loads, state.specs, state.green_power,
+                          state.topo, state.power, state.delay)
     try:
-        warm: Assignment | None = far_assign(state).assignment
+        far: StrategyOutcome | None = far_assign(state)
     except Infeasible:
-        warm = None  # the greedy can fail where a placement exists
+        far = None  # the greedy can fail where a placement exists
+    warm = None if far is None else far.assignment
     warm_power = math.inf if warm is None else inst.ongrid_power(warm)
     prev = state.prev_assignment
     try:
@@ -138,10 +139,12 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     sol = solve(inst, replace(cfg, seed_assignment=warm))
 
     chosen = warm
-    if inst.ongrid_power(sol.assignment) < warm_power:
+    # the solver returns the seed object itself when nothing beat it
+    if sol.assignment is not warm and inst.ongrid_power(sol.assignment) < warm_power:
         chosen = sol.assignment
     return StrategyOutcome(
         assignment=chosen,
-        migrations=_count_migrations(chosen, state.prev_assignment),
+        migrations=(far.migrations if far is not None and chosen is far.assignment
+                    else _count_migrations(chosen, prev)),
         solver_stats=sol,
     )

@@ -5,7 +5,9 @@ The `run` and `sweep-kappa` digests were captured from the code before the
 closed-form power model, the shared reachability table and the shared greedy
 replaced their earlier implementations; the `sweep-ues` digest from the code
 before runs shared one drawn world; the searching-day digests from the code
-before GEAR chose with one float scorer and the searches stopped recursing.
+before GEAR chose with one float scorer and the searches stopped recursing;
+the solver evidence of the default GEAR day and of the searching day under a
+gap tolerance from the code before the search bounded siblings lazily.
 A change that is meant to alter outputs must name that change and re-pin
 these digests; any other change must leave them alone.
 """
@@ -63,11 +65,9 @@ SEARCHING_DAY = {
 }
 
 
-def test_searching_day_matches_golden(tmp_path, monkeypatch):
-    config = gcnsim.ScenarioConfig(ue_count=300, slot_count=48, rng_seed=1)
-    delay = replace(gcnsim.default_delay_params(), sla_max_delay=7.0)
-    solver = gcnsim.SolverConfig(node_limit=2000)
-    trace = gcnsim.load_solar_trace(bundled_trace_path())
+def recorded_solves(monkeypatch) -> list:
+    """Route GEAR's solver calls through a recorder of each solve's
+    (nodes explored, proof status, lower bound, gap)."""
     evidence = []
     solve = gcnsim.strategy.solve
 
@@ -78,13 +78,64 @@ def test_searching_day_matches_golden(tmp_path, monkeypatch):
         return sol
 
     monkeypatch.setattr(gcnsim.strategy, "solve", recording_solve)
+    return evidence
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def searching_day(solver, strategies, tmp_path):
+    """Run the 7 ms SLA day and return each strategy's slots.csv digest."""
+    config = gcnsim.ScenarioConfig(ue_count=300, slot_count=48, rng_seed=1)
+    delay = replace(gcnsim.default_delay_params(), sla_max_delay=7.0)
+    trace = gcnsim.load_solar_trace(bundled_trace_path())
     digests = {}
-    for strategy in ("far", "gear"):
+    for strategy in strategies:
         path = tmp_path / f"slots-{strategy}.csv"
         emit_csv(gcnsim.run(config, strategy, trace, solver, delay=delay),
                  str(path))
-        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    digests["solver-evidence"] = hashlib.sha256(
-        repr(evidence).encode()).hexdigest()
+        digests[path.name] = digest(path.read_bytes())
+    return digests
+
+
+def test_searching_day_matches_golden(tmp_path, monkeypatch):
+    evidence = recorded_solves(monkeypatch)
+    digests = searching_day(gcnsim.SolverConfig(node_limit=2000),
+                            ("far", "gear"), tmp_path)
+    digests["solver-evidence"] = digest(repr(evidence).encode())
     assert len(evidence) == 48
     assert digests == SEARCHING_DAY
+
+
+# The same day with a tenth of the default node budget and a 5% gap
+# tolerance: 4 searches stop at the node limit and some stop on the gap.
+GAP_STOP_DAY = {
+    "slots-gear.csv":
+        "1ffbbf6ede41a28b226869aefa650a944583645d199f7db6882b74c2fb87761e",
+    "solver-evidence":
+        "a4e39b35b95326d9ca53867d47ee704b9be5957b17e8415bdf107f8269c82b1c",
+}
+
+
+def test_gap_stop_day_matches_golden(tmp_path, monkeypatch):
+    evidence = recorded_solves(monkeypatch)
+    digests = searching_day(
+        gcnsim.SolverConfig(node_limit=20_000, gap_tolerance=0.05),
+        ("gear",), tmp_path)
+    digests["solver-evidence"] = digest(repr(evidence).encode())
+    assert len(evidence) == 48
+    assert digests == GAP_STOP_DAY
+
+
+# The default CLI day: its GEAR solves stop at the root or make one dive.
+DEFAULT_DAY_EVIDENCE = (
+    "d8d07e25a89e4db329a5790ae6c881fab91ed3f44dc8542ee9593fa0fc8a1d82")
+
+
+def test_default_day_solver_evidence_matches_golden(tmp_path, monkeypatch):
+    evidence = recorded_solves(monkeypatch)
+    assert main(["run", "--strategy", "gear", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert len(evidence) == 96
+    assert digest(repr(evidence).encode()) == DEFAULT_DAY_EVIDENCE

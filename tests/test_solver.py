@@ -15,6 +15,7 @@ from gcnsim import (
     SolverConfig,
     TooLarge,
     aggregate_bound,
+    avatar_weight,
     brute_force,
     build_instance,
     solve,
@@ -39,6 +40,9 @@ class TestBuildInstance:
         specs = [CloudletSpec(server_count=2), CloudletSpec(server_count=3)]
         inst = build_instance(loads, specs, [5.0, 7.0], topo, power, delay)
         assert inst.weights == pytest.approx((7.3, 25.3), rel=1e-12)
+        # bit for bit the model's weight, which the engine accounts with
+        assert inst.weights == tuple(avatar_weight(a.total_cpu, power)
+                                     for a in loads)
         assert inst.count_capacity == (32, 48)
         # 2 km apart, SLA radius 3.003 km: both cloudlets reachable from both
         assert inst.feasible_sets == (frozenset({0, 1}), frozenset({0, 1}))
@@ -130,6 +134,36 @@ class TestAggregateBound:
             # oracle works in floats, the bound in 2^-20 W fixed point
             assert aggregate_bound(inst, fixed) <= best + 1e-5
             checked += 1
+
+    def test_child_bound_non_decreasing_in_residual_load(self):
+        # The lemma behind solve's lazy sibling bounds: placing one more
+        # avatar on a cloudlet with residual load - green e gives a bound
+        # that is non-decreasing in e, so along the children in (e, index)
+        # order the first one that is pruned prunes every later one.
+        rng = random.Random(2024)
+        regimes = set()
+        for _ in range(400):
+            inst = random_instance(rng, max_avatars=8, max_cloudlets=5)
+            fixed = {a: rng.choice(sorted(inst.feasible_sets[k]))
+                     for k, a in enumerate(inst.avatar_ids)
+                     if rng.random() < 0.5}
+            load = [0.0] * inst.n_cloudlets
+            for k, a in enumerate(inst.avatar_ids):
+                if a in fixed:
+                    load[fixed[a]] += inst.weights[k]
+            for k, a in enumerate(inst.avatar_ids):
+                if a in fixed:
+                    continue
+                residual = sorted((load[i] - inst.green_power[i], i)
+                                  for i in inst.feasible_sets[k])
+                bounds = [aggregate_bound(inst, fixed | {a: i})
+                          for _, i in residual]
+                assert bounds == sorted(bounds), (residual, bounds)
+                w = inst.weights[k]
+                regimes.update("surplus" if e <= -w else
+                               "partial" if e < 0 else "deficit"
+                               for e, _ in residual)
+        assert regimes == {"surplus", "partial", "deficit"}
 
     @staticmethod
     def _exhaustive_completion(inst, fixed):

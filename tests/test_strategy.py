@@ -14,7 +14,7 @@ from gcnsim import (
     propagation_delay,
 )
 from gcnsim.engine import compute_slot_metrics
-from gcnsim.strategy import SlotState, far_assign, gear_assign
+from gcnsim.strategy import SlotState, far_assign, far_placement, gear_assign
 
 from conftest import line_topology
 
@@ -81,6 +81,31 @@ class TestFar:
                            power=tiny, default_delay=delay)
         with pytest.raises(Infeasible):
             far_assign(state)
+
+    def test_placement_independent_of_load_order(self, grid_topo, delay):
+        # one avatar per cloudlet, eight UEs crowding the centre cells: who
+        # is placed first decides who overflows, and FAR places in ascending
+        # avatar id whatever order the loads come in
+        tiny = PowerParams(server_capacity=1)
+        specs = tuple(CloudletSpec(server_count=1)
+                      for _ in range(grid_topo.site_count))
+        loads = [AvatarLoad(k, 50.0, enb)
+                 for k, enb in enumerate([5, 6, 5, 9, 6, 5, 10, 9])]
+        reference = far_assign(make_state(
+            grid_topo, loads, zero_green(grid_topo), specs=specs, power=tiny,
+            default_delay=delay)).assignment.placement
+        rng = random.Random(5)
+        reordered = set()
+        for _ in range(20):
+            shuffled = rng.sample(loads, len(loads))
+            state = make_state(grid_topo, shuffled, zero_green(grid_topo),
+                               specs=specs, power=tiny, default_delay=delay)
+            assert far_assign(state).assignment.placement == reference
+            greedy_in_given_order = far_placement(
+                [(a.avatar_id, a.attached_enb) for a in shuffled],
+                grid_topo, specs, tiny, delay).placement
+            reordered.add(greedy_in_given_order != reference)
+        assert True in reordered  # capacity binds: order matters to the greedy
 
     def test_migrations_counted_against_previous(self, grid_topo, state_factory):
         loads = [AvatarLoad(0, 50.0, 5), AvatarLoad(1, 50.0, 6)]
