@@ -37,14 +37,13 @@ from .scenario import (
     ParseError,
     ScenarioConfig,
     SolarTrace,
-    UEState,
-    enb_of,
+    UEColumns,
+    enb_indices,
     green_power,
     init_topology,
     init_ues,
     load_scenario_config,
     load_solar_trace,
-    sample_utilization,
     step_mobility,
 )
 from .engine import RunResult, SlotMetrics, World, compute_slot_metrics, run

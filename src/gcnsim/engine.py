@@ -6,7 +6,10 @@ demand per slot. It consumes one RNG stream in a fixed order and never
 depends on a placement decision, so it is drawn once and replayed: `run`
 with the same `World` gives FAR, GEAR and every kappa point the identical
 world (common random numbers by construction). The world is drawn lazily,
-one slot at a time as the first run reaches it, and recorded compactly.
+one slot at a time as the first run reaches it, by one columnar kernel
+call per slot (`scenario.step_mobility`), and recorded compactly. A world
+that `run` draws for itself is read once, in order, and keeps only the slot
+being read.
 
 A strategy pass (`run`) reads the world slot by slot. Before the first
 slot it parks every avatar with FAR's nearest-with-room greedy
@@ -34,7 +37,8 @@ from .model import (
     DelayParams,
     PowerParams,
     assignment_loads,
-    cloudlet_power_approx,
+    avatar_weight,
+    cloudlet_loads,
     cloudlet_power_exact,
     default_delay_params,
     default_power_params,
@@ -44,11 +48,10 @@ from .model import (
 from .scenario import (
     ScenarioConfig,
     SolarTrace,
-    enb_of,
+    enb_indices,
     green_power,
     init_topology,
     init_ues,
-    sample_utilization,
     step_mobility,
 )
 from .solver import Infeasible, SolverConfig
@@ -96,11 +99,11 @@ class World:
 
     Construction draws the topology and the initial UEs from
     `random.Random(config.rng_seed)` and nothing else. `loads(t)` draws
-    slot t when it is the next undrawn slot, per UE in ascending avatar id
-    (mobility, then CPU, then eNB lookup), and records it; a recorded slot
-    is rebuilt from the record. The record keeps one CPU float and one eNB
-    index per avatar and slot. The world serves every config that differs
-    from its own only in `kappa`, which touches green supply alone.
+    slot t when it is the next undrawn slot, with one `step_mobility` call
+    over every UE's columns, and records it; a recorded slot is rebuilt
+    from the record. The record keeps one CPU float and one eNB index per
+    avatar and slot. The world serves every config that differs from its
+    own only in `kappa`, which touches green supply alone.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -110,13 +113,15 @@ class World:
         self._rng: random.Random | None = random.Random(config.rng_seed)
         self.topo, self.specs = init_topology(config, self._rng)
         self._ues = init_ues(config, self.topo, self._rng)
-        self.initial_enbs = tuple(enb_of(ue.position, self.topo)
-                                  for ue in self._ues)
+        self.initial_enbs = tuple(enb_indices(self._ues.x, self._ues.y,
+                                              config.grid_dim,
+                                              config.area_side))
         sites = self.topo.site_count  # the smallest eNB index type that fits
         self._enb_code = ("B" if sites <= 1 << 8
                           else "H" if sites <= 1 << 16 else "L")
-        self._cpu: list[array] = []
-        self._enb: list[array] = []
+        self._cpu: list[array | None] = []
+        self._enb: list[array | None] = []
+        self._keep = True  # False: only the latest slot stays recorded
 
     def matches(self, config: ScenarioConfig,
                 slot_length: float = DelayParams.slot_length) -> bool:
@@ -129,25 +134,23 @@ class World:
         `init_ues` numbers them)."""
         if t == len(self._cpu) < self.config.slot_count:
             self._draw_next()
-        if not 0 <= t < len(self._cpu):
+        cpu = self._cpu[t] if 0 <= t < len(self._cpu) else None
+        if cpu is None:
             raise IndexError(f"slot {t} is neither recorded nor next "
                              f"({len(self._cpu)} of {self.config.slot_count} "
                              "drawn)")
-        cpu = self._cpu[t]
-        return tuple(map(AvatarLoad, range(len(cpu)), cpu, self._enb[t]))
+        return AvatarLoad.from_columns(range(len(cpu)), cpu, self._enb[t])
 
     def _draw_next(self) -> None:
-        config, rng, topo, ues = self.config, self._rng, self.topo, self._ues
-        slot_seconds = self.slot_length * 3600.0
-        cpu = array("d", [0.0]) * len(ues)
-        enb = array(self._enb_code, [0]) * len(ues)
-        for k, ue in enumerate(ues):  # the draw order is part of the contract
-            ues[k] = moved = step_mobility(ue, slot_seconds, config, rng)
-            cpu[k] = sample_utilization(config, rng)
-            enb[k] = enb_of(moved.position, topo)
+        cpu, enbs = step_mobility(self._ues, self.slot_length * 3600.0,
+                                  self.config, self._rng)
+        if cpu and not (0.0 <= min(cpu) and max(cpu) <= 100.0):
+            raise ValueError("total_cpu must be within [0, 100]")
+        if not self._keep and self._cpu:
+            self._cpu[-1] = self._enb[-1] = None
         self._cpu.append(cpu)
-        self._enb.append(enb)
-        if len(self._cpu) == config.slot_count:
+        self._enb.append(array(self._enb_code, enbs))
+        if len(self._cpu) == self.config.slot_count:
             self._ues = self._rng = None  # fully drawn; only the record is read
 
 
@@ -158,7 +161,10 @@ def compute_slot_metrics(slot: int, state: SlotState,
     power, delay = state.power, state.delay
     groups = assignment_loads(state.loads, outcome.assignment, n_cloudlets)
     power_exact = tuple(cloudlet_power_exact(g, power) for g in groups)
-    power_approx = tuple(cloudlet_power_approx(g, power) for g in groups)
+    # Each cloudlet's weights in ascending avatar id, as GEAR's scorer adds.
+    power_approx = tuple(cloudlet_loads(
+        ((i, avatar_weight(a.total_cpu, power))
+         for i, g in enumerate(groups) for a in g), n_cloudlets))
     ongrid_exact = sum(
         ongrid_energy(p, g, delay.slot_length)
         for p, g in zip(power_exact, state.green_power)
@@ -210,6 +216,7 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     solver_config = solver_config or SolverConfig()
     if world is None:
         world = World(config, delay.slot_length)
+        world._keep = False  # read once, in order: no replay to record for
     elif not world.matches(config, delay.slot_length):
         raise ValueError("the world was drawn for another config or slot length")
 

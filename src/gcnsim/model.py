@@ -10,7 +10,10 @@ the package traces back to this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -115,20 +118,35 @@ class CloudletSpec:
             raise ValueError("zone must be 'urban' or 'rural'")
 
 
-@dataclass(frozen=True)
-class AvatarLoad:
-    """One avatar's demand for a slot: total CPU (kernel + application)
-    in percent, and the site index of the eNB its UE is attached to."""
-
+class _AvatarLoadFields(NamedTuple):
     avatar_id: int
     total_cpu: float
     attached_enb: int
 
-    def __post_init__(self) -> None:
-        if self.avatar_id < 0:
+
+class AvatarLoad(_AvatarLoadFields):
+    """One avatar's demand for a slot: total CPU (kernel + application)
+    in percent, and the site index of the eNB its UE is attached to.
+
+    A named tuple whose constructor checks the ranges; `from_columns`
+    builds many at once from values already checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, avatar_id: int, total_cpu: float, attached_enb: int):
+        if avatar_id < 0:
             raise ValueError("avatar_id must be non-negative")
-        if not 0.0 <= self.total_cpu <= 100.0:
+        if not 0.0 <= total_cpu <= 100.0:
             raise ValueError("total_cpu must be within [0, 100]")
+        return super().__new__(cls, avatar_id, total_cpu, attached_enb)
+
+    @classmethod
+    def from_columns(cls, ids: Iterable[int], cpu: Iterable[float],
+                     enbs: Iterable[int]) -> tuple[AvatarLoad, ...]:
+        """Loads from per-avatar columns, without the range checks: the
+        caller has checked every value. This is what `_make` does per
+        row, without its Python frame."""
+        return tuple(map(tuple.__new__, repeat(cls), zip(ids, cpu, enbs)))
 
 
 @dataclass(frozen=True)
@@ -177,15 +195,34 @@ def avatar_weight(total_cpu: float, params: PowerParams) -> float:
             + params.cpu_coeff * total_cpu)
 
 
+def cloudlet_loads(pairs: Iterable[tuple[int, float]],
+                   n_cloudlets: int) -> list[float]:
+    """Linearized power (W) per cloudlet from (cloudlet, avatar weight)
+    pairs: each cloudlet's weights added left to right in the given order,
+    starting from 0.0.
+
+    This is the one accumulation behind every linearized cloudlet power:
+    the engine's accounting and GEAR's scorer both add with it, in
+    ascending avatar id, so they agree bit for bit. It rounds once per
+    addition on every Python; `sum()` of floats is compensated from 3.12.
+    """
+    load = [0.0] * n_cloudlets
+    for i, w in pairs:
+        load[i] += w
+    return load
+
+
 def cloudlet_power_approx(loads: list[AvatarLoad] | tuple[AvatarLoad, ...],
                           params: PowerParams) -> float:
-    """Linearized cloudlet power (W): sum of avatar weights.
+    """Linearized cloudlet power (W): sum of avatar weights, in the order
+    given.
 
     Matches `cloudlet_power_exact` whenever the avatar count is a multiple
     of the server capacity; otherwise undershoots by less than one standby
     share (the rounding of the active-server count).
     """
-    return sum(avatar_weight(a.total_cpu, params) for a in loads)
+    return cloudlet_loads(((0, avatar_weight(a.total_cpu, params))
+                           for a in loads), 1)[0]
 
 
 def propagation_delay(cloudlet: int, enb: int, topo: SiteTopology,

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .model import CloudletSpec, SiteTopology
@@ -79,14 +81,16 @@ class ScenarioConfig:
             raise ValueError("urban_region must be an ordered rectangle")
 
 
-@dataclass(frozen=True)
-class UEState:
-    """A roaming user: position and current waypoint, both in km."""
+@dataclass
+class UEColumns:
+    """Every UE's position and current waypoint in km, one list per
+    coordinate, indexed by avatar id. `step_mobility` advances them in
+    place."""
 
-    position: tuple[float, float]
-    destination: tuple[float, float]
-    speed: float
-    avatar_id: int
+    x: list[float]
+    y: list[float]
+    wx: list[float]
+    wy: list[float]
 
 
 @dataclass(frozen=True)
@@ -134,22 +138,29 @@ def init_topology(config: ScenarioConfig,
     return topo, specs
 
 
-def enb_of(position: tuple[float, float], topo: SiteTopology) -> int:
-    """Site index of the square cell containing a position.
+def enb_indices(xs: Iterable[float], ys: Iterable[float], grid_dim: int,
+                area_side: float) -> list[int]:
+    """Site index of the square cell containing each position (xs[k], ys[k]).
 
     Cells are half-open on their low edges; the outer boundary of the last
     row/column is closed so the whole area is covered.
     """
-    cell = topo.area_side / topo.grid_dim
-    gx = min(int(position[0] / cell), topo.grid_dim - 1)
-    gy = min(int(position[1] / cell), topo.grid_dim - 1)
-    return gy * topo.grid_dim + gx
+    cell = area_side / grid_dim
+    last = grid_dim - 1
+    out = []
+    for x, y in zip(xs, ys):
+        # min(int(x / cell), last) per axis, without the call
+        gx, gy = int(x / cell), int(y / cell)
+        out.append((gy if gy < last else last) * grid_dim
+                   + (gx if gx < last else last))
+    return out
 
 
 def _draw_destination(config: ScenarioConfig,
                       rng: random.Random) -> tuple[float, float]:
     # Redraw until inside the area rather than clamping, so no probability
-    # mass piles up on the boundary.
+    # mass piles up on the boundary. Both coordinates are drawn before the
+    # test: `gauss` keeps a second deviate between calls.
     side = config.area_side
     while True:
         x = rng.gauss(config.dest_mean, config.dest_stddev)
@@ -159,51 +170,58 @@ def _draw_destination(config: ScenarioConfig,
 
 
 def init_ues(config: ScenarioConfig, topo: SiteTopology,
-             rng: random.Random) -> list[UEState]:
-    """Scatter UEs uniformly over the area, each with a first waypoint and
-    speed, in ascending avatar id.
+             rng: random.Random) -> UEColumns:
+    """Scatter UEs uniformly over the area, each with a first waypoint, in
+    ascending avatar id.
 
-    The initial avatar placement is not drawn here; the engine derives it
-    from the UE positions.
+    Each UE also draws a first speed, which nothing reads (`step_mobility`
+    draws a fresh one every slot) but the stream keeps. The initial avatar
+    placement is not drawn here; the engine derives it from the UE
+    positions.
     """
-    ues: list[UEState] = []
-    for avatar_id in range(config.ue_count):
-        pos = (rng.uniform(0.0, config.area_side),
-               rng.uniform(0.0, config.area_side))
-        dest = _draw_destination(config, rng)
-        speed = rng.uniform(*config.speed_range)
-        ues.append(UEState(position=pos, destination=dest, speed=speed,
-                           avatar_id=avatar_id))
+    ues = UEColumns([], [], [], [])
+    for _ in range(config.ue_count):
+        ues.x.append(rng.uniform(0.0, config.area_side))
+        ues.y.append(rng.uniform(0.0, config.area_side))
+        wx, wy = _draw_destination(config, rng)
+        ues.wx.append(wx)
+        ues.wy.append(wy)
+        rng.uniform(*config.speed_range)
     return ues
 
 
-def step_mobility(ue: UEState, slot_seconds: float, config: ScenarioConfig,
-                  rng: random.Random) -> UEState:
-    """Advance one UE by one slot of random-waypoint motion.
+def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
+                  rng: random.Random) -> tuple[array, list[int]]:
+    """Advance every UE by one slot of random-waypoint motion and draw its
+    avatar's CPU for the slot; return the slot's CPU (percent, kernel floor
+    included) and eNB index per avatar.
 
-    A fresh speed is drawn every slot. The UE moves straight toward its
-    waypoint and stops there exactly (no overshoot); on arrival the next
-    waypoint is drawn immediately.
+    Each UE draws a fresh speed, moves straight toward its waypoint and
+    stops there exactly (no overshoot); on arrival the next waypoint is
+    drawn immediately. The draw order is per UE in ascending avatar id:
+    the speed, then any waypoint redraws, then the CPU. Each uniform draw is
+    `random.Random.uniform`'s own expression, a + (b - a) * random().
     """
-    speed = rng.uniform(*config.speed_range)
-    px, py = ue.position
-    dx, dy = ue.destination[0] - px, ue.destination[1] - py
-    remaining = math.hypot(dx, dy)
-    travel = speed * slot_seconds / 1000.0  # km per slot
-    if travel >= remaining:
-        return UEState(position=ue.destination,
-                       destination=_draw_destination(config, rng),
-                       speed=speed, avatar_id=ue.avatar_id)
-    frac = travel / remaining
-    return UEState(position=(px + dx * frac, py + dy * frac),
-                   destination=ue.destination, speed=speed,
-                   avatar_id=ue.avatar_id)
-
-
-def sample_utilization(config: ScenarioConfig, rng: random.Random) -> float:
-    """Draw one avatar's total CPU (percent) for the next slot; the kernel
-    floor is included in the value."""
-    return rng.uniform(*config.cpu_range)
+    xs, ys, wxs, wys = ues.x, ues.y, ues.wx, ues.wy
+    random_, hypot = rng.random, math.hypot
+    speed_lo, cpu_lo = config.speed_range[0], config.cpu_range[0]
+    speed_span = config.speed_range[1] - speed_lo
+    cpu_span = config.cpu_range[1] - cpu_lo
+    cpu = array("d", [0.0]) * len(xs)
+    for k in range(len(xs)):  # the draw order is part of the World contract
+        speed = speed_lo + speed_span * random_()
+        px, py = xs[k], ys[k]
+        dx, dy = wxs[k] - px, wys[k] - py
+        remaining = hypot(dx, dy)
+        travel = speed * slot_seconds / 1000.0  # km per slot
+        if travel >= remaining:
+            xs[k], ys[k] = wxs[k], wys[k]
+            wxs[k], wys[k] = _draw_destination(config, rng)
+        else:
+            frac = travel / remaining
+            xs[k], ys[k] = px + dx * frac, py + dy * frac
+        cpu[k] = cpu_lo + cpu_span * random_()
+    return cpu, enb_indices(xs, ys, config.grid_dim, config.area_side)
 
 
 def green_power(trace: SolarTrace, slot: int, spec: CloudletSpec,

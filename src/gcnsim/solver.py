@@ -35,6 +35,7 @@ from .model import (
     DelayParams,
     PowerParams,
     SiteTopology,
+    cloudlet_loads,
     nearest_feasible_order,
 )
 
@@ -163,17 +164,18 @@ class MilpInstance:
 
     def ongrid_power(self, assignment: Assignment) -> float:
         """Linearized on-grid power (W) of a complete assignment in float
-        watts: each cloudlet's weights summed in ascending avatar id, then
-        the cloudlets' excess over green supply summed in index order.
+        watts: each cloudlet's weights added by `cloudlet_loads` in
+        ascending avatar id, then the cloudlets' excess over green supply
+        summed in index order.
 
         This is the engine's slot accounting term for term, so for a
         power-of-two slot length (the default 0.25 h) the result times the
         slot length equals `compute_slot_metrics`'s `ongrid_approx_wh`.
         """
-        placement = assignment.placement
-        load = [0] * self.n_cloudlets
-        for avatar_id, w in zip(*self._by_id):
-            load[placement[avatar_id]] += w
+        ids, weights = self._by_id
+        load = cloudlet_loads(
+            zip(map(assignment.placement.__getitem__, ids), weights),
+            self.n_cloudlets)
         return sum(max(0.0, p - g) for p, g in zip(load, self.green_power))
 
 
@@ -219,12 +221,11 @@ def build_instance(loads: Sequence[AvatarLoad], specs: Sequence[CloudletSpec],
     # AvatarLoad has already range-checked every CPU figure.
     base = power.standby_power / power.server_capacity + power.avatar_coeff
     coeff = power.cpu_coeff
-    rows = [(a.avatar_id, base + coeff * a.total_cpu, reach[a.attached_enb])
-            for a in loads]
-    ids, weights, fsets = zip(*rows) if rows else ((), (), ())
+    # AvatarLoad is a named tuple: transposing is cheaper than its fields.
+    ids, cpus, enbs = zip(*loads) if loads else ((), (), ())
     return MilpInstance(
-        weights=weights,
-        feasible_sets=fsets,
+        weights=tuple([base + coeff * u for u in cpus]),
+        feasible_sets=tuple(map(reach.__getitem__, enbs)),
         green_power=tuple(green),
         count_capacity=tuple(s.server_count * power.server_capacity
                              for s in specs),

@@ -156,7 +156,8 @@ class TestRun:
 
 class TestWorld:
     @pytest.fixture
-    def mobility_calls(self, monkeypatch):
+    def kernel_calls(self, monkeypatch):
+        """Count calls of the slot kernel, one per drawn slot."""
         calls = [0]
         step = engine.step_mobility
 
@@ -195,14 +196,43 @@ class TestWorld:
             run(cfg, "far", bell_trace, delay=DelayParams(slot_length=0.5),
                 world=World(cfg))
 
-    def test_each_slot_drawn_once(self, bell_trace, mobility_calls):
+    def test_each_slot_drawn_once(self, bell_trace, kernel_calls):
         cfg = ScenarioConfig(ue_count=30, slot_count=7)
         world = World(cfg)
-        assert mobility_calls[0] == 0  # construction draws no slot
+        assert kernel_calls[0] == 0  # construction draws no slot
         run(cfg, "far", bell_trace, world=world)
-        assert mobility_calls[0] == 7 * 30
+        assert kernel_calls[0] == 7
         run(cfg, "gear", bell_trace, world=world)
-        assert mobility_calls[0] == 7 * 30
+        assert kernel_calls[0] == 7
+
+    def test_private_world_keeps_only_the_slot_being_read(
+            self, bell_trace, monkeypatch):
+        made = []
+
+        class Recorded(World):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+        monkeypatch.setattr(engine, "World", Recorded)
+        cfg = ScenarioConfig(ue_count=10, slot_count=4)
+        shared = World(cfg)
+        assert run(cfg, "far", bell_trace) == run(cfg, "far", bell_trace,
+                                                  world=shared)
+        private, = made
+        assert private.loads(3) == shared.loads(3)
+        with pytest.raises(IndexError):
+            private.loads(2)  # read once, in order: slot 2 was not kept
+
+    def test_drawn_cpu_out_of_range_rejected(self, monkeypatch):
+        step = engine.step_mobility
+
+        def overdrawn(*args):
+            cpu, enbs = step(*args)
+            cpu[-1] = 100.5
+            return cpu, enbs
+        monkeypatch.setattr(engine, "step_mobility", overdrawn)
+        with pytest.raises(ValueError, match="total_cpu"):
+            World(ScenarioConfig(ue_count=3, slot_count=2)).loads(0)
 
     def test_slots_drawn_in_order_and_replayed(self):
         world = World(ScenarioConfig(ue_count=5, slot_count=3))

@@ -7,7 +7,9 @@ replaced their earlier implementations; the `sweep-ues` digest from the code
 before runs shared one drawn world; the searching-day digests from the code
 before GEAR chose with one float scorer and the searches stopped recursing;
 the solver evidence of the default GEAR day and of the searching day under a
-gap tolerance from the code before the search bounded siblings lazily.
+gap tolerance from the code before the search bounded siblings lazily; the
+world-stream digests from the code before the world was drawn by one
+columnar slot kernel.
 A change that is meant to alter outputs must name that change and re-pin
 these digests; any other change must leave them alone.
 """
@@ -139,3 +141,40 @@ def test_default_day_solver_evidence_matches_golden(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     assert len(evidence) == 96
     assert digest(repr(evidence).encode()) == DEFAULT_DAY_EVIDENCE
+
+
+def world_stream_digest(config, slot_length=0.25) -> str:
+    """sha256 of a world's initial eNBs and every slot's loads, in order."""
+    world = gcnsim.World(config, slot_length)
+    h = hashlib.sha256(repr(world.initial_enbs).encode())
+    for t in range(config.slot_count):
+        h.update(repr([(a.avatar_id, a.total_cpu, a.attached_enb)
+                       for a in world.loads(t)]).encode())
+    return h.hexdigest()
+
+
+# The world stream alone, drawn with configs that reach every branch of the
+# draw: UEs that arrive and redraw their waypoint almost every slot, UEs that
+# never move, a longer slot, more sites than one byte can index, and cells
+# whose edges are not exact binary fractions.
+WORLD_STREAM = {
+    "default": ({}, 0.25,
+                "2f7b8ba19bea754d5d8ae653b84e6e74c56d97fd6d29cd818f134215bad27093"),
+    "fast": ({"speed_range": (10.0, 10.0)}, 0.25,
+             "51938839129f224477a0d571aeb569ad8eaba7eb407d93f78cfd99de467cdacb"),
+    "still": ({"speed_range": (0.0, 0.0)}, 0.25,
+              "e58d8297b60d5dfeed1c44e55eceac8ce467c9fa80486794112b13524c98c443"),
+    "half-hour": ({}, 0.5,
+                  "c7f8de37921c77a13044de62c8e35e41612babbc58acab198ac122fe262f1a4c"),
+    "289-sites": ({"grid_dim": 17}, 0.25,
+                  "18509813eb21b7e4fd38265680618ced79610857fb3a7510484351062280cdb4"),
+    "uneven-cells": ({"grid_dim": 3, "area_side": 7.0}, 0.25,
+                     "d742db162550c51fb1b758cbbed5ffe71ab7b69cad6e7ad90391f9ce9b573a7d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_STREAM))
+def test_world_stream_matches_golden(name):
+    overrides, slot_length, expected = WORLD_STREAM[name]
+    config = gcnsim.ScenarioConfig(rng_seed=3, **overrides)
+    assert world_stream_digest(config, slot_length) == expected

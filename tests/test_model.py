@@ -202,3 +202,11 @@ class TestParamValidation:
     def test_avatar_load_bounds(self):
         with pytest.raises(ValueError):
             AvatarLoad(avatar_id=0, total_cpu=101.0, attached_enb=0)
+
+    def test_avatar_loads_from_columns_match_checked_construction(self):
+        cpu, enbs = [10.0, 55.5, 100.0], [0, 7, 3]
+        built = AvatarLoad.from_columns(range(3), cpu, enbs)
+        assert built == tuple(map(AvatarLoad, range(3), cpu, enbs))
+        assert all(type(a) is AvatarLoad for a in built)
+        assert (built[1].avatar_id, built[1].total_cpu,
+                built[1].attached_enb) == (1, 55.5, 7)

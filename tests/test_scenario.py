@@ -5,15 +5,14 @@ import pytest
 from gcnsim import (
     ScenarioConfig,
     SolarTrace,
-    UEState,
-    enb_of,
+    UEColumns,
+    enb_indices,
     green_power,
     init_topology,
     init_ues,
     load_scenario_config,
     load_solar_trace,
     propagation_delay,
-    sample_utilization,
     step_mobility,
 )
 from gcnsim.scenario import CountError, ParseError, dump_solar_trace
@@ -54,8 +53,8 @@ class TestTopology:
 
 def initial_placement(ues, topo, specs, power, delay):
     """The engine's initial placement: the shared greedy in avatar order."""
-    return far_placement([(ue.avatar_id, enb_of(ue.position, topo)) for ue in ues],
-                         topo, specs, power, delay)
+    enbs = enb_indices(ues.x, ues.y, topo.grid_dim, topo.area_side)
+    return far_placement(enumerate(enbs), topo, specs, power, delay)
 
 
 class TestInitUes:
@@ -64,7 +63,7 @@ class TestInitUes:
         topo, specs = init_topology(cfg, random.Random(4))
         ues = init_ues(cfg, topo, random.Random(4))
         assignment = initial_placement(ues, topo, specs, power, delay)
-        assert ues == [] and assignment.placement == {}
+        assert ues.x == [] and assignment.placement == {}
 
     def test_initial_placements_respect_sla(self, power, delay):
         cfg = ScenarioConfig(ue_count=300)
@@ -72,9 +71,9 @@ class TestInitUes:
         topo, specs = init_topology(cfg, rng)
         ues = init_ues(cfg, topo, rng)
         assignment = initial_placement(ues, topo, specs, power, delay)
-        for ue in ues:
-            i = assignment.placement[ue.avatar_id]
-            e = enb_of(ue.position, topo)
+        enbs = enb_indices(ues.x, ues.y, topo.grid_dim, topo.area_side)
+        for k, e in enumerate(enbs):
+            i = assignment.placement[k]
             assert propagation_delay(i, e, topo, delay) <= delay.sla_max_delay
 
     def test_same_seed_same_world(self, power, delay):
@@ -89,54 +88,68 @@ class TestInitUes:
         assert build() == build()
 
 
+def one_ue(position, waypoint):
+    """A one-UE population for the slot kernel."""
+    return UEColumns([position[0]], [position[1]], [waypoint[0]],
+                     [waypoint[1]])
+
+
 class TestMobility:
     def test_fixed_speed_straight_line_step(self):
         cfg = ScenarioConfig(speed_range=(1.0, 1.0))
-        ue = UEState(position=(0.0, 4.0), destination=(4.0, 4.0), speed=0.0,
-                     avatar_id=0)
-        moved = step_mobility(ue, 900.0, cfg, random.Random(0))
+        ue = one_ue((0.0, 4.0), (4.0, 4.0))
+        step_mobility(ue, 900.0, cfg, random.Random(0))
         # 1 m/s for 900 s = 0.9 km toward the waypoint
-        assert moved.position[0] == pytest.approx(0.9, rel=1e-12)
-        assert moved.position[1] == pytest.approx(4.0)
+        assert ue.x[0] == pytest.approx(0.9, rel=1e-12)
+        assert ue.y[0] == pytest.approx(4.0)
 
     def test_zero_speed_stays_put(self):
         cfg = ScenarioConfig(speed_range=(0.0, 0.0))
-        ue = UEState(position=(2.0, 2.0), destination=(6.0, 6.0), speed=5.0,
-                     avatar_id=0)
-        moved = step_mobility(ue, 900.0, cfg, random.Random(1))
-        assert moved.position == (2.0, 2.0)
-        assert moved.destination == (6.0, 6.0)
+        ue = one_ue((2.0, 2.0), (6.0, 6.0))
+        step_mobility(ue, 900.0, cfg, random.Random(1))
+        assert (ue.x[0], ue.y[0]) == (2.0, 2.0)
+        assert (ue.wx[0], ue.wy[0]) == (6.0, 6.0)
 
     def test_arrival_clamps_and_redraws_waypoint(self):
         cfg = ScenarioConfig(speed_range=(10.0, 10.0))
-        ue = UEState(position=(4.0, 4.0), destination=(4.5, 4.0), speed=0.0,
-                     avatar_id=0)
-        moved = step_mobility(ue, 900.0, cfg, random.Random(2))
-        assert moved.position == (4.5, 4.0)  # no overshoot past the waypoint
-        assert moved.destination != (4.5, 4.0)
-        assert 0 <= moved.destination[0] <= 8 and 0 <= moved.destination[1] <= 8
+        ue = one_ue((4.0, 4.0), (4.5, 4.0))
+        step_mobility(ue, 900.0, cfg, random.Random(2))
+        assert (ue.x[0], ue.y[0]) == (4.5, 4.0)  # no overshoot past the waypoint
+        assert (ue.wx[0], ue.wy[0]) != (4.5, 4.0)
+        assert 0 <= ue.wx[0] <= 8 and 0 <= ue.wy[0] <= 8
 
     def test_positions_never_leave_area(self):
         cfg = ScenarioConfig()
         rng = random.Random(6)
-        ue = UEState(position=(rng.uniform(0, 8), rng.uniform(0, 8)),
-                     destination=(4.0, 4.0), speed=0.0, avatar_id=0)
+        ue = one_ue((rng.uniform(0, 8), rng.uniform(0, 8)), (4.0, 4.0))
         for _ in range(200):
-            ue = step_mobility(ue, 900.0, cfg, rng)
-            assert 0 <= ue.position[0] <= 8 and 0 <= ue.position[1] <= 8
+            step_mobility(ue, 900.0, cfg, rng)
+            assert 0 <= ue.x[0] <= 8 and 0 <= ue.y[0] <= 8
 
     def test_waypoints_concentrate_at_area_center(self):
         cfg = ScenarioConfig(speed_range=(10.0, 10.0))
         rng = random.Random(7)
-        ue = UEState(position=(4.0, 4.0), destination=(4.0, 4.0), speed=0.0,
-                     avatar_id=0)
+        ue = one_ue((4.0, 4.0), (4.0, 4.0))
         xs, ys = [], []
         for _ in range(4000):
-            ue = step_mobility(ue, 1e9, cfg, rng)  # teleport to each waypoint
-            xs.append(ue.position[0])
-            ys.append(ue.position[1])
+            step_mobility(ue, 1e9, cfg, rng)  # teleport to each waypoint
+            xs.append(ue.x[0])
+            ys.append(ue.y[0])
         assert sum(xs) / len(xs) == pytest.approx(4.0, abs=0.07)
         assert sum(ys) / len(ys) == pytest.approx(4.0, abs=0.07)
+
+    def test_returns_each_ues_cell(self):
+        cfg = ScenarioConfig(speed_range=(0.0, 0.0))
+        ues = UEColumns([1.0, 3.9, 8.0], [1.0, 0.1, 8.0], [1.0, 3.9, 8.0],
+                        [1.0, 0.1, 8.0])
+        _, enbs = step_mobility(ues, 900.0, cfg, random.Random(3))
+        assert enbs == [0, 1, 15]
+
+
+def enb_of(position, topo):
+    """The cell of one position."""
+    return enb_indices([position[0]], [position[1]], topo.grid_dim,
+                       topo.area_side)[0]
 
 
 class TestCellAttachment:
@@ -154,10 +167,18 @@ class TestCellAttachment:
 class TestUtilization:
     def test_range_and_determinism(self):
         cfg = ScenarioConfig()
-        draws = [sample_utilization(cfg, random.Random(8)) for _ in range(5)]
+
+        def first_draw():
+            cpu, _ = step_mobility(one_ue((4.0, 4.0), (5.0, 5.0)), 900.0,
+                                   cfg, random.Random(8))
+            return cpu[0]
+
+        draws = [first_draw() for _ in range(5)]
         assert len(set(draws)) == 1  # fresh seed, same first draw
         rng = random.Random(9)
-        samples = [sample_utilization(cfg, rng) for _ in range(2000)]
+        ue = one_ue((4.0, 4.0), (5.0, 5.0))
+        samples = [step_mobility(ue, 900.0, cfg, rng)[0][0]
+                   for _ in range(2000)]
         assert all(10.0 <= u <= 100.0 for u in samples)
 
 

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from gcnsim import (
     Infeasible,
     PowerParams,
     SolverConfig,
+    avatar_weight,
     brute_force,
     build_instance,
     propagation_delay,
@@ -170,6 +173,26 @@ class TestGear:
                 metrics = compute_slot_metrics(0, state, outcome)
                 assert (instance_of(state).ongrid_power(outcome.assignment)
                         * state.delay.slot_length == metrics.ongrid_approx_wh)
+
+    def test_engine_adds_each_cloudlets_weights_left_to_right(
+            self, state_factory, power):
+        # A plain left fold on every Python: sum() of floats is compensated
+        # from 3.12 and would round differently from the scorer.
+        rng = random.Random(13)
+        for _ in range(20):
+            loads = [AvatarLoad(k, rng.uniform(10, 100), rng.randrange(16))
+                     for k in range(rng.randint(1, 60))]
+            rng.shuffle(loads)
+            state = state_factory(loads, [0.0] * 16)
+            for outcome in (far_assign(state),
+                            gear_assign(state, SolverConfig(node_limit=2000))):
+                placement = outcome.assignment.placement
+                by_id = sorted(loads, key=lambda a: a.avatar_id)
+                metrics = compute_slot_metrics(0, state, outcome)
+                for i, p in enumerate(metrics.power_approx):
+                    weights = [avatar_weight(a.total_cpu, power)
+                               for a in by_id if placement[a.avatar_id] == i]
+                    assert p == functools.reduce(operator.add, weights, 0.0)
 
     def test_respects_sla_everywhere(self, grid_topo, state_factory, delay):
         rng = random.Random(8)
