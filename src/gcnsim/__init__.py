@@ -9,14 +9,14 @@ from .model import (
     PowerParams,
     SiteTopology,
     active_server_count,
-    avatar_weight,
-    cloudlet_power_approx,
+    avatar_weights,
     cloudlet_power_exact,
     default_delay_params,
     default_power_params,
     nearest_feasible_order,
     ongrid_energy,
     propagation_delay,
+    slot_columns,
 )
 from .solver import (
     Infeasible,

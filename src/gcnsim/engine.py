@@ -36,14 +36,14 @@ from .model import (
     AvatarLoad,
     DelayParams,
     PowerParams,
-    assignment_loads,
-    avatar_weight,
+    avatar_weights,
     cloudlet_loads,
     cloudlet_power_exact,
     default_delay_params,
     default_power_params,
     ongrid_energy,
     propagation_delay,
+    slot_columns,
 )
 from .scenario import (
     ScenarioConfig,
@@ -156,15 +156,19 @@ class World:
 
 def compute_slot_metrics(slot: int, state: SlotState,
                          outcome: StrategyOutcome) -> SlotMetrics:
-    """Account one slot's assignment under both power models."""
+    """Account one slot's assignment under both power models, in one pass
+    over the slot's columns in ascending avatar id."""
+    topo, power, delay = state.topo, state.power, state.delay
     n_cloudlets = len(state.specs)
-    power, delay = state.power, state.delay
-    groups = assignment_loads(state.loads, outcome.assignment, n_cloudlets)
-    power_exact = tuple(cloudlet_power_exact(g, power) for g in groups)
-    # Each cloudlet's weights in ascending avatar id, as GEAR's scorer adds.
-    power_approx = tuple(cloudlet_loads(
-        ((i, avatar_weight(a.total_cpu, power))
-         for i, g in enumerate(groups) for a in g), n_cloudlets))
+    ids, cpus, enbs = slot_columns(state.loads)
+    place = list(map(outcome.assignment.placement.__getitem__, ids))
+    hosted: list[list[float]] = [[] for _ in range(n_cloudlets)]
+    for i, u in zip(place, cpus):
+        hosted[i].append(u)
+    power_exact = tuple(cloudlet_power_exact(c, power) for c in hosted)
+    # The weights GEAR's scorer adds, in the same order.
+    power_approx = tuple(cloudlet_loads(zip(place, avatar_weights(cpus, power)),
+                                        n_cloudlets))
     ongrid_exact = sum(
         ongrid_energy(p, g, delay.slot_length)
         for p, g in zip(power_exact, state.green_power)
@@ -173,11 +177,9 @@ def compute_slot_metrics(slot: int, state: SlotState,
         ongrid_energy(p, g, delay.slot_length)
         for p, g in zip(power_approx, state.green_power)
     )
-    delays = [
-        propagation_delay(outcome.assignment.placement[a.avatar_id],
-                          a.attached_enb, state.topo, delay)
-        for a in state.loads
-    ]
+    table = [[propagation_delay(i, e, topo, delay)
+              for e in range(topo.site_count)] for i in range(n_cloudlets)]
+    delays = [table[i][e] for i, e in zip(place, enbs)]
     return SlotMetrics(
         slot=slot,
         power_exact=power_exact,

@@ -6,11 +6,14 @@ delay, the per-eNB table of cloudlets within the delay bound, and per-slot
 on-grid energy. The simulation engine and the assignment solver are both
 built on top of these primitives, so any power number reported anywhere in
 the package traces back to this module.
+
+Every per-slot layer reads a slot's avatars in one order, `slot_columns`,
+and weighs them with one formula, `avatar_weights`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -76,8 +79,6 @@ class SiteTopology:
 
     site_positions: tuple[tuple[float, float], ...]
     distances: tuple[tuple[float, ...], ...]
-    area_side: float
-    grid_dim: int
 
     def __post_init__(self) -> None:
         n = len(self.site_positions)
@@ -170,29 +171,45 @@ def active_server_count(avatar_count: int, server_capacity: int) -> int:
     return -(-avatar_count // server_capacity)
 
 
-def cloudlet_power_exact(loads: list[AvatarLoad] | tuple[AvatarLoad, ...],
-                         params: PowerParams) -> float:
-    """Cloudlet power (W): standby draw of its active servers plus every
-    hosted avatar's hypervisor overhead and CPU draw; 0 if empty.
+def cloudlet_power_exact(cpus: Sequence[float], params: PowerParams) -> float:
+    """Cloudlet power (W) from its avatars' CPU figures in ascending avatar
+    id: standby draw of its active servers plus every hosted avatar's
+    hypervisor overhead and CPU draw; 0 if empty.
 
     Packing is power-neutral for homogeneous servers, so only the count of
     servers needed matters, not which avatar shares a server with which.
     """
-    return (active_server_count(len(loads), params.server_capacity)
+    return (active_server_count(len(cpus), params.server_capacity)
             * params.standby_power
-            + params.avatar_coeff * len(loads)
-            + params.cpu_coeff * sum(a.total_cpu for a in loads))
+            + params.avatar_coeff * len(cpus)
+            + params.cpu_coeff * sum(cpus))
 
 
-def avatar_weight(total_cpu: float, params: PowerParams) -> float:
-    """Placement-independent power weight (W) one avatar contributes to a
-    cloudlet under the linearized model: amortized standby share plus
-    hypervisor overhead plus CPU draw."""
-    if not 0.0 <= total_cpu <= 100.0:
-        raise ValueError("total_cpu must be within [0, 100]")
-    return (params.standby_power / params.server_capacity
-            + params.avatar_coeff
-            + params.cpu_coeff * total_cpu)
+def slot_columns(loads: Sequence[AvatarLoad]
+                 ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
+    """A slot's (avatar ids, CPU figures, eNBs) in ascending avatar id.
+
+    This is the one order in which every layer reads a slot's avatars;
+    keeping one summation order everywhere makes energy comparisons between
+    strategies reproducible bit for bit. The engine's loads already ascend.
+    """
+    ids, cpus, enbs = zip(*loads) if loads else ((), (), ())
+    if list(ids) != sorted(ids):
+        ids, cpus, enbs = zip(*sorted(loads, key=lambda a: a.avatar_id))
+    return ids, cpus, enbs
+
+
+def avatar_weights(cpus: Iterable[float], params: PowerParams) -> list[float]:
+    """Placement-independent power weight (W) of each avatar under the
+    linearized model: amortized standby share plus hypervisor overhead plus
+    CPU draw.
+
+    The CPU figures are not range-checked here: `AvatarLoad` and the world
+    check them when loads are made.
+    """
+    base = params.standby_power / params.server_capacity + params.avatar_coeff
+    coeff = params.cpu_coeff
+    return [base + coeff * u for u in cpus]
 
 
 def cloudlet_loads(pairs: Iterable[tuple[int, float]],
@@ -210,19 +227,6 @@ def cloudlet_loads(pairs: Iterable[tuple[int, float]],
     for i, w in pairs:
         load[i] += w
     return load
-
-
-def cloudlet_power_approx(loads: list[AvatarLoad] | tuple[AvatarLoad, ...],
-                          params: PowerParams) -> float:
-    """Linearized cloudlet power (W): sum of avatar weights, in the order
-    given.
-
-    Matches `cloudlet_power_exact` whenever the avatar count is a multiple
-    of the server capacity; otherwise undershoots by less than one standby
-    share (the rounding of the active-server count).
-    """
-    return cloudlet_loads(((0, avatar_weight(a.total_cpu, params))
-                           for a in loads), 1)[0]
 
 
 def propagation_delay(cloudlet: int, enb: int, topo: SiteTopology,
@@ -257,17 +261,3 @@ def ongrid_energy(power_demand: float, green_power: float,
         raise ValueError("power values must be non-negative")
     return max(0.0, slot_length * (power_demand - green_power))
 
-
-def assignment_loads(loads: list[AvatarLoad] | tuple[AvatarLoad, ...],
-                     assignment: Assignment,
-                     n_cloudlets: int) -> list[list[AvatarLoad]]:
-    """Group loads by assigned cloudlet, each group in ascending avatar id.
-
-    This is the canonical grouping used for all power accounting; keeping
-    one summation order everywhere makes energy comparisons between
-    strategies reproducible bit for bit.
-    """
-    groups: list[list[AvatarLoad]] = [[] for _ in range(n_cloudlets)]
-    for load in sorted(loads, key=lambda a: a.avatar_id):
-        groups[assignment.placement[load.avatar_id]].append(load)
-    return groups

@@ -123,8 +123,7 @@ def init_topology(config: ScenarioConfig,
     distances = tuple(
         tuple(math.dist(p, q) for q in positions) for p in positions
     )
-    topo = SiteTopology(site_positions=positions, distances=distances,
-                        area_side=config.area_side, grid_dim=g)
+    topo = SiteTopology(site_positions=positions, distances=distances)
     x0, y0, x1, y1 = config.urban_region
     specs = tuple(
         CloudletSpec(
@@ -270,14 +269,6 @@ def load_solar_trace(path: str) -> SolarTrace:
     if len(values) != 24:
         raise CountError(f"{path}: expected 24 rows, got {len(values)}")
     return SolarTrace(hourly_irradiance=tuple(values))
-
-
-def dump_solar_trace(trace: SolarTrace, path: str) -> None:
-    """Write a trace in the same format `load_solar_trace` reads."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(TRACE_HEADER + "\n")
-        for hour, value in enumerate(trace.hourly_irradiance):
-            f.write(f"{hour},{value}\n")
 
 
 # Each config key parses like its ScenarioConfig default: an int, a float,

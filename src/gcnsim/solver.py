@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
+from operator import ge
 
 from .model import (
     Assignment,
@@ -35,8 +36,10 @@ from .model import (
     DelayParams,
     PowerParams,
     SiteTopology,
+    avatar_weights,
     cloudlet_loads,
     nearest_feasible_order,
+    slot_columns,
 )
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
@@ -81,7 +84,8 @@ class MilpInstance:
     `weights[k]` is avatar k's placement weight in watts, `feasible_sets[k]`
     the cloudlets it may use, `green_power[i]` cloudlet i's green supply in
     watts and `count_capacity[i]` the number of avatars it can host.
-    `avatar_ids` maps instance positions back to avatar identifiers.
+    `avatar_ids` maps instance positions back to avatar identifiers; they
+    strictly ascend, so instance positions are in `slot_columns` order.
     """
 
     weights: tuple[float, ...]
@@ -97,13 +101,13 @@ class MilpInstance:
         self.feasible_sets = tuple(map(frozenset, self.feasible_sets))
         self.green_power = tuple(map(float, self.green_power))
         self.count_capacity = tuple(map(int, self.count_capacity))
-        if not self.avatar_ids:
-            self.avatar_ids = tuple(range(len(self.weights)))
+        self.avatar_ids = tuple(self.avatar_ids or range(len(self.weights)))
         n, m = len(self.weights), len(self.green_power)
         if len(self.feasible_sets) != n or len(self.avatar_ids) != n:
             raise ValueError("per-avatar field lengths disagree")
-        if len(set(self.avatar_ids)) != n:
-            raise ValueError("avatar ids must be unique")
+        ids = self.avatar_ids
+        if any(map(ge, ids, ids[1:])):
+            raise ValueError("avatar ids must strictly ascend")
         if len(self.count_capacity) != m:
             raise ValueError("per-cloudlet field lengths disagree")
         if min(self.weights, default=0.0) < 0:
@@ -125,13 +129,6 @@ class MilpInstance:
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
         self._iw = tuple(map(_to_units, self.weights))
         self._ig = tuple(map(_to_units, self.green_power))
-        # (ids, weights) in ascending avatar id, the scorer's summation
-        # order; the engine's avatar ids already ascend.
-        ids = self.avatar_ids
-        if list(ids) == sorted(ids):
-            self._by_id = (ids, self.weights)
-        else:
-            self._by_id = tuple(zip(*sorted(zip(ids, self.weights))))
 
     @property
     def n_avatars(self) -> int:
@@ -172,9 +169,9 @@ class MilpInstance:
         power-of-two slot length (the default 0.25 h) the result times the
         slot length equals `compute_slot_metrics`'s `ongrid_approx_wh`.
         """
-        ids, weights = self._by_id
         load = cloudlet_loads(
-            zip(map(assignment.placement.__getitem__, ids), weights),
+            zip(map(assignment.placement.__getitem__, self.avatar_ids),
+                self.weights),
             self.n_cloudlets)
         return sum(max(0.0, p - g) for p, g in zip(load, self.green_power))
 
@@ -209,7 +206,8 @@ class Solution:
 def build_instance(loads: Sequence[AvatarLoad], specs: Sequence[CloudletSpec],
                    green: Sequence[float], topo: SiteTopology,
                    power: PowerParams, delay: DelayParams) -> MilpInstance:
-    """Assemble the placement problem for one slot.
+    """Assemble the placement problem for one slot, its avatars in
+    ascending id whatever order `loads` has.
 
     Raises InfeasibleAvatar if some avatar has no cloudlet within the delay
     bound, InsufficientCapacity if the avatars cannot all be hosted.
@@ -217,14 +215,9 @@ def build_instance(loads: Sequence[AvatarLoad], specs: Sequence[CloudletSpec],
     if len(specs) != topo.site_count or len(green) != topo.site_count:
         raise ValueError("specs/green length must match the topology")
     reach = [frozenset(row) for row in nearest_feasible_order(topo, delay)]
-    # `avatar_weight` term for term, its placement-independent part hoisted;
-    # AvatarLoad has already range-checked every CPU figure.
-    base = power.standby_power / power.server_capacity + power.avatar_coeff
-    coeff = power.cpu_coeff
-    # AvatarLoad is a named tuple: transposing is cheaper than its fields.
-    ids, cpus, enbs = zip(*loads) if loads else ((), (), ())
+    ids, cpus, enbs = slot_columns(loads)
     return MilpInstance(
-        weights=tuple([base + coeff * u for u in cpus]),
+        weights=avatar_weights(cpus, power),
         feasible_sets=tuple(map(reach.__getitem__, enbs)),
         green_power=tuple(green),
         count_capacity=tuple(s.server_count * power.server_capacity
@@ -310,9 +303,10 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     stack of open nodes instead of recursing, so any number of avatars can
     be searched.
 
-    The root bound is max(0, total weight - total green). A seed that meets
-    the gap tolerance against it is returned after one node, before any
-    search structure is built.
+    The root bound is the aggregate bound of the empty placement,
+    max(0, total weight - total green). A seed that meets the gap tolerance
+    against it is returned after one node, before any search structure is
+    built.
 
     Sibling bounds are computed lazily. For a node with deficit D and slack
     S, branching avatar weight wk and weight wr left after it, the bound of
@@ -326,8 +320,7 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     """
     cfg = config or SolverConfig()
     iw, ig = inst._iw, inst._ig
-    spill = sum(iw) - sum(ig)
-    root_bound = spill if spill > 0 else 0
+    root_bound = _int_bound([0] * len(ig), sum(iw), ig)
 
     seed_place: list[int] | None = None
     best_obj: int | None = None

@@ -30,6 +30,7 @@ from .model import (
     PowerParams,
     SiteTopology,
     nearest_feasible_order,
+    slot_columns,
 )
 from .solver import Infeasible, Solution, SolverConfig, build_instance, solve
 
@@ -89,11 +90,9 @@ def far_placement(avatars: Iterable[tuple[int, int]], topo: SiteTopology,
 
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id."""
-    avatars = [(a.avatar_id, a.attached_enb) for a in state.loads]
-    if avatars != sorted(avatars):  # the engine's loads already ascend
-        avatars.sort(key=lambda pair: pair[0])
-    assignment = far_placement(avatars, state.topo, state.specs, state.power,
-                               state.delay)
+    ids, _, enbs = slot_columns(state.loads)
+    assignment = far_placement(zip(ids, enbs), state.topo, state.specs,
+                               state.power, state.delay)
     return StrategyOutcome(
         assignment=assignment,
         migrations=_count_migrations(assignment, state.prev_assignment),

@@ -8,7 +8,7 @@ from gcnsim import (
     PowerParams,
     ScenarioConfig,
     SiteTopology,
-    avatar_weight,
+    avatar_weights,
     default_delay_params,
     default_power_params,
     init_topology,
@@ -45,9 +45,7 @@ def line_topology(spacing_km: float, count: int) -> SiteTopology:
     distances = tuple(
         tuple(abs(px - qx) for qx, _ in positions) for px, _ in positions
     )
-    return SiteTopology(site_positions=positions, distances=distances,
-                        area_side=spacing_km * max(count - 1, 1),
-                        grid_dim=count)
+    return SiteTopology(site_positions=positions, distances=distances)
 
 
 def random_instance(rng: random.Random, max_avatars: int = 8,
@@ -56,8 +54,8 @@ def random_instance(rng: random.Random, max_avatars: int = 8,
     power = default_power_params()
     n = rng.randint(1, max_avatars)
     m = rng.randint(1, max_cloudlets)
-    weights = tuple(avatar_weight(rng.uniform(10.0, 100.0), power)
-                    for _ in range(n))
+    weights = tuple(avatar_weights([rng.uniform(10.0, 100.0)
+                                    for _ in range(n)], power))
     fsets = []
     for _ in range(n):
         fs = {i for i in range(m) if rng.random() < 0.7}

@@ -4,25 +4,38 @@ import random
 import pytest
 
 from gcnsim import (
+    Assignment,
     AvatarLoad,
+    CloudletSpec,
     DelayParams,
     PowerParams,
+    SlotState,
+    StrategyOutcome,
     active_server_count,
-    avatar_weight,
-    cloudlet_power_approx,
+    avatar_weights,
     cloudlet_power_exact,
+    compute_slot_metrics,
+    default_delay_params,
     nearest_feasible_order,
     ongrid_energy,
     propagation_delay,
+    slot_columns,
 )
-from gcnsim.model import Assignment, assignment_loads
 
 from conftest import line_topology
 
 
-def loads(*cpus, enb=0):
-    return [AvatarLoad(avatar_id=k, total_cpu=u, attached_enb=enb)
-            for k, u in enumerate(cpus)]
+def account(cpus, power, placement=None, n_cloudlets=1):
+    """The engine's accounting of avatars 0..n-1 with the given CPU figures,
+    all on cloudlet 0 unless `placement` maps them elsewhere."""
+    placement = Assignment(placement or dict.fromkeys(range(len(cpus)), 0))
+    state = SlotState(
+        loads=tuple(AvatarLoad(k, u, 0) for k, u in enumerate(cpus)),
+        green_power=(0.0,) * n_cloudlets, prev_assignment=placement,
+        topo=line_topology(1.0, n_cloudlets),
+        specs=(CloudletSpec(server_count=1),) * n_cloudlets,
+        power=power, delay=default_delay_params())
+    return compute_slot_metrics(0, state, StrategyOutcome(placement, 0))
 
 
 class TestServerCounting:
@@ -46,81 +59,95 @@ class TestServerPower:
 
     def test_single_full_load_avatar(self, power):
         # 80 + 0.3 + 0.2*100 = 100.3 W
-        assert cloudlet_power_exact(loads(100.0), power) == pytest.approx(100.3, rel=1e-12)
+        assert cloudlet_power_exact([100.0], power) == pytest.approx(100.3, rel=1e-12)
 
     def test_full_server_mid_load(self, power):
         # 80 + 16*0.3 + 16*0.2*55 = 80 + 4.8 + 176 = 260.8 W
-        assert cloudlet_power_exact(loads(*[55.0] * 16), power) == pytest.approx(260.8, rel=1e-12)
+        assert cloudlet_power_exact([55.0] * 16, power) == pytest.approx(260.8, rel=1e-12)
 
     def test_additive_in_avatars(self, power):
         rng = random.Random(3)
-        group = loads(*[rng.uniform(10, 100) for _ in range(10)])
-        extra = AvatarLoad(avatar_id=99, total_cpu=42.0, attached_enb=0)
+        group = [rng.uniform(10, 100) for _ in range(10)]
         before = cloudlet_power_exact(group, power)
-        after = cloudlet_power_exact(group + [extra], power)
+        after = cloudlet_power_exact(group + [42.0], power)
         assert after - before == pytest.approx(0.3 + 0.2 * 42.0, rel=1e-12)
 
 
 class TestCloudletPower:
     def test_two_servers_seventeen_avatars(self, power):
         # 2*80 + 17*0.3 + 17*0.2*10 = 160 + 5.1 + 34 = 199.1 W
-        assert cloudlet_power_exact(loads(*[10.0] * 17), power) == pytest.approx(199.1, rel=1e-12)
+        assert cloudlet_power_exact([10.0] * 17, power) == pytest.approx(199.1, rel=1e-12)
 
     def test_empty_cloudlet_draws_nothing(self, power):
         assert cloudlet_power_exact([], power) == 0.0
 
     def test_full_server_boundary_matches_linearized(self, power):
-        group = loads(*[10.0] * 16)
+        group = [10.0] * 16
         exact = cloudlet_power_exact(group, power)
         # 80 + 16*0.3 + 32 = 116.8 W, no ceiling slack at a full server
         assert exact == pytest.approx(116.8, rel=1e-12)
-        assert cloudlet_power_approx(group, power) == pytest.approx(exact, rel=1e-12)
+        metrics = account(group, power)
+        assert metrics.power_exact == (exact,)
+        assert metrics.power_approx[0] == pytest.approx(exact, rel=1e-12)
 
     def test_linearized_never_exceeds_exact(self, power):
         rng = random.Random(11)
         for _ in range(50):
-            group = loads(*[rng.uniform(10, 100) for _ in range(rng.randint(0, 45))])
-            exact = cloudlet_power_exact(group, power)
-            approx = cloudlet_power_approx(group, power)
-            gap = exact - approx
-            assert gap >= -1e-9
-            # slack is only the server-count ceiling: strictly under one standby share
-            assert gap < 80.0 * (1 - 1 / 16) + 1e-9
+            cpus = [rng.uniform(10, 100) for _ in range(rng.randint(0, 90))]
+            split = {k: rng.randrange(2) for k in range(len(cpus))}
+            metrics = account(cpus, power, split, n_cloudlets=2)
+            for exact, approx in zip(metrics.power_exact, metrics.power_approx):
+                gap = exact - approx
+                assert gap >= -1e-9
+                # slack is only the server-count ceiling: strictly under one
+                # standby share
+                assert gap < 80.0 * (1 - 1 / 16) + 1e-9
 
 
 class TestAvatarWeight:
     @pytest.mark.parametrize("cpu,expected", [(10.0, 7.3), (100.0, 25.3), (0.0, 5.3)])
     def test_hand_values(self, power, cpu, expected):
         # 80/16 + 0.3 + 0.2*u
-        assert avatar_weight(cpu, power) == pytest.approx(expected, rel=1e-12)
+        assert avatar_weights([cpu], power) == [pytest.approx(expected, rel=1e-12)]
 
     def test_strictly_increasing_in_cpu(self, power):
         grid = [i * 2.5 for i in range(41)]
-        weights = [avatar_weight(u, power) for u in grid]
+        weights = avatar_weights(grid, power)
+        assert len(weights) == len(grid)
         assert all(a < b for a, b in zip(weights, weights[1:]))
-
-    def test_out_of_range_rejected(self, power):
-        with pytest.raises(ValueError):
-            avatar_weight(101.0, power)
 
 
 class TestLinearizedCloudletPower:
+    """The engine's linearized accounting: each cloudlet's avatar weights."""
+
     def test_mixed_pair(self, power):
         # 7.3 + 25.3 = 32.6 W
-        assert cloudlet_power_approx(loads(10.0, 100.0), power) == pytest.approx(32.6, rel=1e-12)
+        assert account([10.0, 100.0], power).power_approx == pytest.approx(
+            (32.6,), rel=1e-12)
 
     def test_empty(self, power):
-        assert cloudlet_power_approx([], power) == 0.0
+        assert account([], power).power_approx == (0.0,)
 
     def test_total_invariant_under_reassignment(self, power):
         rng = random.Random(5)
-        group = loads(*[rng.uniform(10, 100) for _ in range(30)])
-        total = cloudlet_power_approx(group, power)
+        group = [rng.uniform(10, 100) for _ in range(30)]
+        total = sum(account(group, power, n_cloudlets=4).power_approx)
         for _ in range(10):
-            split = {a.avatar_id: rng.randrange(4) for a in group}
-            parts = assignment_loads(group, Assignment(split), 4)
-            resummed = sum(cloudlet_power_approx(p, power) for p in parts)
+            split = {k: rng.randrange(4) for k in range(len(group))}
+            resummed = sum(account(group, power, split, 4).power_approx)
             assert resummed == pytest.approx(total, rel=1e-9)
+
+
+class TestSlotColumns:
+    def test_columns_ascend_by_avatar_id_whatever_the_load_order(self):
+        loads = [AvatarLoad(3, 30.0, 2), AvatarLoad(0, 10.0, 5),
+                 AvatarLoad(7, 70.0, 1), AvatarLoad(1, 15.0, 5)]
+        expected = ((0, 1, 3, 7), (10.0, 15.0, 30.0, 70.0), (5, 5, 2, 1))
+        assert slot_columns(loads) == expected
+        assert slot_columns(sorted(loads)) == expected
+
+    def test_no_avatars(self):
+        assert slot_columns(()) == ((), (), ())
 
 
 class TestPropagationDelay:

@@ -15,7 +15,7 @@ from gcnsim import (
     propagation_delay,
     step_mobility,
 )
-from gcnsim.scenario import CountError, ParseError, dump_solar_trace
+from gcnsim.scenario import CountError, ParseError
 from gcnsim.model import CloudletSpec
 from gcnsim.strategy import far_placement
 
@@ -51,9 +51,9 @@ class TestTopology:
         assert urban == {5, 6, 9, 10}
 
 
-def initial_placement(ues, topo, specs, power, delay):
+def initial_placement(ues, cfg, topo, specs, power, delay):
     """The engine's initial placement: the shared greedy in avatar order."""
-    enbs = enb_indices(ues.x, ues.y, topo.grid_dim, topo.area_side)
+    enbs = enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side)
     return far_placement(enumerate(enbs), topo, specs, power, delay)
 
 
@@ -62,7 +62,7 @@ class TestInitUes:
         cfg = ScenarioConfig(ue_count=0)
         topo, specs = init_topology(cfg, random.Random(4))
         ues = init_ues(cfg, topo, random.Random(4))
-        assignment = initial_placement(ues, topo, specs, power, delay)
+        assignment = initial_placement(ues, cfg, topo, specs, power, delay)
         assert ues.x == [] and assignment.placement == {}
 
     def test_initial_placements_respect_sla(self, power, delay):
@@ -70,8 +70,8 @@ class TestInitUes:
         rng = random.Random(5)
         topo, specs = init_topology(cfg, rng)
         ues = init_ues(cfg, topo, rng)
-        assignment = initial_placement(ues, topo, specs, power, delay)
-        enbs = enb_indices(ues.x, ues.y, topo.grid_dim, topo.area_side)
+        assignment = initial_placement(ues, cfg, topo, specs, power, delay)
+        enbs = enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side)
         for k, e in enumerate(enbs):
             i = assignment.placement[k]
             assert propagation_delay(i, e, topo, delay) <= delay.sla_max_delay
@@ -83,7 +83,7 @@ class TestInitUes:
             rng = random.Random(cfg.rng_seed)
             topo, specs = init_topology(cfg, rng)
             ues = init_ues(cfg, topo, rng)
-            return ues, initial_placement(ues, topo, specs, power, delay)
+            return ues, initial_placement(ues, cfg, topo, specs, power, delay)
 
         assert build() == build()
 
@@ -146,22 +146,23 @@ class TestMobility:
         assert enbs == [0, 1, 15]
 
 
-def enb_of(position, topo):
-    """The cell of one position."""
-    return enb_indices([position[0]], [position[1]], topo.grid_dim,
-                       topo.area_side)[0]
+def enb_of(position, cfg=ScenarioConfig()):
+    """The cell of one position on the config's grid (default: 4x4 over
+    8 km)."""
+    return enb_indices([position[0]], [position[1]], cfg.grid_dim,
+                       cfg.area_side)[0]
 
 
 class TestCellAttachment:
-    def test_cell_interior(self, grid_topo):
-        assert enb_of((1.0, 1.0), grid_topo) == 0
-        assert enb_of((3.9, 0.1), grid_topo) == 1
+    def test_cell_interior(self):
+        assert enb_of((1.0, 1.0)) == 0
+        assert enb_of((3.9, 0.1)) == 1
 
-    def test_half_open_boundary(self, grid_topo):
-        assert enb_of((2.0, 0.0), grid_topo) == 1
+    def test_half_open_boundary(self):
+        assert enb_of((2.0, 0.0)) == 1
 
-    def test_outer_corner_is_closed(self, grid_topo):
-        assert enb_of((8.0, 8.0), grid_topo) == 15
+    def test_outer_corner_is_closed(self):
+        assert enb_of((8.0, 8.0)) == 15
 
 
 class TestUtilization:
@@ -244,14 +245,11 @@ class TestTraceIO:
         with pytest.raises(ParseError):
             load_solar_trace(str(p))
 
-    def test_bundled_bell_trace_round_trips(self, bell_trace, tmp_path):
+    def test_bundled_bell_trace_is_bell_shaped(self, bell_trace):
         dark_hours = [h for h, v in enumerate(bell_trace.hourly_irradiance)
                       if v == 0.0]
         assert dark_hours == [0, 1, 2, 3, 4, 5, 6, 7, 17, 18, 19, 20, 21, 22, 23]
         assert max(bell_trace.hourly_irradiance) == bell_trace.hourly_irradiance[12]
-        p = tmp_path / "copy.csv"
-        dump_solar_trace(bell_trace, str(p))
-        assert load_solar_trace(str(p)) == bell_trace
 
 
 class TestConfigFile:

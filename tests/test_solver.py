@@ -15,7 +15,7 @@ from gcnsim import (
     SolverConfig,
     TooLarge,
     aggregate_bound,
-    avatar_weight,
+    avatar_weights,
     brute_force,
     build_instance,
     solve,
@@ -41,8 +41,7 @@ class TestBuildInstance:
         inst = build_instance(loads, specs, [5.0, 7.0], topo, power, delay)
         assert inst.weights == pytest.approx((7.3, 25.3), rel=1e-12)
         # bit for bit the model's weight, which the engine accounts with
-        assert inst.weights == tuple(avatar_weight(a.total_cpu, power)
-                                     for a in loads)
+        assert inst.weights == tuple(avatar_weights([10.0, 100.0], power))
         assert inst.count_capacity == (32, 48)
         # 2 km apart, SLA radius 3.003 km: both cloudlets reachable from both
         assert inst.feasible_sets == (frozenset({0, 1}), frozenset({0, 1}))
@@ -71,6 +70,22 @@ class TestBuildInstance:
                          green_power=(0.0,), count_capacity=(5,),
                          avatar_ids=(7, 8, 9, 10))
         assert err.value.avatar_id == 8
+
+    @pytest.mark.parametrize("ids", [(3, 3), (4, 2)])
+    def test_avatar_ids_must_strictly_ascend(self, ids):
+        with pytest.raises(ValueError, match="strictly ascend"):
+            MilpInstance(weights=(1.0, 1.0),
+                         feasible_sets=(frozenset({0}),) * 2,
+                         green_power=(0.0,), count_capacity=(5,),
+                         avatar_ids=ids)
+
+    def test_loads_taken_in_ascending_avatar_id(self, power, delay):
+        topo = line_topology(2.0, 2)
+        specs = [CloudletSpec(server_count=1)] * 2
+        loads = [AvatarLoad(5, 100.0, 1), AvatarLoad(2, 10.0, 0)]
+        inst = build_instance(loads, specs, [0.0, 0.0], topo, power, delay)
+        assert inst.avatar_ids == (2, 5)
+        assert inst.weights == pytest.approx((7.3, 25.3), rel=1e-12)
 
     def test_unknown_cloudlet_rejected(self):
         with pytest.raises(ValueError, match="unknown cloudlet"):
@@ -309,6 +324,13 @@ class TestSolve:
         assert sol.lower_bound <= sol.objective
         if not sol.proven_optimal:
             assert sol.gap > 0.0
+
+    def test_unproven_solve_reports_the_root_aggregate_bound(self):
+        # the optimum needs a search, which two nodes cannot finish
+        inst = full_instance([6.0, 5.0, 4.0, 3.0, 2.0], [10.0, 10.0])
+        sol = solve(inst, SolverConfig(node_limit=2))
+        assert not sol.proven_optimal
+        assert sol.lower_bound == aggregate_bound(inst, {})
 
     def test_deep_search_leaves_recursion_limit_unchanged(self):
         # one cloudlet: a single dive 5000 frames deep, past the default limit

@@ -11,7 +11,7 @@ from gcnsim import (
     Infeasible,
     PowerParams,
     SolverConfig,
-    avatar_weight,
+    avatar_weights,
     brute_force,
     build_instance,
     propagation_delay,
@@ -189,10 +189,26 @@ class TestGear:
                 placement = outcome.assignment.placement
                 by_id = sorted(loads, key=lambda a: a.avatar_id)
                 metrics = compute_slot_metrics(0, state, outcome)
+                weights = avatar_weights([a.total_cpu for a in by_id], power)
                 for i, p in enumerate(metrics.power_approx):
-                    weights = [avatar_weight(a.total_cpu, power)
-                               for a in by_id if placement[a.avatar_id] == i]
-                    assert p == functools.reduce(operator.add, weights, 0.0)
+                    hosted = [w for a, w in zip(by_id, weights)
+                              if placement[a.avatar_id] == i]
+                    assert p == functools.reduce(operator.add, hosted, 0.0)
+
+    def test_placement_independent_of_load_order(self, state_factory):
+        # Equal weights on one eNB tie in the search; ties break by avatar
+        # id, not by the position a load happens to have.
+        rng = random.Random(14)
+        for _ in range(10):
+            loads = [AvatarLoad(k, rng.choice((20.0, 40.0, 60.0)),
+                                rng.randrange(16))
+                     for k in range(rng.randint(2, 30))]
+            green = [rng.choice((0.0, rng.uniform(0, 300))) for _ in range(16)]
+            reference = gear_assign(state_factory(loads, green)).assignment
+            for _ in range(3):
+                shuffled = rng.sample(loads, len(loads))
+                gear = gear_assign(state_factory(shuffled, green))
+                assert gear.assignment.placement == reference.placement
 
     def test_respects_sla_everywhere(self, grid_topo, state_factory, delay):
         rng = random.Random(8)
