@@ -7,6 +7,7 @@ from .model import (
     CloudletSpec,
     DelayParams,
     PowerParams,
+    RunTables,
     SiteTopology,
     active_server_count,
     avatar_weights,
@@ -16,6 +17,7 @@ from .model import (
     nearest_feasible_order,
     ongrid_energy,
     propagation_delay,
+    run_tables,
     slot_columns,
 )
 from .solver import (

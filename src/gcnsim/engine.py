@@ -12,10 +12,12 @@ that `run` draws for itself is read once, in order, and keeps only the slot
 being read.
 
 A strategy pass (`run`) reads the world slot by slot. Before the first
-slot it parks every avatar with FAR's nearest-with-room greedy
+slot it tabulates what no slot changes (`run_tables`: reach, capacities,
+delays) and parks every avatar with FAR's nearest-with-room greedy
 (`far_placement`), so both strategies start from the same placement. Each
-slot it takes the world's loads, computes each cloudlet's green supply,
-hands the resulting state to the chosen strategy, and accounts energy under
+slot it takes the world's recorded CPU and eNB arrays as they are,
+computes each cloudlet's green supply, hands the resulting columnar state
+to the chosen strategy, and accounts energy under
 both power models (exact server-counting and the linearized per-avatar
 form the optimizer uses), so the cost of the linearization stays visible
 in the output.
@@ -42,8 +44,7 @@ from .model import (
     default_delay_params,
     default_power_params,
     ongrid_energy,
-    propagation_delay,
-    slot_columns,
+    run_tables,
 )
 from .scenario import (
     ScenarioConfig,
@@ -98,12 +99,13 @@ class World:
     """The strategy-independent part of one day, drawn once and replayed.
 
     Construction draws the topology and the initial UEs from
-    `random.Random(config.rng_seed)` and nothing else. `loads(t)` draws
+    `random.Random(config.rng_seed)` and nothing else. `columns(t)` draws
     slot t when it is the next undrawn slot, with one `step_mobility` call
-    over every UE's columns, and records it; a recorded slot is rebuilt
-    from the record. The record keeps one CPU float and one eNB index per
-    avatar and slot. The world serves every config that differs from its
-    own only in `kappa`, which touches green supply alone.
+    over every UE's columns, and records it; a recorded slot is read from
+    the record, and `loads(t)` rebuilds its `AvatarLoad`s. The record
+    keeps one CPU float and one eNB index per avatar and slot. The world
+    serves every config that differs from its own only in `kappa`, which
+    touches green supply alone.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -129,9 +131,9 @@ class World:
         return (slot_length == self.slot_length
                 and replace(config, kappa=self.config.kappa) == self.config)
 
-    def loads(self, t: int) -> tuple[AvatarLoad, ...]:
-        """Slot t's avatar loads in ascending avatar id (ids 0..n-1, as
-        `init_ues` numbers them)."""
+    def columns(self, t: int) -> tuple[array, array]:
+        """Slot t's recorded (CPU, eNB) arrays, indexed by avatar id 0..n-1
+        as `init_ues` numbers them. Callers must not modify them."""
         if t == len(self._cpu) < self.config.slot_count:
             self._draw_next()
         cpu = self._cpu[t] if 0 <= t < len(self._cpu) else None
@@ -139,7 +141,12 @@ class World:
             raise IndexError(f"slot {t} is neither recorded nor next "
                              f"({len(self._cpu)} of {self.config.slot_count} "
                              "drawn)")
-        return AvatarLoad.from_columns(range(len(cpu)), cpu, self._enb[t])
+        return cpu, self._enb[t]
+
+    def loads(self, t: int) -> tuple[AvatarLoad, ...]:
+        """Slot t's avatar loads in ascending avatar id."""
+        cpu, enbs = self.columns(t)
+        return AvatarLoad.from_columns(range(len(cpu)), cpu, enbs)
 
     def _draw_next(self) -> None:
         cpu, enbs = step_mobility(self._ues, self.slot_length * 3600.0,
@@ -158,10 +165,10 @@ def compute_slot_metrics(slot: int, state: SlotState,
                          outcome: StrategyOutcome) -> SlotMetrics:
     """Account one slot's assignment under both power models, in one pass
     over the slot's columns in ascending avatar id."""
-    topo, power, delay = state.topo, state.power, state.delay
-    n_cloudlets = len(state.specs)
-    ids, cpus, enbs = slot_columns(state.loads)
-    place = list(map(outcome.assignment.placement.__getitem__, ids))
+    power, delay, table = state.power, state.delay, state.tables.delay_ms
+    n_cloudlets = len(table)
+    cpus = state.cpu
+    place = list(map(outcome.assignment.placement.__getitem__, state.ids))
     hosted: list[list[float]] = [[] for _ in range(n_cloudlets)]
     for i, u in zip(place, cpus):
         hosted[i].append(u)
@@ -177,9 +184,7 @@ def compute_slot_metrics(slot: int, state: SlotState,
         ongrid_energy(p, g, delay.slot_length)
         for p, g in zip(power_approx, state.green_power)
     )
-    table = [[propagation_delay(i, e, topo, delay)
-              for e in range(topo.site_count)] for i in range(n_cloudlets)]
-    delays = [table[i][e] for i, e in zip(place, enbs)]
+    delays = [table[i][e] for i, e in zip(place, state.enb)]
     return SlotMetrics(
         slot=slot,
         power_exact=power_exact,
@@ -222,25 +227,23 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     elif not world.matches(config, delay.slot_length):
         raise ValueError("the world was drawn for another config or slot length")
 
-    topo, specs = world.topo, world.specs
+    tables = run_tables(world.topo, world.specs, power, delay)
     try:
         # Called directly rather than through far_assign: the initial
         # placement is not a slot decision of either strategy.
-        assignment = far_placement(enumerate(world.initial_enbs),
-                                   topo, specs, power, delay)
+        assignment = far_placement(enumerate(world.initial_enbs), tables)
     except Infeasible as exc:
         raise Infeasible(f"initial placement: {exc}") from exc
 
     slots: list[SlotMetrics] = []
     for t in range(config.slot_count):
-        loads = world.loads(t)
+        cpu, enbs = world.columns(t)
         green = tuple(
             green_power(trace, t, spec, config.kappa, delay.slot_length)
-            for spec in specs
+            for spec in tables.specs
         )
-        state = SlotState(loads=loads, green_power=green,
-                          prev_assignment=assignment, topo=topo, specs=specs,
-                          power=power, delay=delay)
+        state = SlotState(range(len(cpu)), cpu, enbs, green, assignment,
+                          tables)
         try:
             if strategy == "gear":
                 outcome = gear_assign(state, solver_config)

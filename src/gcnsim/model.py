@@ -8,7 +8,10 @@ built on top of these primitives, so any power number reported anywhere in
 the package traces back to this module.
 
 Every per-slot layer reads a slot's avatars in one order, `slot_columns`,
-and weighs them with one formula, `avatar_weights`.
+and weighs them with one formula, `avatar_weights`. What depends only on
+the network and the parameters, not on the slot (which cloudlets each eNB
+reaches, how many avatars each cloudlet hosts, each cloudlet-eNB delay),
+is tabulated once per run by `run_tables`.
 """
 
 from __future__ import annotations
@@ -250,6 +253,44 @@ def nearest_feasible_order(topo: SiteTopology,
         cands.sort()
         order.append([i for _, i in cands])
     return order
+
+
+@dataclass(frozen=True)
+class RunTables:
+    """The cloudlets and parameters of one run, with the tables every slot
+    decision reads; none of them depends on the slot.
+
+    `reach_order[e]` holds the cloudlets an avatar attached to eNB e may
+    use without breaking the SLA, nearest first (`nearest_feasible_order`),
+    and `reach[e]` the same cloudlets as a frozenset. `capacity[i]` is the
+    number of avatars cloudlet i can host, and `delay_ms[i][e]` the one-way
+    delay between cloudlet i and eNB e (`propagation_delay`).
+    """
+
+    specs: tuple[CloudletSpec, ...]
+    power: PowerParams
+    delay: DelayParams
+    reach_order: tuple[tuple[int, ...], ...]
+    reach: tuple[frozenset[int], ...]
+    capacity: tuple[int, ...]
+    delay_ms: tuple[tuple[float, ...], ...]
+
+
+def run_tables(topo: SiteTopology, specs: Sequence[CloudletSpec],
+               power: PowerParams, delay: DelayParams) -> RunTables:
+    """Tabulate a run's reach, capacities and delays once."""
+    if len(specs) != topo.site_count:
+        raise ValueError("specs length must match the topology")
+    order = nearest_feasible_order(topo, delay)
+    sites = range(topo.site_count)
+    return RunTables(
+        specs=tuple(specs), power=power, delay=delay,
+        reach_order=tuple(map(tuple, order)),
+        reach=tuple(map(frozenset, order)),
+        capacity=tuple(s.server_count * power.server_capacity for s in specs),
+        delay_ms=tuple(tuple(propagation_delay(i, e, topo, delay)
+                             for e in sites) for i in sites),
+    )
 
 
 def ongrid_energy(power_demand: float, green_power: float,

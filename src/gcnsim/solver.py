@@ -24,22 +24,17 @@ converted back to float watts.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
-from operator import ge
+from itertools import product, repeat
+from operator import ge, mul
 
 from .model import (
     Assignment,
-    AvatarLoad,
-    CloudletSpec,
-    DelayParams,
-    PowerParams,
-    SiteTopology,
+    RunTables,
     avatar_weights,
     cloudlet_loads,
-    nearest_feasible_order,
-    slot_columns,
 )
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
@@ -127,8 +122,12 @@ class MilpInstance:
         if sum(self.count_capacity) < n:
             raise InsufficientCapacity(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
-        self._iw = tuple(map(_to_units, self.weights))
-        self._ig = tuple(map(_to_units, self.green_power))
+        # _to_units of each value, without a Python frame per value; the
+        # values are floats by now, so float.__round__ is what round calls
+        self._iw = tuple(map(float.__round__,
+                             map(mul, self.weights, repeat(_SCALE))))
+        self._ig = tuple(map(float.__round__,
+                             map(mul, self.green_power, repeat(_SCALE))))
 
     @property
     def n_avatars(self) -> int:
@@ -145,15 +144,19 @@ class MilpInstance:
         Raises ValueError if it misses an avatar or places one outside the
         instance, outside its feasible set, or on a cloudlet over capacity.
         """
-        if set(assignment.placement) != set(self.avatar_ids):
+        placement, ids = assignment.placement, self.avatar_ids
+        try:  # the ids are distinct, so equal lengths mean no extra avatar
+            place = list(map(placement.__getitem__, ids))
+        except KeyError:
+            place = None
+        if place is None or len(placement) != len(ids):
             raise ValueError("assignment does not cover the avatar population")
-        place = [assignment.placement[a] for a in self.avatar_ids]
-        used = [0] * self.n_cloudlets
-        for k, i in enumerate(place):
-            if i not in self.feasible_sets[k]:
-                raise ValueError(f"avatar {self.avatar_ids[k]} placed outside "
-                                 "its feasible set")
-            used[i] += 1
+        if not all(map(frozenset.__contains__, self.feasible_sets, place)):
+            for a, fs, i in zip(ids, self.feasible_sets, place):
+                if i not in fs:
+                    raise ValueError(f"avatar {a} placed outside its "
+                                     "feasible set")
+        used = Counter(place)
         for i, cap in enumerate(self.count_capacity):
             if used[i] > cap:
                 raise ValueError(f"cloudlet {i} over capacity in assignment")
@@ -203,25 +206,23 @@ class Solution:
     proven_optimal: bool
 
 
-def build_instance(loads: Sequence[AvatarLoad], specs: Sequence[CloudletSpec],
-                   green: Sequence[float], topo: SiteTopology,
-                   power: PowerParams, delay: DelayParams) -> MilpInstance:
-    """Assemble the placement problem for one slot, its avatars in
-    ascending id whatever order `loads` has.
+def build_instance(ids: Sequence[int], cpus: Sequence[float],
+                   enbs: Sequence[int], green: Sequence[float],
+                   tables: RunTables) -> MilpInstance:
+    """Assemble the placement problem for one slot from its columns in
+    ascending avatar id (as `slot_columns` returns them) and the run's
+    tables.
 
     Raises InfeasibleAvatar if some avatar has no cloudlet within the delay
     bound, InsufficientCapacity if the avatars cannot all be hosted.
     """
-    if len(specs) != topo.site_count or len(green) != topo.site_count:
-        raise ValueError("specs/green length must match the topology")
-    reach = [frozenset(row) for row in nearest_feasible_order(topo, delay)]
-    ids, cpus, enbs = slot_columns(loads)
+    if len(green) != len(tables.capacity):
+        raise ValueError("green length must match the topology")
     return MilpInstance(
-        weights=avatar_weights(cpus, power),
-        feasible_sets=tuple(map(reach.__getitem__, enbs)),
+        weights=avatar_weights(cpus, tables.power),
+        feasible_sets=tuple(map(tables.reach.__getitem__, enbs)),
         green_power=tuple(green),
-        count_capacity=tuple(s.server_count * power.server_capacity
-                             for s in specs),
+        count_capacity=tables.capacity,
         avatar_ids=ids,
     )
 

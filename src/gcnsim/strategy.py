@@ -19,8 +19,9 @@ randomness and keep no state between slots.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from operator import ne
 
 from .model import (
     Assignment,
@@ -28,8 +29,9 @@ from .model import (
     CloudletSpec,
     DelayParams,
     PowerParams,
+    RunTables,
     SiteTopology,
-    nearest_feasible_order,
+    run_tables,
     slot_columns,
 )
 from .solver import Infeasible, Solution, SolverConfig, build_instance, solve
@@ -37,16 +39,47 @@ from .solver import Infeasible, Solution, SolverConfig, build_instance, solve
 
 @dataclass(frozen=True)
 class SlotState:
-    """Everything a strategy may look at for one slot: next-slot loads and
-    green supply, the previous placement, and the scenario constants."""
+    """Everything a strategy may look at for one slot: the avatars as
+    columns in ascending avatar id (`ids`, CPU figures `cpu`, eNBs `enb`),
+    next-slot green supply, the previous placement, and the run's tables.
 
-    loads: tuple[AvatarLoad, ...]
+    The engine hands over the world's own record arrays with ids
+    `range(n)`; `from_loads` builds a state from `AvatarLoad`s.
+    """
+
+    ids: Sequence[int]
+    cpu: Sequence[float]
+    enb: Sequence[int]
     green_power: tuple[float, ...]
     prev_assignment: Assignment
-    topo: SiteTopology
-    specs: tuple[CloudletSpec, ...]
-    power: PowerParams
-    delay: DelayParams
+    tables: RunTables
+
+    @classmethod
+    def from_loads(cls, loads: Iterable[AvatarLoad],
+                   green_power: Iterable[float], prev_assignment: Assignment,
+                   topo: SiteTopology, specs: Sequence[CloudletSpec],
+                   power: PowerParams, delay: DelayParams) -> SlotState:
+        """A state from loads in any order; tabulates the run's tables."""
+        ids, cpu, enb = slot_columns(tuple(loads))
+        return cls(ids, cpu, enb, tuple(green_power), prev_assignment,
+                   run_tables(topo, specs, power, delay))
+
+    @property
+    def loads(self) -> tuple[AvatarLoad, ...]:
+        """The slot's loads in ascending avatar id, built on each read."""
+        return AvatarLoad.from_columns(self.ids, self.cpu, self.enb)
+
+    @property
+    def specs(self) -> tuple[CloudletSpec, ...]:
+        return self.tables.specs
+
+    @property
+    def power(self) -> PowerParams:
+        return self.tables.power
+
+    @property
+    def delay(self) -> DelayParams:
+        return self.tables.delay
 
 
 @dataclass(frozen=True)
@@ -59,22 +92,22 @@ class StrategyOutcome:
 
 
 def _count_migrations(new: Assignment, prev: Assignment) -> int:
-    return sum(1 for k, i in new.placement.items() if prev.placement.get(k) != i)
+    placement = new.placement
+    return sum(map(ne, map(prev.placement.get, placement), placement.values()))
 
 
-def far_placement(avatars: Iterable[tuple[int, int]], topo: SiteTopology,
-                  specs: tuple[CloudletSpec, ...], power: PowerParams,
-                  delay: DelayParams) -> Assignment:
+def far_placement(avatars: Iterable[tuple[int, int]],
+                  tables: RunTables) -> Assignment:
     """Nearest-with-room greedy: place each (avatar id, eNB) in the given
     order at the nearest in-range cloudlet that still has room.
 
     When the nearest cloudlet is full the avatar overflows to the
     next-nearest with room, still within the delay bound. Raises Infeasible
     if every in-range cloudlet is full; that proves only that the greedy
-    failed, not that no placement exists.
+    failed, not that no placement exists, and the message says so.
     """
-    order = nearest_feasible_order(topo, delay)
-    room = [s.server_count * power.server_capacity for s in specs]
+    order = tables.reach_order
+    room = list(tables.capacity)
     placement: dict[int, int] = {}
     for avatar_id, enb in avatars:
         for i in order[enb]:
@@ -84,15 +117,16 @@ def far_placement(avatars: Iterable[tuple[int, int]], topo: SiteTopology,
                 break
         else:
             raise Infeasible(
-                f"no in-range cloudlet has room for avatar {avatar_id}")
+                f"FAR's nearest-with-room greedy failed: no room for avatar "
+                f"{avatar_id} at eNB {enb}, whose in-range cloudlets (nearest "
+                f"first) {', '.join(map(str, order[enb]))} are all full; this "
+                "does not prove that no placement exists")
     return Assignment(placement)
 
 
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id."""
-    ids, _, enbs = slot_columns(state.loads)
-    assignment = far_placement(zip(ids, enbs), state.topo, state.specs,
-                               state.power, state.delay)
+    assignment = far_placement(zip(state.ids, state.enb), state.tables)
     return StrategyOutcome(
         assignment=assignment,
         migrations=_count_migrations(assignment, state.prev_assignment),
@@ -117,8 +151,8 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     the solver finds no placement at all.
     """
     cfg = config or SolverConfig()
-    inst = build_instance(state.loads, state.specs, state.green_power,
-                          state.topo, state.power, state.delay)
+    inst = build_instance(state.ids, state.cpu, state.enb, state.green_power,
+                          state.tables)
     try:
         far: StrategyOutcome | None = far_assign(state)
     except Infeasible:

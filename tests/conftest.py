@@ -9,9 +9,12 @@ from gcnsim import (
     ScenarioConfig,
     SiteTopology,
     avatar_weights,
+    build_instance,
     default_delay_params,
     default_power_params,
     init_topology,
+    run_tables,
+    slot_columns,
 )
 from gcnsim.cli import bundled_trace_path
 from gcnsim.scenario import load_solar_trace
@@ -66,3 +69,9 @@ def random_instance(rng: random.Random, max_avatars: int = 8,
     caps = tuple(rng.randint(-(-n // m), n) for _ in range(m))
     return MilpInstance(weights=weights, feasible_sets=tuple(fsets),
                         green_power=green, count_capacity=caps)
+
+
+def instance_from_loads(loads, specs, green, topo, power, delay) -> MilpInstance:
+    """`build_instance` for loads in any order, with the run's tables."""
+    return build_instance(*slot_columns(tuple(loads)), green,
+                          run_tables(topo, specs, power, delay))

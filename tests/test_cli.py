@@ -52,6 +52,22 @@ class TestRunCommand:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_far_greedy_failure_reported_as_the_greedys(self, tmp_path,
+                                                       capsys):
+        # FAR's greedy runs out of room at slot 23, although GEAR places
+        # every slot of this day
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("capacity_range = 1,2\nue_count = 300\n"
+                       "slot_count = 48\nrng_seed = 1\n")
+        code = main(["run", "--strategy", "both", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "infeasible scenario: slot 23: FAR's nearest-with-room greedy "
+            "failed: no room for avatar 298 at eNB 4, whose in-range "
+            "cloudlets (nearest first) 4, 0, 5, 8, 1, 9 are all full; this "
+            "does not prove that no placement exists\n")
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main(["run", "--strategy", "quickest"]) == 1

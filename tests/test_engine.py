@@ -1,3 +1,4 @@
+import importlib
 import random
 from dataclasses import replace
 
@@ -30,9 +31,9 @@ def single_site_state(loads, green, power, delay, server_count=2):
     topo = line_topology(1.0, 1)
     specs = (CloudletSpec(server_count=server_count),)
     prev = Assignment({a.avatar_id: 0 for a in loads})
-    return SlotState(loads=tuple(loads), green_power=(green,),
-                     prev_assignment=prev, topo=topo, specs=specs,
-                     power=power, delay=delay)
+    return SlotState.from_loads(loads=tuple(loads), green_power=(green,),
+                                prev_assignment=prev, topo=topo, specs=specs,
+                                power=power, delay=delay)
 
 
 class TestSlotMetrics:
@@ -246,3 +247,62 @@ class TestWorld:
         with pytest.raises(IndexError):
             world.loads(3)
         assert world.loads(0) == first
+
+
+class TestOncePerRun:
+    """What no slot changes is computed once per run, and the engine hands
+    the world's columns to the strategies without per-avatar objects."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Count calls of `name` through every binding in the package."""
+        calls = [0]
+        modules = [importlib.import_module(f"gcnsim.{m}")
+                   for m in ("model", "scenario", "solver", "strategy",
+                             "engine", "cli")]
+        original = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_reach_and_delay_tabulated_once_whatever_the_slot_count(
+            self, bell_trace, monkeypatch):
+        counts = {}
+        for k in (1, 6):
+            with monkeypatch.context() as m:
+                order = self.count_calls(m, "nearest_feasible_order")
+                delay = self.count_calls(m, "propagation_delay")
+                cfg = ScenarioConfig(ue_count=40, slot_count=k)
+                for strategy in ("far", "gear"):
+                    run(cfg, strategy, bell_trace)
+                counts[k] = (order[0], delay[0])
+        sites = ScenarioConfig().grid_dim ** 2
+        assert counts[1] == counts[6] == (2, 2 * sites * sites)  # two runs
+
+    def test_engine_decisions_build_no_avatar_objects(
+            self, bell_trace, monkeypatch):
+        columns = self.count_calls(monkeypatch, "slot_columns")
+        rows = [0]
+        from_columns = AvatarLoad.from_columns.__func__
+
+        def counted(cls, *args):
+            rows[0] += 1
+            return from_columns(cls, *args)
+        monkeypatch.setattr(AvatarLoad, "from_columns", classmethod(counted))
+        decisions = [0]
+        gear = engine.gear_assign
+
+        def gear_counted(*args, **kwargs):
+            decisions[0] += 1
+            return gear(*args, **kwargs)
+        monkeypatch.setattr(engine, "gear_assign", gear_counted)
+        cfg = ScenarioConfig(ue_count=40, slot_count=5)
+        for strategy in ("far", "gear"):
+            run(cfg, strategy, bell_trace)
+        assert decisions[0] == 5
+        assert columns[0] == rows[0] == 0

@@ -29,7 +29,7 @@ def account(cpus, power, placement=None, n_cloudlets=1):
     """The engine's accounting of avatars 0..n-1 with the given CPU figures,
     all on cloudlet 0 unless `placement` maps them elsewhere."""
     placement = Assignment(placement or dict.fromkeys(range(len(cpus)), 0))
-    state = SlotState(
+    state = SlotState.from_loads(
         loads=tuple(AvatarLoad(k, u, 0) for k, u in enumerate(cpus)),
         green_power=(0.0,) * n_cloudlets, prev_assignment=placement,
         topo=line_topology(1.0, n_cloudlets),

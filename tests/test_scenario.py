@@ -13,6 +13,7 @@ from gcnsim import (
     load_scenario_config,
     load_solar_trace,
     propagation_delay,
+    run_tables,
     step_mobility,
 )
 from gcnsim.scenario import CountError, ParseError
@@ -54,7 +55,7 @@ class TestTopology:
 def initial_placement(ues, cfg, topo, specs, power, delay):
     """The engine's initial placement: the shared greedy in avatar order."""
     enbs = enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side)
-    return far_placement(enumerate(enbs), topo, specs, power, delay)
+    return far_placement(enumerate(enbs), run_tables(topo, specs, power, delay))
 
 
 class TestInitUes:

@@ -17,11 +17,10 @@ from gcnsim import (
     aggregate_bound,
     avatar_weights,
     brute_force,
-    build_instance,
     solve,
 )
 
-from conftest import line_topology, random_instance
+from conftest import instance_from_loads, line_topology, random_instance
 
 
 def full_instance(weights, green, cap_each=100):
@@ -38,7 +37,7 @@ class TestBuildInstance:
         topo = line_topology(2.0, 2)
         loads = [AvatarLoad(0, 10.0, 0), AvatarLoad(1, 100.0, 1)]
         specs = [CloudletSpec(server_count=2), CloudletSpec(server_count=3)]
-        inst = build_instance(loads, specs, [5.0, 7.0], topo, power, delay)
+        inst = instance_from_loads(loads, specs, [5.0, 7.0], topo, power, delay)
         assert inst.weights == pytest.approx((7.3, 25.3), rel=1e-12)
         # bit for bit the model's weight, which the engine accounts with
         assert inst.weights == tuple(avatar_weights([10.0, 100.0], power))
@@ -49,7 +48,7 @@ class TestBuildInstance:
     def test_zero_avatars_solves_to_zero(self, power, delay):
         topo = line_topology(2.0, 2)
         specs = [CloudletSpec(server_count=1)] * 2
-        inst = build_instance([], specs, [0.0, 0.0], topo, power, delay)
+        inst = instance_from_loads([], specs, [0.0, 0.0], topo, power, delay)
         sol = solve(inst)
         assert sol.objective == 0.0
         assert sol.assignment.placement == {}
@@ -83,7 +82,7 @@ class TestBuildInstance:
         topo = line_topology(2.0, 2)
         specs = [CloudletSpec(server_count=1)] * 2
         loads = [AvatarLoad(5, 100.0, 1), AvatarLoad(2, 10.0, 0)]
-        inst = build_instance(loads, specs, [0.0, 0.0], topo, power, delay)
+        inst = instance_from_loads(loads, specs, [0.0, 0.0], topo, power, delay)
         assert inst.avatar_ids == (2, 5)
         assert inst.weights == pytest.approx((7.3, 25.3), rel=1e-12)
 
@@ -107,7 +106,78 @@ class TestBuildInstance:
         specs = [CloudletSpec(server_count=1)] * 2
         loads = [AvatarLoad(k, 50.0, 0) for k in range(65)]  # cap is 2*16=32
         with pytest.raises(InsufficientCapacity):
-            build_instance(loads, specs, [0.0, 0.0], topo, power, delay)
+            instance_from_loads(loads, specs, [0.0, 0.0], topo, power, delay)
+
+    def test_fixed_point_is_round_half_even_of_scaled_watts(self):
+        # k / 2**21 for odd k lies exactly halfway between two units
+        ties = [k / 2**21 for k in (1, 3, 5, 7, 2**21 + 1, 2**30 + 3)]
+        rng = random.Random(31)
+        weights = ties + [rng.uniform(0.0, 500.0) for _ in range(50)]
+        green = list(reversed(ties)) + [rng.uniform(0.0, 900.0)
+                                        for _ in range(10)]
+        inst = MilpInstance(weights=tuple(weights),
+                            feasible_sets=(frozenset({0}),) * len(weights),
+                            green_power=tuple(green),
+                            count_capacity=(len(weights),) * len(green))
+        assert inst._iw == tuple(round(w * 2**20) for w in weights)
+        assert inst._ig == tuple(round(g * 2**20) for g in green)
+        assert inst._iw[:6] == (0, 2, 2, 4, 2**20, 2**29 + 2)
+        assert all(type(u) is int for u in inst._iw + inst._ig)
+
+
+class TestCheckAssignment:
+    """Each rejection names what `check_assignment` promises to name."""
+
+    @staticmethod
+    def reach_instance():
+        # avatars 3, 5, 8, 9 on a path of three cloudlets
+        return MilpInstance(
+            weights=(1.0,) * 4,
+            feasible_sets=(frozenset({0}), frozenset({0, 1}),
+                           frozenset({1, 2}), frozenset({2})),
+            green_power=(0.0,) * 3, count_capacity=(2, 1, 2),
+            avatar_ids=(3, 5, 8, 9))
+
+    def test_fitting_assignment_returns_cloudlets_in_instance_order(self):
+        inst = self.reach_instance()
+        assert inst.check_assignment(
+            Assignment({9: 2, 8: 2, 5: 1, 3: 0})) == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("placement", [
+        {3: 0, 5: 1, 9: 2},              # avatar 8 missing
+        {3: 0, 5: 1, 8: 2, 9: 2, 4: 0},  # avatar 4 is not in the instance
+        {3: 0, 5: 1, 8: 2, 10: 2},       # as many avatars, one of them wrong
+        {},
+    ])
+    def test_missing_or_extra_avatar_rejected(self, placement):
+        with pytest.raises(ValueError, match="^assignment does not cover the "
+                           "avatar population$"):
+            self.reach_instance().check_assignment(Assignment(placement))
+
+    @pytest.mark.parametrize("placement, named", [
+        ({8: 0, 3: 1, 5: 1, 9: 2}, 3),  # 8 and 3 stray: lowest id named
+        ({3: 0, 5: 1, 8: 2, 9: 1}, 9),
+        ({3: 0, 5: -1, 8: 2, 9: 2}, 5),  # not a cloudlet at all
+        ({3: 0, 5: 7, 8: 2, 9: 2}, 5),
+        ({3: 0, 5: 0, 8: 1, 9: 0}, 9),  # stray avatar reported before the
+    ])                                  # over-full cloudlet 0
+    def test_avatar_outside_its_set_named(self, placement, named):
+        with pytest.raises(ValueError, match=f"^avatar {named} placed outside "
+                           "its feasible set$"):
+            self.reach_instance().check_assignment(Assignment(placement))
+
+    @pytest.mark.parametrize("placement, named", [
+        ({0: 1, 1: 1, 2: 0, 3: 0}, 0),  # cloudlets 0 and 1 both over
+        ({0: 0, 1: 1, 2: 1, 3: 2}, 1),
+        ({0: 0, 1: 2, 2: 2, 3: 2}, 2),
+    ])
+    def test_cloudlet_over_capacity_named(self, placement, named):
+        inst = MilpInstance(weights=(1.0,) * 4,
+                            feasible_sets=(frozenset({0, 1, 2}),) * 4,
+                            green_power=(0.0,) * 3, count_capacity=(1, 1, 2))
+        with pytest.raises(ValueError, match=f"^cloudlet {named} over "
+                           "capacity in assignment$"):
+            inst.check_assignment(Assignment(placement))
 
 
 class TestAggregateBound:

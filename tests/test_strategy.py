@@ -15,11 +15,12 @@ from gcnsim import (
     brute_force,
     build_instance,
     propagation_delay,
+    run_tables,
 )
 from gcnsim.engine import compute_slot_metrics
 from gcnsim.strategy import SlotState, far_assign, far_placement, gear_assign
 
-from conftest import line_topology
+from conftest import instance_from_loads, line_topology
 
 
 def make_state(topo, loads, green, prev=None, specs=None, power=None, delay=None,
@@ -30,9 +31,9 @@ def make_state(topo, loads, green, prev=None, specs=None, power=None, delay=None
                            for _ in range(topo.site_count))
     prev = prev if prev is not None else Assignment(
         {a.avatar_id: a.attached_enb for a in loads})
-    return SlotState(loads=tuple(loads), green_power=tuple(green),
-                     prev_assignment=prev, topo=topo, specs=tuple(specs),
-                     power=power, delay=delay)
+    return SlotState.from_loads(loads=tuple(loads), green_power=tuple(green),
+                                prev_assignment=prev, topo=topo,
+                                specs=tuple(specs), power=power, delay=delay)
 
 
 @pytest.fixture
@@ -44,9 +45,8 @@ def state_factory(grid_topo, power, delay):
 
 
 def instance_of(state):
-    return build_instance(list(state.loads), list(state.specs),
-                          list(state.green_power), state.topo, state.power,
-                          state.delay)
+    return build_instance(state.ids, state.cpu, state.enb,
+                          list(state.green_power), state.tables)
 
 
 def zero_green(topo):
@@ -85,6 +85,22 @@ class TestFar:
         with pytest.raises(Infeasible):
             far_assign(state)
 
+    def test_greedy_failure_names_avatar_enb_and_full_cloudlets(
+            self, grid_topo, delay):
+        tiny = PowerParams(server_capacity=1)
+        specs = tuple(CloudletSpec(server_count=1)
+                      for _ in range(grid_topo.site_count))
+        loads = [AvatarLoad(k, 50.0, 0) for k in range(5)]
+        state = make_state(grid_topo, loads, zero_green(grid_topo), specs=specs,
+                           power=tiny, default_delay=delay)
+        with pytest.raises(Infeasible) as err:
+            far_assign(state)
+        # sites 1 and 4 tie at 2 km: the lower index is nearer
+        assert str(err.value) == (
+            "FAR's nearest-with-room greedy failed: no room for avatar 4 at "
+            "eNB 0, whose in-range cloudlets (nearest first) 0, 1, 4, 5 are "
+            "all full; this does not prove that no placement exists")
+
     def test_placement_independent_of_load_order(self, grid_topo, delay):
         # one avatar per cloudlet, eight UEs crowding the centre cells: who
         # is placed first decides who overflows, and FAR places in ascending
@@ -106,7 +122,7 @@ class TestFar:
             assert far_assign(state).assignment.placement == reference
             greedy_in_given_order = far_placement(
                 [(a.avatar_id, a.attached_enb) for a in shuffled],
-                grid_topo, specs, tiny, delay).placement
+                run_tables(grid_topo, specs, tiny, delay)).placement
             reordered.add(greedy_in_given_order != reference)
         assert True in reordered  # capacity binds: order matters to the greedy
 
@@ -141,7 +157,8 @@ class TestGear:
                            default_power=power, default_delay=delay)
         gear = gear_assign(state)
         assert all(i == 2 for i in gear.assignment.placement.values())
-        inst = build_instance(loads, list(specs), green, topo, power, delay)
+        inst = instance_from_loads(loads, list(specs), green, topo, power,
+                                   delay)
         assert gear.solver_stats.objective == brute_force(inst).objective
 
     def test_never_worse_than_far(self, grid_topo, state_factory):
