@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from operator import ge, mul
 
 from .model import (
@@ -283,7 +283,7 @@ def _sorted_sets(inst: MilpInstance) -> list[list[int]]:
 
 
 def _to_assignment(inst: MilpInstance, place: list[int]) -> Assignment:
-    return Assignment({inst.avatar_ids[k]: place[k] for k in range(inst.n_avatars)})
+    return Assignment(dict(zip(inst.avatar_ids, place)))
 
 
 def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
@@ -300,9 +300,9 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     object itself. Without a seed, the node budget starts binding only
     after the first complete placement is found, so truncated searches
     still return a feasible answer. All ties break toward the lowest index,
-    which makes runs bit-reproducible. The depth-first walk keeps its own
-    stack of open nodes instead of recursing, so any number of avatars can
-    be searched.
+    which makes runs bit-reproducible. The depth-first walk keeps an explicit
+    stack of open nodes, one per depth in flat per-depth arrays, instead of
+    recursing, so any number of avatars can be searched.
 
     The root bound is the aggregate bound of the empty placement,
     max(0, total weight - total green). A seed that meets the gap tolerance
@@ -318,6 +318,15 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     children that beat the incumbent are a prefix of that order. A child's
     bound is computed only when the walk is about to enter it, and the
     first child that cannot beat the incumbent closes its parent.
+
+    Siblings are ordered lazily too. Entering a node costs one pass over
+    its feasible cloudlets, which finds its first child in (e, index)
+    order. The node's children are sorted only if the walk comes back to
+    it; the child just left is undone first, so the node's loads are its
+    entry state again and the sorted order is the one its first child was
+    taken from. A dive that never backtracks sorts nothing, and every
+    search visits and counts the same nodes as one that sorts each node's
+    children on entry.
     """
     cfg = config or SolverConfig()
     iw, ig = inst._iw, inst._ig
@@ -363,73 +372,78 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
     the best placement is the `best_place` object passed in unless a leaf
     improved on `best_obj`.
     """
-    n, m = inst.n_avatars, inst.n_cloudlets
+    n = inst.n_avatars
     iw, ig = inst._iw, inst._ig
-    cap = inst.count_capacity
-    fsets = _sorted_sets(inst)
 
-    # Static branch order: heaviest first, then lowest instance index.
-    order = sorted(range(n), key=lambda k: (-iw[k], k))
-    wrem_suffix = [0] * (n + 1)
-    for d in range(n - 1, -1, -1):
-        wrem_suffix[d] = wrem_suffix[d + 1] + iw[order[d]]
+    # Per-depth tables. Branch order: heaviest first, then lowest instance
+    # index (the sort is stable, so equal weights keep their index order).
+    order = sorted(range(n), key=iw.__getitem__, reverse=True)
+    wd = list(map(iw.__getitem__, order))
+    # the weight left to place below each depth: wr[d] = sum(wd[d + 1:])
+    wr = list(accumulate(reversed(wd), initial=0))[n - 1::-1]
+    # Each depth's feasible cloudlets, ascending. Avatars with identical
+    # weight and feasible set are interchangeable, so an avatar's cloudlet
+    # may not be below that of the previous one in branch order, at depth
+    # up[d]; up[d] is n when there is none, and ent[n] stays 0.
+    fsd = list(map(_sorted_sets(inst).__getitem__, order))
+    up = [n] * n
+    if len(set(wd)) < n:  # only equal weights can be interchangeable
+        last: dict[tuple[int, frozenset[int]], int] = {}
+        for d, key in enumerate(zip(
+                wd, map(inst.feasible_sets.__getitem__, order))):
+            up[d] = last.get(key, n)
+            last[key] = d
 
-    # Symmetry groups: previous interchangeable avatar in branch order.
-    group_prev: dict[int, int] = {}
-    last_of: dict[tuple[int, frozenset[int]], int] = {}
-    for d in range(n):
-        k = order[d]
-        key = (iw[k], inst.feasible_sets[k])
-        if key in last_of:
-            group_prev[k] = last_of[key]
-        last_of[key] = k
-
-    place = [-1] * n
-    load = [0] * m
-    used = [0] * m
+    place = [0] * n            # cloudlet per instance position, on the path
+    ex = [-g for g in ig]      # load - green per cloudlet
+    room = list(inst.count_capacity)
+    has_room, excess = room.__getitem__, ex.__getitem__
+    # The open nodes, one per depth on the path: the child entered, the
+    # node's deficit and slack, its candidate cloudlets, and an iterator
+    # over its children not yet tried, built only when the walk first
+    # comes back to the node.
+    ent = [0] * (n + 1)
+    dd = [0] * n
+    ss = [0] * n
+    pend: list = [None] * n
+    cand: list = [None] * n
     nodes = 0
-    stop = stopped_by_gap = False
-    # One frame per open node: its branching avatar, an iterator over its
-    # (load - green, cloudlet) children not yet entered, and the node's
-    # deficit and slack; the child entered last is place[k].
-    frames: list = []
-    depth, deficit, slack = 0, 0, sum(ig)
-    node_limit = cfg.node_limit
+    gap, node_limit = cfg.gap_tolerance, cfg.node_limit
+    d, deficit, slack = 0, 0, sum(ig)
     while True:
-        nodes += 1  # enter the node at `depth`
-        if depth == n:
+        nodes += 1  # enter the node at depth d
+        if d == n:
             if best_obj is None or deficit < best_obj:
                 best_obj = deficit
                 best_place = place.copy()
-                if best_obj - root_bound <= cfg.gap_tolerance * best_obj:
-                    stop = stopped_by_gap = True  # provably within tolerance
-                    break
+                if best_obj - root_bound <= gap * best_obj:
+                    # provably within tolerance
+                    return best_obj, best_place, nodes, True, True
+            i = -1
         elif best_obj is not None and nodes >= node_limit:
             # The budget binds only once an incumbent exists, so
             # truncation still returns a feasible placement.
-            stop = True
-            break
+            return best_obj, best_place, nodes, True, False
         else:
-            k = order[depth]
-            floor_i = place[group_prev[k]] if k in group_prev else 0
-            # sort key: most residual green first, then lowest index
-            children = [(load[i] - ig[i], i) for i in fsets[k]
-                        if i >= floor_i and used[i] < cap[i]]
-            children.sort()
-            frames.append((k, iter(children), deficit, slack))
-        # Backtrack to the deepest open node with a child left to enter.
-        while frames:
-            k, pending, deficit, slack = frames[-1]
-            i = place[k]
-            if i >= 0:  # leave the child entered last
-                load[i] -= iw[k]
-                used[i] -= 1
-                place[k] = -1
-            child = next(pending, None)
-            if child is not None:
-                e, i = child
-                wk = iw[k]
+            dd[d], ss[d], pend[d] = deficit, slack, None
+            # its first child: least (load - green, index) among the
+            # feasible cloudlets with room at or above the symmetry floor
+            fs = fsd[d]
+            floor = ent[up[d]]
+            if floor:
+                fs = fs[fs.index(floor):]
+            cand[d] = fs
+            i = -1
+            for c in fs:
+                if room[c]:
+                    e = ex[c]
+                    if i < 0 or e < e_min:
+                        i, e_min = c, e
+        while True:
+            if i >= 0:
                 # the child's bound, from the node's deficit and slack
+                deficit, slack, wk = dd[d], ss[d], wd[d]
+                e = ex[i]
                 if e > 0:
                     deficit -= e
                 else:
@@ -439,18 +453,30 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
                     deficit += e
                 else:
                     slack -= e
-                spill = wrem_suffix[len(frames)] - slack
+                spill = wr[d] - slack
                 if best_obj is None or deficit + (spill if spill > 0 else 0) < best_obj:
-                    place[k] = i
-                    load[i] += wk
-                    used[i] += 1
-                    depth = len(frames)
+                    ent[d] = i
+                    place[order[d]] = i
+                    ex[i] = e
+                    room[i] -= 1
+                    d += 1
                     break
-            # no child left, or this and every later sibling is pruned
-            frames.pop()
-        else:
-            break  # every open node is exhausted
-    return best_obj, best_place, nodes, stop, stopped_by_gap
+            # No child left, or this and every later sibling is pruned:
+            # close the node and go back to its parent.
+            if not d:
+                return best_obj, best_place, nodes, False, False
+            d -= 1
+            i = ent[d]
+            ex[i] -= wd[d]
+            room[i] += 1
+            pending = pend[d]
+            if pending is None:
+                # The node is back in its entry state, so its children in
+                # (load - green, index) order start with the one just left.
+                pending = pend[d] = iter(sorted(filter(has_room, cand[d]),
+                                                key=excess))
+                next(pending)
+            i = next(pending, -1)
 
 
 def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solution:

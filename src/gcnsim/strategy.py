@@ -19,9 +19,10 @@ randomness and keep no state between slots.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from operator import ne
+from operator import itemgetter, ne
 
 from .model import (
     Assignment,
@@ -106,10 +107,27 @@ def far_placement(avatars: Iterable[tuple[int, int]],
     if every in-range cloudlet is full; that proves only that the greedy
     failed, not that no placement exists, and the message says so.
     """
+    pairs = list(avatars)
+    return _nearest_with_room(list(map(itemgetter(0), pairs)),
+                              list(map(itemgetter(1), pairs)), tables)
+
+
+def _nearest_with_room(ids: Sequence[int], enbs: Sequence[int],
+                       tables: RunTables) -> Assignment:
+    """`far_placement` over the avatars as id and eNB columns."""
     order = tables.reach_order
+    # When no cloudlet is the nearest of more avatars than it can host, no
+    # nearest cloudlet ever runs out of room, and the greedy places every
+    # avatar there, whatever their order.
+    nearest = [o[0] if o else -1 for o in order]
+    first = list(map(nearest.__getitem__, enbs))
+    demand = Counter(first)
+    if -1 not in demand and all(
+            c <= tables.capacity[i] for i, c in demand.items()):
+        return Assignment(dict(zip(ids, first)))
     room = list(tables.capacity)
     placement: dict[int, int] = {}
-    for avatar_id, enb in avatars:
+    for avatar_id, enb in zip(ids, enbs):
         for i in order[enb]:
             if room[i] > 0:
                 placement[avatar_id] = i
@@ -126,7 +144,7 @@ def far_placement(avatars: Iterable[tuple[int, int]],
 
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id."""
-    assignment = far_placement(zip(state.ids, state.enb), state.tables)
+    assignment = _nearest_with_room(state.ids, state.enb, state.tables)
     return StrategyOutcome(
         assignment=assignment,
         migrations=_count_migrations(assignment, state.prev_assignment),

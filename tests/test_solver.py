@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import sys
 
@@ -455,6 +456,110 @@ class TestSolve:
         for k in range(inst.n_avatars):
             load[assignment.placement[inst.avatar_ids[k]]] += inst.weights[k]
         return sum(max(0.0, l - g) for l, g in zip(load, inst.green_power))
+
+
+class TestVisitOrder:
+    """Which nodes the search enters, in which order, and where it stops.
+
+    Every `Solution` field depends on the walk: the placement on which leaf
+    came first, `nodes_explored` on every node entered, and the bound, gap
+    and proof flag on where a budget or gap test stopped it. The digest was
+    captured from the code before entering a node stopped sorting its
+    children; a change to the walk that is meant to visit the same nodes
+    must leave it alone.
+    """
+
+    DIGEST = "bc219a041a6ebbe0ec9cd9b06859157f19ac6b28164a2b739ab39288e4448ca1"
+
+    @staticmethod
+    def _case(rng, power):
+        n = rng.randint(1, 10)
+        m = rng.randint(1, 5)
+        # few distinct weights and sets: repeats form symmetry groups
+        pool = avatar_weights([rng.uniform(10.0, 100.0)
+                               for _ in range(rng.randint(1, n))], power)
+        sets = [frozenset(i for i in range(m) if rng.random() < 0.6)
+                or frozenset({rng.randrange(m)}) for _ in range(3)]
+        weights = [rng.choice(pool) for _ in range(n)]
+        fsets = [rng.choice(sets) for _ in range(n)]
+        # total room n plus a little slack, so capacities often bind
+        caps = [0] * m
+        for _ in range(n + rng.randint(0, 2)):
+            caps[rng.randrange(m)] += 1
+        # few distinct green supplies: children tie on residual green
+        greens = [0.0, rng.uniform(0.0, 80.0), rng.uniform(0.0, 80.0)]
+        inst = MilpInstance(
+            weights=tuple(weights), feasible_sets=tuple(fsets),
+            green_power=tuple(rng.choice(greens) for _ in range(m)),
+            count_capacity=tuple(caps))
+        seed = None
+        if rng.random() < 0.5:
+            seed = TestSolve._greedy_seed(inst, rng)
+        config = SolverConfig(node_limit=rng.choice([1, 2, 5, 20, 100_000]),
+                              gap_tolerance=rng.choice([0.0, 0.05, 0.3]),
+                              seed_assignment=seed)
+        return inst, config
+
+    def test_solutions_match_pinned_digest(self, power):
+        rng = random.Random(9)
+        h = hashlib.sha256()
+        seen = set()
+        for _ in range(400):
+            inst, config = self._case(rng, power)
+            try:
+                sol = solve(inst, config)
+            except Infeasible:
+                h.update(b"infeasible;")
+                seen.add("infeasible")
+                continue
+            seed_back = sol.assignment is config.seed_assignment
+            h.update(repr((sorted(sol.assignment.placement.items()),
+                           sol.objective, sol.lower_bound, sol.gap,
+                           sol.nodes_explored, sol.proven_optimal,
+                           seed_back)).encode() + b";")
+            seen.add("proven" if sol.proven_optimal else "unproven")
+            if seed_back:
+                seen.add("seed returned")
+            elif config.seed_assignment is not None:
+                seen.add("seed improved")
+        assert seen == {"infeasible", "proven", "unproven", "seed returned",
+                        "seed improved"}
+        assert h.hexdigest() == self.DIGEST
+
+    def test_second_child_entered_after_first_is_left(self):
+        # Avatar 0 (heavier, branched first) may use any cloudlet; avatar 1
+        # only cloudlet 1. Avatar 0's children in (load - green, index)
+        # order are cloudlets 1, 2, 0: 1 and 2 tie on residual green and
+        # the lower index goes first. Cloudlet 1 leads to a 3 W leaf, so
+        # the walk leaves it and enters cloudlet 2, whose leaf reaches 0 W,
+        # the root bound.
+        inst = MilpInstance(weights=(8.0, 7.0),
+                            feasible_sets=(frozenset({0, 1, 2}),
+                                           frozenset({1})),
+                            green_power=(10.0, 12.0, 12.0),
+                            count_capacity=(2, 2, 2))
+        sol = solve(inst)
+        assert sol.assignment.placement == {0: 2, 1: 1}
+        assert sol.objective == 0.0
+        # root, child on 1, its leaf, child on 2, its leaf
+        assert sol.nodes_explored == 5
+
+    def test_node_with_every_cloudlet_full_closes_without_a_child(self):
+        # Avatar 0 goes first to green cloudlet 0 and fills it; avatar 1,
+        # which may use only cloudlet 0, then has no child, so that node
+        # closes. Avatar 0's second child, the dark cloudlet 1, leads to
+        # the only placement.
+        inst = MilpInstance(weights=(6.0, 5.0),
+                            feasible_sets=(frozenset({0, 1}), frozenset({0})),
+                            green_power=(10.0, 0.0),
+                            count_capacity=(1, 1))
+        sol = solve(inst)
+        assert sol.assignment.placement == {0: 1, 1: 0}
+        assert sol.objective == 6.0
+        assert sol.proven_optimal
+        # root, the closed node, child on 1, its leaf
+        assert sol.nodes_explored == 4
+        assert sol.objective == brute_force(inst).objective
 
 
 class TestBruteForce:

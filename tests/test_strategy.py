@@ -1,6 +1,7 @@
 import functools
 import operator
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,66 @@ class TestFar:
                 run_tables(grid_topo, specs, tiny, delay)).placement
             reordered.add(greedy_in_given_order != reference)
         assert True in reordered  # capacity binds: order matters to the greedy
+
+    @staticmethod
+    def _greedy(pairs, tables):
+        """The nearest-with-room greedy, one avatar at a time; None if it
+        finds no room for some avatar."""
+        room = list(tables.capacity)
+        placement = {}
+        for avatar_id, enb in pairs:
+            for i in tables.reach_order[enb]:
+                if room[i] > 0:
+                    placement[avatar_id] = i
+                    room[i] -= 1
+                    break
+            else:
+                return None
+        return placement
+
+    def test_placement_is_the_one_at_a_time_greedy(self, grid_topo, delay):
+        # FAR places every avatar at its nearest cloudlet in one pass when
+        # no cloudlet is the nearest of more avatars than it hosts; random
+        # slots on both sides of that line, and slots where the greedy
+        # fails, give what the one-at-a-time greedy gives
+        rng = random.Random(12)
+        kinds = set()
+        for _ in range(300):
+            specs = tuple(CloudletSpec(server_count=rng.randint(1, 3))
+                          for _ in range(grid_topo.site_count))
+            tables = run_tables(grid_topo, specs,
+                                PowerParams(server_capacity=rng.choice([1, 4])),
+                                delay)
+            n = rng.randint(0, 60)
+            pairs = list(zip(rng.sample(range(1000), n),
+                             (rng.randrange(grid_topo.site_count)
+                              for _ in range(n))))
+            nearest = [tables.reach_order[enb][0] for _, enb in pairs]
+            overflow = any(nearest.count(i) > c
+                           for i, c in enumerate(tables.capacity))
+            expected = self._greedy(pairs, tables)
+            if expected is None:
+                kinds.add("greedy fails")
+                with pytest.raises(Infeasible, match="greedy failed"):
+                    far_placement(iter(pairs), tables)
+                continue
+            kinds.add("overflow" if overflow else "all nearest")
+            got = far_placement(iter(pairs), tables).placement
+            assert list(got.items()) == list(expected.items())
+        assert kinds == {"greedy fails", "overflow", "all nearest"}
+
+    def test_empty_reach_fails_with_the_greedys_message(self, grid_topo,
+                                                        power, delay):
+        specs = tuple(CloudletSpec(server_count=2)
+                      for _ in range(grid_topo.site_count))
+        tables = run_tables(grid_topo, specs, power, delay)
+        no_reach = replace(tables, reach_order=((),) + tables.reach_order[1:])
+        with pytest.raises(Infeasible) as err:
+            far_placement([(3, 5), (7, 0)], no_reach)
+        assert str(err.value) == (
+            "FAR's nearest-with-room greedy failed: no room for avatar 7 at "
+            "eNB 0, whose in-range cloudlets (nearest first)  are all full; "
+            "this does not prove that no placement exists")
 
     def test_migrations_counted_against_previous(self, grid_topo, state_factory):
         loads = [AvatarLoad(0, 50.0, 5), AvatarLoad(1, 50.0, 6)]
