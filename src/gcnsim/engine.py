@@ -168,7 +168,7 @@ def compute_slot_metrics(slot: int, state: SlotState,
     power, delay, table = state.power, state.delay, state.tables.delay_ms
     n_cloudlets = len(table)
     cpus = state.cpu
-    place = list(map(outcome.assignment.placement.__getitem__, state.ids))
+    place = outcome.assignment.cloudlets(state.ids)
     hosted: list[list[float]] = [[] for _ in range(n_cloudlets)]
     for i, u in zip(place, cpus):
         hosted[i].append(u)

@@ -155,9 +155,34 @@ class AvatarLoad(_AvatarLoadFields):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Placement map: avatar_id -> cloudlet index, one cloudlet per avatar."""
+    """Placement map: avatar_id -> cloudlet index, one cloudlet per avatar.
+
+    A placement made by a strategy or the solver also carries its index
+    form: `place[k]` is the cloudlet of avatar `ids[k]`, with `ids` in
+    ascending avatar id as the slot's columns hold them. `from_index`
+    builds the map from it once; `cloudlets` hands the list back to every
+    reader that walks the same ids, instead of mapping the dict again.
+    Both forms are one placement, so neither may be modified.
+    """
 
     placement: dict[int, int] = field(default_factory=dict)
+    ids: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    place: Sequence[int] | None = field(default=None, compare=False,
+                                        repr=False)
+
+    @classmethod
+    def from_index(cls, ids: Sequence[int], place: Sequence[int]
+                   ) -> Assignment:
+        """The placement that puts avatar `ids[k]` on cloudlet `place[k]`."""
+        return cls(dict(zip(ids, place)), ids, place)
+
+    def cloudlets(self, ids: Sequence[int]) -> Sequence[int]:
+        """The cloudlet of each avatar of `ids`, in that order: the index
+        form itself when it was made for these ids, else read from the map.
+        Raises KeyError for an avatar the placement does not cover."""
+        if self.ids is not None and (self.ids is ids or self.ids == ids):
+            return self.place
+        return list(map(self.placement.__getitem__, ids))
 
     def counts(self, n_cloudlets: int) -> list[int]:
         """Number of avatars hosted per cloudlet."""
@@ -221,10 +246,11 @@ def cloudlet_loads(pairs: Iterable[tuple[int, float]],
     pairs: each cloudlet's weights added left to right in the given order,
     starting from 0.0.
 
-    This is the one accumulation behind every linearized cloudlet power:
-    the engine's accounting and GEAR's scorer both add with it, in
-    ascending avatar id, so they agree bit for bit. It rounds once per
-    addition on every Python; `sum()` of floats is compensated from 3.12.
+    This is the accumulation behind the engine's linearized accounting, in
+    ascending avatar id. GEAR's scorer, `MilpInstance.score`, adds the same
+    weights in the same order in its one pass, so the two agree bit for
+    bit. It rounds once per addition on every Python; `sum()` of floats is
+    compensated from 3.12.
     """
     load = [0.0] * n_cloudlets
     for i, w in pairs:
@@ -262,7 +288,10 @@ class RunTables:
 
     `reach_order[e]` holds the cloudlets an avatar attached to eNB e may
     use without breaking the SLA, nearest first (`nearest_feasible_order`),
-    and `reach[e]` the same cloudlets as a frozenset. `capacity[i]` is the
+    `reach[e]` the same cloudlets as a frozenset and `reach_ascending[e]`
+    as a tuple in ascending index, the order the solver branches over
+    them. Every cloudlet index in them is below the cloudlet count, which
+    `build_instance` relies on. `capacity[i]` is the
     number of avatars cloudlet i can host, and `delay_ms[i][e]` the one-way
     delay between cloudlet i and eNB e (`propagation_delay`).
     """
@@ -272,6 +301,7 @@ class RunTables:
     delay: DelayParams
     reach_order: tuple[tuple[int, ...], ...]
     reach: tuple[frozenset[int], ...]
+    reach_ascending: tuple[tuple[int, ...], ...]
     capacity: tuple[int, ...]
     delay_ms: tuple[tuple[float, ...], ...]
 
@@ -287,6 +317,7 @@ def run_tables(topo: SiteTopology, specs: Sequence[CloudletSpec],
         specs=tuple(specs), power=power, delay=delay,
         reach_order=tuple(map(tuple, order)),
         reach=tuple(map(frozenset, order)),
+        reach_ascending=tuple(tuple(sorted(o)) for o in order),
         capacity=tuple(s.server_count * power.server_capacity for s in specs),
         delay_ms=tuple(tuple(propagation_delay(i, e, topo, delay)
                              for e in sites) for i in sites),

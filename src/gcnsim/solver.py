@@ -28,14 +28,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat
-from operator import ge, mul
+from operator import ge, itemgetter, mul
 
-from .model import (
-    Assignment,
-    RunTables,
-    avatar_weights,
-    cloudlet_loads,
-)
+from .model import Assignment, RunTables, avatar_weights
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
 _SCALE = 1 << 20
@@ -81,13 +76,17 @@ class MilpInstance:
     watts and `count_capacity[i]` the number of avatars it can host.
     `avatar_ids` maps instance positions back to avatar identifiers; they
     strictly ascend, so instance positions are in `slot_columns` order.
+
+    The constructor converts and checks every field per avatar.
+    `build_instance` makes an instance from a slot's columns and the run's
+    tables instead, and checks only what those do not already guarantee.
     """
 
     weights: tuple[float, ...]
     feasible_sets: tuple[frozenset[int], ...]
     green_power: tuple[float, ...]
     count_capacity: tuple[int, ...]
-    avatar_ids: tuple[int, ...] = ()
+    avatar_ids: Sequence[int] = ()
 
     def __post_init__(self) -> None:
         # frozenset(fs) and float(w) return fs and w themselves when they
@@ -113,21 +112,36 @@ class MilpInstance:
             raise ValueError("capacities must be non-negative")
         # Avatars on one eNB share one set, so each distinct set is checked
         # once, in order of first use: the first bad avatar is still named.
-        for fs in dict.fromkeys(self.feasible_sets):
+        ascending = dict.fromkeys(self.feasible_sets)
+        for fs in ascending:
             if not fs:
                 raise InfeasibleAvatar(
                     self.avatar_ids[self.feasible_sets.index(fs)])
             if any(i < 0 or i >= m for i in fs):
                 raise ValueError("feasible set references unknown cloudlet")
+            ascending[fs] = tuple(sorted(fs))
         if sum(self.count_capacity) < n:
             raise InsufficientCapacity(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
-        # _to_units of each value, without a Python frame per value; the
-        # values are floats by now, so float.__round__ is what round calls
+        self._derive(ascending)
+
+    def _derive(self, ascending: dict[frozenset[int], tuple[int, ...]]
+                ) -> None:
+        """Set what the search reads of a checked instance: each distinct
+        feasible set's cloudlets in ascending index, and the fixed-point
+        weights and green supply."""
+        self._ascending = ascending
+        # _to_units of each value, without a Python frame per value: the
+        # values are floats by now, so float.__round__ is what round calls,
+        # and a float scale (2**20 exactly) multiplies without converting
+        scale = float(_SCALE)
         self._iw = tuple(map(float.__round__,
-                             map(mul, self.weights, repeat(_SCALE))))
+                             map(mul, self.weights, repeat(scale))))
         self._ig = tuple(map(float.__round__,
-                             map(mul, self.green_power, repeat(_SCALE))))
+                             map(mul, self.green_power, repeat(scale))))
+        # id(assignment) -> (assignment, place, power, units); holding the
+        # assignment keeps its id from being reused while the entry lives
+        self._evaluated: dict[int, tuple] = {}
 
     @property
     def n_avatars(self) -> int:
@@ -137,19 +151,21 @@ class MilpInstance:
     def n_cloudlets(self) -> int:
         return len(self.green_power)
 
-    def check_assignment(self, assignment: Assignment) -> list[int]:
+    def check_assignment(self, assignment: Assignment) -> Sequence[int]:
         """Check a complete assignment against the instance and return its
-        cloudlet per instance position.
+        cloudlet per instance position: its index form, when it carries one
+        for these avatar ids, else a list read from its map.
 
         Raises ValueError if it misses an avatar or places one outside the
         instance, outside its feasible set, or on a cloudlet over capacity.
         """
         placement, ids = assignment.placement, self.avatar_ids
         try:  # the ids are distinct, so equal lengths mean no extra avatar
-            place = list(map(placement.__getitem__, ids))
+            place = assignment.cloudlets(ids)
         except KeyError:
             place = None
-        if place is None or len(placement) != len(ids):
+        if (place is None or len(place) != len(ids)
+                or len(placement) != len(ids)):
             raise ValueError("assignment does not cover the avatar population")
         if not all(map(frozenset.__contains__, self.feasible_sets, place)):
             for a, fs, i in zip(ids, self.feasible_sets, place):
@@ -164,19 +180,47 @@ class MilpInstance:
 
     def ongrid_power(self, assignment: Assignment) -> float:
         """Linearized on-grid power (W) of a complete assignment in float
-        watts: each cloudlet's weights added by `cloudlet_loads` in
-        ascending avatar id, then the cloudlets' excess over green supply
-        summed in index order.
+        watts: the float half of `score` of its index form."""
+        return self.score(assignment.cloudlets(self.avatar_ids))[0]
 
-        This is the engine's slot accounting term for term, so for a
-        power-of-two slot length (the default 0.25 h) the result times the
-        slot length equals `compute_slot_metrics`'s `ongrid_approx_wh`.
+    def score(self, place: Sequence[int]) -> tuple[float, int]:
+        """On-grid power of an index-form placement (a cloudlet per
+        instance position) from one pass over it, in float watts and in
+        fixed-point units.
+
+        The float figure adds each cloudlet's weights left to right in
+        ascending avatar id from 0.0, as `cloudlet_loads` adds them for the
+        engine, then sums the cloudlets' excess over green supply in index
+        order. That is the engine's slot accounting term for term, so for a
+        power-of-two slot length (the default 0.25 h) it times the slot
+        length equals `compute_slot_metrics`'s `ongrid_approx_wh`. The
+        fixed-point figure is the search's exact objective.
         """
-        load = cloudlet_loads(
-            zip(map(assignment.placement.__getitem__, self.avatar_ids),
-                self.weights),
-            self.n_cloudlets)
-        return sum(max(0.0, p - g) for p, g in zip(load, self.green_power))
+        m = self.n_cloudlets
+        load, units = [0.0] * m, [0] * m
+        for i, w, u in zip(place, self.weights, self._iw):
+            load[i] += w
+            units[i] += u
+        return (sum(max(0.0, p - g) for p, g in zip(load, self.green_power)),
+                sum(u - g for u, g in zip(units, self._ig) if u > g))
+
+    def evaluate(self, assignment: Assignment
+                 ) -> tuple[Sequence[int], float, int]:
+        """`check_assignment` and then `score` of a complete assignment:
+        (cloudlet per instance position, float power, fixed-point
+        objective), worked out once per assignment object and instance.
+
+        GEAR evaluates each of its warm starts with it, and `solve` takes
+        its seed's entry from here, so a warm start is checked and scored
+        once per decision. Raises ValueError as `check_assignment` does;
+        a rejected assignment is not remembered.
+        """
+        entry = self._evaluated.get(id(assignment))
+        if entry is None:
+            place = self.check_assignment(assignment)
+            entry = (assignment, place, *self.score(place))
+            self._evaluated[id(assignment)] = entry
+        return entry[1:]
 
 
 @dataclass(frozen=True)
@@ -213,18 +257,50 @@ def build_instance(ids: Sequence[int], cpus: Sequence[float],
     ascending avatar id (as `slot_columns` returns them) and the run's
     tables.
 
-    Raises InfeasibleAvatar if some avatar has no cloudlet within the delay
-    bound, InsufficientCapacity if the avatars cannot all be hosted.
+    The build trusts what the tables and the columns guarantee, so it
+    skips the constructor's per-avatar checks. Each feasible set is the
+    tables' frozenset for the avatar's eNB, whose cloudlets all exist. Each
+    weight is `avatar_weights` of a CPU figure that was range-checked when
+    the world drew it or its `AvatarLoad` was made, so none is negative.
+    The checks that remain run once per cloudlet or eNB, or in O(1) when
+    the ids are a `range` (other ids are checked to ascend in one C-level
+    pass), and raise what the constructor raises on the same fields:
+    ValueError if the column lengths disagree, the ids do not strictly
+    ascend, or green power is negative or does not match the topology;
+    InfeasibleAvatar naming the first avatar whose eNB reaches no cloudlet
+    within the delay bound; InsufficientCapacity if the avatars cannot all
+    be hosted.
     """
+    n = len(ids)
+    if len(cpus) != n or len(enbs) != n:
+        raise ValueError("per-avatar field lengths disagree")
+    if type(ids) is not range:
+        ids = tuple(ids)
+        if any(map(ge, ids, ids[1:])):
+            raise ValueError("avatar ids must strictly ascend")
+    elif ids.step < 0 and n > 1:
+        raise ValueError("avatar ids must strictly ascend")
     if len(green) != len(tables.capacity):
         raise ValueError("green length must match the topology")
-    return MilpInstance(
-        weights=avatar_weights(cpus, tables.power),
-        feasible_sets=tuple(map(tables.reach.__getitem__, enbs)),
-        green_power=tuple(green),
-        count_capacity=tables.capacity,
-        avatar_ids=ids,
-    )
+    green = tuple(map(float, green))
+    if any(g < 0 for g in green):
+        raise ValueError("green power must be non-negative")
+    reach = tables.reach
+    if not all(reach):  # some eNB reaches no cloudlet: does an avatar use it?
+        for avatar_id, enb in zip(ids, enbs):
+            if not reach[enb]:
+                raise InfeasibleAvatar(avatar_id)
+    if sum(tables.capacity) < n:
+        raise InsufficientCapacity(
+            f"capacity {sum(tables.capacity)} < {n} avatars")
+    inst = MilpInstance.__new__(MilpInstance)  # no per-avatar __post_init__
+    inst.weights = tuple(avatar_weights(cpus, tables.power))
+    inst.feasible_sets = _take(reach, enbs)
+    inst.green_power = green
+    inst.count_capacity = tables.capacity
+    inst.avatar_ids = ids
+    inst._derive(dict(zip(reach, tables.reach_ascending)))
+    return inst
 
 
 def _int_bound(load: list[int], wrem: int, ig: tuple[int, ...]) -> int:
@@ -275,15 +351,15 @@ def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
     return _to_watts(_int_bound(load, wrem, inst._ig))
 
 
-def _sorted_sets(inst: MilpInstance) -> list[list[int]]:
-    """Each avatar's feasible cloudlets in ascending order; avatars with
-    the same feasible set share one list."""
-    ascending = {fs: sorted(fs) for fs in set(inst.feasible_sets)}
-    return [ascending[fs] for fs in inst.feasible_sets]
+def _take(values: Sequence, positions: Sequence[int]) -> tuple:
+    """values[k] for each k of positions, as a tuple, in one C-level call."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(values)
+    return tuple(values[k] for k in positions)
 
 
-def _to_assignment(inst: MilpInstance, place: list[int]) -> Assignment:
-    return Assignment(dict(zip(inst.avatar_ids, place)))
+def _to_assignment(inst: MilpInstance, place: Sequence[int]) -> Assignment:
+    return Assignment.from_index(inst.avatar_ids, place)
 
 
 def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
@@ -293,14 +369,16 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     cloudlets with spare capacity, visited in order of residual green
     supply. Avatars with identical weight and feasible set are
     interchangeable, so their cloudlet indices are forced non-decreasing
-    to kill the symmetry. A `seed_assignment`, checked by
-    `MilpInstance.check_assignment` (ValueError if it does not fit), is
-    installed as the initial incumbent and can only be improved on; if no
-    leaf improves on it, the returned `Solution.assignment` is the seed
-    object itself. Without a seed, the node budget starts binding only
-    after the first complete placement is found, so truncated searches
-    still return a feasible answer. All ties break toward the lowest index,
-    which makes runs bit-reproducible. The depth-first walk keeps an explicit
+    to kill the symmetry. A `seed_assignment` is installed as the initial
+    incumbent and can only be improved on; if no leaf improves on it, the
+    returned `Solution.assignment` is the seed object itself. Its check
+    (`MilpInstance.check_assignment`, ValueError if it does not fit) and
+    its fixed-point objective come from `MilpInstance.evaluate`, so a seed
+    that GEAR has already evaluated on this instance is not checked or
+    scored again. Without a seed, the node budget starts binding only after
+    the first complete placement is found, so truncated searches still
+    return a feasible answer. All ties break toward the lowest index, which
+    makes runs bit-reproducible. The depth-first walk keeps an explicit
     stack of open nodes, one per depth in flat per-depth arrays, instead of
     recursing, so any number of avatars can be searched.
 
@@ -332,11 +410,10 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     iw, ig = inst._iw, inst._ig
     root_bound = _int_bound([0] * len(ig), sum(iw), ig)
 
-    seed_place: list[int] | None = None
+    seed_place: Sequence[int] | None = None
     best_obj: int | None = None
     if cfg.seed_assignment is not None:
-        seed_place = inst.check_assignment(cfg.seed_assignment)
-        best_obj = _int_objective(seed_place, iw, ig)
+        seed_place, _, best_obj = inst.evaluate(cfg.seed_assignment)
 
     if best_obj is not None and best_obj - root_bound <= cfg.gap_tolerance * best_obj:
         # Seed already meets the tolerance against the root bound.
@@ -377,20 +454,23 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
 
     # Per-depth tables. Branch order: heaviest first, then lowest instance
     # index (the sort is stable, so equal weights keep their index order).
-    order = sorted(range(n), key=iw.__getitem__, reverse=True)
-    wd = list(map(iw.__getitem__, order))
+    # A list's bound __getitem__ is a cheaper sort key than a tuple's.
+    order = sorted(range(n), key=list(iw).__getitem__, reverse=True)
+    wd = _take(iw, order)
     # the weight left to place below each depth: wr[d] = sum(wd[d + 1:])
-    wr = list(accumulate(reversed(wd), initial=0))[n - 1::-1]
+    wr = list(accumulate(reversed(wd), initial=0))
+    wr.pop()
+    wr.reverse()
     # Each depth's feasible cloudlets, ascending. Avatars with identical
     # weight and feasible set are interchangeable, so an avatar's cloudlet
     # may not be below that of the previous one in branch order, at depth
     # up[d]; up[d] is n when there is none, and ent[n] stays 0.
-    fsd = list(map(_sorted_sets(inst).__getitem__, order))
+    sets = _take(inst.feasible_sets, order)
+    fsd = _take(inst._ascending, sets)
     up = [n] * n
     if len(set(wd)) < n:  # only equal weights can be interchangeable
         last: dict[tuple[int, frozenset[int]], int] = {}
-        for d, key in enumerate(zip(
-                wd, map(inst.feasible_sets.__getitem__, order))):
+        for d, key in enumerate(zip(wd, sets)):
             up[d] = last.get(key, n)
             last[key] = d
 
@@ -499,7 +579,7 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
     best_obj: int | None = None
     best_place: tuple[int, ...] | None = None
     leaves = 0
-    for place in product(*_sorted_sets(inst)):
+    for place in product(*_take(inst._ascending, inst.feasible_sets)):
         if any(place.count(i) > c for i, c in enumerate(cap)):
             continue
         leaves += 1

@@ -92,9 +92,15 @@ class StrategyOutcome:
     solver_stats: Solution | None = None
 
 
-def _count_migrations(new: Assignment, prev: Assignment) -> int:
-    placement = new.placement
-    return sum(map(ne, map(prev.placement.get, placement), placement.values()))
+def _count_migrations(place: Sequence[int], prev: Assignment,
+                      ids: Sequence[int]) -> int:
+    """Avatars of `ids` whose cloudlet in `place` differs from `prev`'s;
+    one that `prev` does not place counts as moved."""
+    try:
+        before = prev.cloudlets(ids)
+    except KeyError:
+        before = map(prev.placement.get, ids)
+    return sum(map(ne, place, before))
 
 
 def far_placement(avatars: Iterable[tuple[int, int]],
@@ -124,13 +130,13 @@ def _nearest_with_room(ids: Sequence[int], enbs: Sequence[int],
     demand = Counter(first)
     if -1 not in demand and all(
             c <= tables.capacity[i] for i, c in demand.items()):
-        return Assignment(dict(zip(ids, first)))
+        return Assignment.from_index(ids, first)
     room = list(tables.capacity)
-    placement: dict[int, int] = {}
+    place: list[int] = []
     for avatar_id, enb in zip(ids, enbs):
         for i in order[enb]:
             if room[i] > 0:
-                placement[avatar_id] = i
+                place.append(i)
                 room[i] -= 1
                 break
         else:
@@ -139,15 +145,19 @@ def _nearest_with_room(ids: Sequence[int], enbs: Sequence[int],
                 f"{avatar_id} at eNB {enb}, whose in-range cloudlets (nearest "
                 f"first) {', '.join(map(str, order[enb]))} are all full; this "
                 "does not prove that no placement exists")
-    return Assignment(placement)
+    return Assignment.from_index(ids, place)
 
 
 def far_assign(state: SlotState) -> StrategyOutcome:
-    """FAR: the nearest-with-room greedy over avatars in ascending id."""
+    """FAR: the nearest-with-room greedy over avatars in ascending id.
+
+    Its placement carries its index form over the state's ids, which
+    GEAR's checks, the accounting and the migration count read."""
     assignment = _nearest_with_room(state.ids, state.enb, state.tables)
     return StrategyOutcome(
         assignment=assignment,
-        migrations=_count_migrations(assignment, state.prev_assignment),
+        migrations=_count_migrations(assignment.place, state.prev_assignment,
+                                     state.ids),
     )
 
 
@@ -155,13 +165,20 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     """Minimize on-grid power by re-placing avatars, warm-started by FAR.
 
     Complete placements are compared by one float score,
-    `MilpInstance.ongrid_power`: linearized on-grid power summed exactly as
-    the engine accounts a slot. The warm start is FAR's placement, or the
+    `MilpInstance.score`: linearized on-grid power summed exactly as the
+    engine accounts a slot. The warm start is FAR's placement, or the
     previous slot's placement if that still fits and scores strictly lower
     (FAR wins ties); the solver's result replaces the warm start only if it
     scores strictly lower. So the returned placement never accounts worse
     than FAR's under the linearized model, down to the last bit. Under
     exact server-counting accounting it can draw more than FAR's.
+
+    Each warm start is checked and scored once, by `MilpInstance.evaluate`
+    in index form; `solve` reuses that check and that fixed-point score for
+    its seed. FAR's placement is checked like any other, although the
+    greedy built it within reach and capacity. The solver's own placement
+    is feasible by construction and is only scored. Migrations are counted
+    on index forms, and a chosen FAR placement keeps FAR's count.
 
     When FAR's greedy finds no room for some avatar, a still-feasible
     previous placement is the warm start; failing that the solver runs
@@ -175,15 +192,16 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
         far: StrategyOutcome | None = far_assign(state)
     except Infeasible:
         far = None  # the greedy can fail where a placement exists
-    warm = None if far is None else far.assignment
-    warm_power = math.inf if warm is None else inst.ongrid_power(warm)
+    warm, warm_power = None, math.inf
+    if far is not None:
+        warm = far.assignment
+        warm_power = inst.evaluate(warm)[1]
     prev = state.prev_assignment
     try:
-        inst.check_assignment(prev)
+        prev_power = inst.evaluate(prev)[1]
     except ValueError:
         pass  # the previous placement does not fit this slot
     else:
-        prev_power = inst.ongrid_power(prev)
         if prev_power < warm_power:
             warm, warm_power = prev, prev_power
 
@@ -196,6 +214,7 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     return StrategyOutcome(
         assignment=chosen,
         migrations=(far.migrations if far is not None and chosen is far.assignment
-                    else _count_migrations(chosen, prev)),
+                    else _count_migrations(chosen.cloudlets(state.ids), prev,
+                                           state.ids)),
         solver_stats=sol,
     )

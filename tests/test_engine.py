@@ -16,7 +16,7 @@ from gcnsim import (
     compute_slot_metrics,
     run,
 )
-from gcnsim import engine
+from gcnsim import engine, model, solver, strategy
 from gcnsim.solver import Infeasible
 from gcnsim.strategy import SlotState, StrategyOutcome
 
@@ -306,3 +306,85 @@ class TestOncePerRun:
             run(cfg, strategy, bell_trace)
         assert decisions[0] == 5
         assert columns[0] == rows[0] == 0
+
+
+class TestOncePerDecision:
+    """One GEAR decision at 1000 avatars weighs the slot once, builds FAR's
+    placement map once, and checks and scores each warm start at most
+    once."""
+
+    @pytest.fixture(scope="class")
+    def states(self, bell_trace):
+        """Slot 0 of a 1000-avatar day, as the engine hands it to GEAR: all
+        dark, so FAR's placement meets the root bound; and the same slot
+        with green supply on every third cloudlet, where the solver dives
+        and improves on FAR."""
+        captured = []
+        gear = engine.gear_assign
+
+        def capture(state, *args):
+            captured.append(state)
+            return gear(state, *args)
+        engine.gear_assign = capture
+        try:
+            run(ScenarioConfig(ue_count=1000, slot_count=1), "gear",
+                bell_trace)
+        finally:
+            engine.gear_assign = gear
+        dark = captured[0]
+        sunny = replace(dark, green_power=tuple(
+            300.0 if i % 3 == 0 else 0.0 for i in range(len(dark.green_power))))
+        return {"root stop": dark, "dive": sunny}
+
+    @pytest.mark.parametrize("kind", ["root stop", "dive"])
+    def test_each_fact_established_once(self, states, kind, monkeypatch):
+        state = states[kind]
+        weighed = TestOncePerRun.count_calls(monkeypatch, "avatar_weights")
+        made = []
+        init = model.Assignment.__init__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(model.Assignment, "__init__", counted_init)
+        fars = []
+        far_assign = strategy.far_assign
+
+        def far(state):
+            fars.append(far_assign(state))
+            return fars[-1]
+        monkeypatch.setattr(strategy, "far_assign", far)
+        checked, scored = [], []
+        check = solver.MilpInstance.check_assignment
+        score = solver.MilpInstance.score
+
+        def counted_check(inst, assignment):
+            checked.append([assignment])
+            checked[-1].append(check(inst, assignment))  # its index form
+            return checked[-1][1]
+
+        def counted_score(inst, place):
+            scored.append(place)
+            return score(inst, place)
+        monkeypatch.setattr(solver.MilpInstance, "check_assignment",
+                            counted_check)
+        monkeypatch.setattr(solver.MilpInstance, "score", counted_score)
+
+        outcome = strategy.gear_assign(state)
+
+        far_made, sol = fars[0].assignment, outcome.solver_stats
+        improved = sol.assignment is not far_made
+        assert (sol.nodes_explored > 1) is improved is (kind == "dive")
+        assert outcome.assignment is (sol.assignment if improved else far_made)
+        assert weighed[0] == 1
+        # FAR's map, and the solver's when it improved on FAR
+        assert len(made) == 1 + improved
+        assert made[0] is far_made and made[-1] is sol.assignment
+        # each check is [assignment] plus, if it passed, the index form
+        far_checks = [c for c in checked if c[0] is far_made]
+        assert len(far_checks) == 1
+        assert sum(p is far_checks[0][1] for p in scored) == 1
+        prev_checks = [c for c in checked if c[0] is state.prev_assignment]
+        assert len(prev_checks) <= 1
+        assert sum(p is c[1] for p in scored for c in prev_checks
+                   if len(c) == 2) <= 1

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,8 @@ from gcnsim import (
     aggregate_bound,
     avatar_weights,
     brute_force,
+    build_instance,
+    run_tables,
     solve,
 )
 
@@ -124,6 +127,80 @@ class TestBuildInstance:
         assert inst._ig == tuple(round(g * 2**20) for g in green)
         assert inst._iw[:6] == (0, 2, 2, 4, 2**20, 2**29 + 2)
         assert all(type(u) is int for u in inst._iw + inst._ig)
+
+
+class TestTableBuild:
+    """`build_instance` trusts what the run's tables guarantee, but on the
+    same fields it raises what the validating constructor raises."""
+
+    @staticmethod
+    def tables(power, delay, server_count=1, sites=2):
+        specs = [CloudletSpec(server_count=server_count)] * sites
+        return run_tables(line_topology(2.0, sites), specs, power, delay)
+
+    @staticmethod
+    def construct(ids, cpus, enbs, green, tables):
+        """The validating constructor on the fields `build_instance` uses."""
+        return MilpInstance(
+            weights=tuple(avatar_weights(cpus, tables.power)),
+            feasible_sets=tuple(tables.reach[e] for e in enbs),
+            green_power=tuple(green), count_capacity=tables.capacity,
+            avatar_ids=ids)
+
+    def errors(self, *slot):
+        """What `build_instance` and the constructor raise on one slot."""
+        raised = []
+        for make in (build_instance, self.construct):
+            with pytest.raises(Exception) as err:
+                make(*slot)
+            raised.append(err.value)
+        return raised
+
+    def test_same_instance_as_the_constructor(self, power, delay):
+        tables = self.tables(power, delay, server_count=3, sites=3)
+        rng = random.Random(4)
+        ids = tuple(sorted(rng.sample(range(500), 40)))
+        cpus = [rng.uniform(10.0, 100.0) for _ in ids]
+        enbs = [rng.randrange(3) for _ in ids]
+        slot = (ids, cpus, enbs, (0.0, 40.0, 250.0), tables)
+        built, made = build_instance(*slot), self.construct(*slot)
+        assert built == made
+        assert (built._iw, built._ig) == (made._iw, made._ig)
+        assert ([built._ascending[fs] for fs in built.feasible_sets]
+                == [made._ascending[fs] for fs in made.feasible_sets])
+        assert solve(built) == solve(made)
+
+    def test_first_avatar_on_an_enb_without_reach_named(self, power, delay):
+        tables = self.tables(power, delay)
+        cut = replace(tables, reach=(tables.reach[0], frozenset()),
+                      reach_order=(tables.reach_order[0], ()),
+                      reach_ascending=(tables.reach_ascending[0], ()))
+        built, made = self.errors((3, 5, 8, 9), [50.0] * 4, [0, 1, 0, 1],
+                                  [0.0, 0.0], cut)
+        assert type(built) is type(made) is InfeasibleAvatar
+        assert built.avatar_id == made.avatar_id == 5
+        assert str(built) == str(made)
+
+    def test_capacity_shortfall(self, power, delay):
+        tables = self.tables(power, delay)  # 2 cloudlets of 16 avatars
+        ids = range(33)
+        built, made = self.errors(ids, [50.0] * 33, [0] * 33, [0.0, 0.0],
+                                  tables)
+        assert type(built) is type(made) is InsufficientCapacity
+        assert str(built) == str(made) == "capacity 32 < 33 avatars"
+
+    @pytest.mark.parametrize("ids", [(3, 3), (4, 2), range(2, 0, -1)])
+    def test_ids_that_do_not_ascend(self, power, delay, ids):
+        built, made = self.errors(ids, [50.0, 60.0], [0, 1], [0.0, 0.0],
+                                  self.tables(power, delay))
+        assert type(built) is type(made) is ValueError
+        assert str(built) == str(made) == "avatar ids must strictly ascend"
+
+    def test_negative_green(self, power, delay):
+        built, made = self.errors((0, 1), [50.0, 60.0], [0, 1], [0.0, -1.0],
+                                  self.tables(power, delay))
+        assert type(built) is type(made) is ValueError
+        assert str(built) == str(made) == "green power must be non-negative"
 
 
 class TestCheckAssignment:

@@ -18,7 +18,9 @@ from gcnsim import (
     propagation_delay,
     run_tables,
 )
+from gcnsim import ScenarioConfig, engine, run
 from gcnsim.engine import compute_slot_metrics
+from gcnsim.solver import _int_objective
 from gcnsim.strategy import SlotState, far_assign, far_placement, gear_assign
 
 from conftest import instance_from_loads, line_topology
@@ -251,6 +253,32 @@ class TestGear:
                 metrics = compute_slot_metrics(0, state, outcome)
                 assert (instance_of(state).ongrid_power(outcome.assignment)
                         * state.delay.slot_length == metrics.ongrid_approx_wh)
+
+    @pytest.mark.parametrize("strategy", ["far", "gear"])
+    def test_one_pass_score_is_the_accounting_on_every_slot_of_a_day(
+            self, bell_trace, strategy, monkeypatch):
+        # The float half of GEAR's one-pass score against the engine's
+        # accounting, and its fixed-point half against the search's own
+        # objective, on the index form every placement carries.
+        days = []
+        account = engine.compute_slot_metrics
+
+        def recorded(slot, state, outcome):
+            days.append((state, outcome, account(slot, state, outcome)))
+            return days[-1][2]
+        monkeypatch.setattr(engine, "compute_slot_metrics", recorded)
+        run(ScenarioConfig(), strategy, bell_trace,
+            SolverConfig(node_limit=2000))
+        assert len(days) == ScenarioConfig().slot_count
+        for state, outcome, metrics in days:
+            inst = instance_of(state)
+            place = outcome.assignment.cloudlets(state.ids)
+            power, units = inst.score(place)
+            assert power == inst.ongrid_power(outcome.assignment)
+            assert power == (metrics.ongrid_approx_wh
+                             / state.delay.slot_length)
+            assert units == _int_objective(place, inst._iw, inst._ig)
+        assert any(sum(metrics.green) > 0 for _, _, metrics in days)
 
     def test_engine_adds_each_cloudlets_weights_left_to_right(
             self, state_factory, power):
