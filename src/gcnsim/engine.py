@@ -35,7 +35,6 @@ from array import array
 from dataclasses import dataclass, replace
 
 from .model import (
-    AvatarLoad,
     DelayParams,
     PowerParams,
     avatar_weights,
@@ -102,10 +101,9 @@ class World:
     `random.Random(config.rng_seed)` and nothing else. `columns(t)` draws
     slot t when it is the next undrawn slot, with one `step_mobility` call
     over every UE's columns, and records it; a recorded slot is read from
-    the record, and `loads(t)` rebuilds its `AvatarLoad`s. The record
-    keeps one CPU float and one eNB index per avatar and slot. The world
-    serves every config that differs from its own only in `kappa`, which
-    touches green supply alone.
+    the record. The record keeps one CPU float and one eNB index per
+    avatar and slot. The world serves every config that differs from its
+    own only in `kappa`, which touches green supply alone.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -142,11 +140,6 @@ class World:
                              f"({len(self._cpu)} of {self.config.slot_count} "
                              "drawn)")
         return cpu, self._enb[t]
-
-    def loads(self, t: int) -> tuple[AvatarLoad, ...]:
-        """Slot t's avatar loads in ascending avatar id."""
-        cpu, enbs = self.columns(t)
-        return AvatarLoad.from_columns(range(len(cpu)), cpu, enbs)
 
     def _draw_next(self) -> None:
         cpu, enbs = step_mobility(self._ues, self.slot_length * 3600.0,
@@ -231,7 +224,8 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     try:
         # Called directly rather than through far_assign: the initial
         # placement is not a slot decision of either strategy.
-        assignment = far_placement(enumerate(world.initial_enbs), tables)
+        assignment = far_placement(range(len(world.initial_enbs)),
+                                   world.initial_enbs, tables)
     except Infeasible as exc:
         raise Infeasible(f"initial placement: {exc}") from exc
 

@@ -7,8 +7,8 @@ on-grid energy. The simulation engine and the assignment solver are both
 built on top of these primitives, so any power number reported anywhere in
 the package traces back to this module.
 
-Every per-slot layer reads a slot's avatars in one order, `slot_columns`,
-and weighs them with one formula, `avatar_weights`. What depends only on
+Every per-slot layer reads a slot's avatars as columns in ascending avatar
+id, and weighs them with one formula, `avatar_weights`. What depends only on
 the network and the parameters, not on the slot (which cloudlets each eNB
 reaches, how many avatars each cloudlet hosts, each cloudlet-eNB delay),
 is tabulated once per run by `run_tables`.
@@ -142,6 +142,8 @@ class AvatarLoad(_AvatarLoadFields):
             raise ValueError("avatar_id must be non-negative")
         if not 0.0 <= total_cpu <= 100.0:
             raise ValueError("total_cpu must be within [0, 100]")
+        if attached_enb < 0:
+            raise ValueError("attached_enb must be non-negative")
         return super().__new__(cls, avatar_id, total_cpu, attached_enb)
 
     @classmethod
@@ -215,11 +217,10 @@ def cloudlet_power_exact(cpus: Sequence[float], params: PowerParams) -> float:
 
 def slot_columns(loads: Sequence[AvatarLoad]
                  ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
-    """A slot's (avatar ids, CPU figures, eNBs) in ascending avatar id.
-
-    This is the one order in which every layer reads a slot's avatars;
-    keeping one summation order everywhere makes energy comparisons between
-    strategies reproducible bit for bit. The engine's loads already ascend.
+    """A slot's (avatar ids, CPU figures, eNBs) in ascending avatar id,
+    the order in which every layer reads a slot's avatars; keeping one
+    summation order everywhere makes energy comparisons between strategies
+    reproducible bit for bit. The engine's columns ascend already.
     """
     ids, cpus, enbs = zip(*loads) if loads else ((), (), ())
     if list(ids) != sorted(ids):

@@ -75,11 +75,11 @@ class MilpInstance:
     the cloudlets it may use, `green_power[i]` cloudlet i's green supply in
     watts and `count_capacity[i]` the number of avatars it can host.
     `avatar_ids` maps instance positions back to avatar identifiers; they
-    strictly ascend, so instance positions are in `slot_columns` order.
+    strictly ascend, so instance positions are in ascending avatar id.
 
-    The constructor converts and checks every field per avatar.
-    `build_instance` makes an instance from a slot's columns and the run's
-    tables instead, and checks only what those do not already guarantee.
+    The constructor converts every field and checks what `build_instance`
+    takes from the run's tables as given (weights and capacities not
+    negative, every feasible cloudlet known); both then run `_finish`.
     """
 
     weights: tuple[float, ...]
@@ -96,40 +96,49 @@ class MilpInstance:
         self.green_power = tuple(map(float, self.green_power))
         self.count_capacity = tuple(map(int, self.count_capacity))
         self.avatar_ids = tuple(self.avatar_ids or range(len(self.weights)))
-        n, m = len(self.weights), len(self.green_power)
-        if len(self.feasible_sets) != n or len(self.avatar_ids) != n:
-            raise ValueError("per-avatar field lengths disagree")
-        ids = self.avatar_ids
-        if any(map(ge, ids, ids[1:])):
-            raise ValueError("avatar ids must strictly ascend")
-        if len(self.count_capacity) != m:
-            raise ValueError("per-cloudlet field lengths disagree")
         if min(self.weights, default=0.0) < 0:
             raise ValueError("weights must be non-negative")
-        if any(g < 0 for g in self.green_power):
-            raise ValueError("green power must be non-negative")
         if any(c < 0 for c in self.count_capacity):
             raise ValueError("capacities must be non-negative")
-        # Avatars on one eNB share one set, so each distinct set is checked
-        # once, in order of first use: the first bad avatar is still named.
+        # avatars on one eNB share one set: each distinct set is checked once
+        m = len(self.green_power)
         ascending = dict.fromkeys(self.feasible_sets)
         for fs in ascending:
-            if not fs:
-                raise InfeasibleAvatar(
-                    self.avatar_ids[self.feasible_sets.index(fs)])
             if any(i < 0 or i >= m for i in fs):
                 raise ValueError("feasible set references unknown cloudlet")
             ascending[fs] = tuple(sorted(fs))
+        self._finish(ascending)
+
+    def _finish(self, ascending: dict[frozenset[int], tuple[int, ...]]
+                ) -> None:
+        """Check the fields, with no per-avatar Python loop unless some
+        feasible set is empty, then set what the search reads: `ascending`
+        maps each feasible set to its cloudlets in ascending index, plus
+        the fixed-point weights and green supply.
+
+        Raises ValueError if the per-avatar or per-cloudlet lengths
+        disagree, the ids do not strictly ascend or green power is
+        negative; InfeasibleAvatar naming the first avatar with an empty
+        feasible set; InsufficientCapacity if the avatars cannot all be
+        hosted.
+        """
+        n, ids = len(self.weights), self.avatar_ids
+        if len(self.feasible_sets) != n or len(ids) != n:
+            raise ValueError("per-avatar field lengths disagree")
+        if (ids.step < 0 and n > 1 if type(ids) is range
+                else any(map(ge, ids, ids[1:]))):
+            raise ValueError("avatar ids must strictly ascend")
+        if len(self.count_capacity) != len(self.green_power):
+            raise ValueError("per-cloudlet field lengths disagree")
+        if any(g < 0 for g in self.green_power):
+            raise ValueError("green power must be non-negative")
+        if frozenset() in ascending:  # does an avatar have an empty set?
+            for avatar_id, fs in zip(ids, self.feasible_sets):
+                if not fs:
+                    raise InfeasibleAvatar(avatar_id)
         if sum(self.count_capacity) < n:
             raise InsufficientCapacity(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
-        self._derive(ascending)
-
-    def _derive(self, ascending: dict[frozenset[int], tuple[int, ...]]
-                ) -> None:
-        """Set what the search reads of a checked instance: each distinct
-        feasible set's cloudlets in ascending index, and the fixed-point
-        weights and green supply."""
         self._ascending = ascending
         # _to_units of each value, without a Python frame per value: the
         # values are floats by now, so float.__round__ is what round calls,
@@ -254,52 +263,22 @@ def build_instance(ids: Sequence[int], cpus: Sequence[float],
                    enbs: Sequence[int], green: Sequence[float],
                    tables: RunTables) -> MilpInstance:
     """Assemble the placement problem for one slot from its columns in
-    ascending avatar id (as `slot_columns` returns them) and the run's
-    tables.
+    ascending avatar id and the run's tables.
 
-    The build trusts what the tables and the columns guarantee, so it
-    skips the constructor's per-avatar checks. Each feasible set is the
-    tables' frozenset for the avatar's eNB, whose cloudlets all exist. Each
-    weight is `avatar_weights` of a CPU figure that was range-checked when
-    the world drew it or its `AvatarLoad` was made, so none is negative.
-    The checks that remain run once per cloudlet or eNB, or in O(1) when
-    the ids are a `range` (other ids are checked to ascend in one C-level
-    pass), and raise what the constructor raises on the same fields:
-    ValueError if the column lengths disagree, the ids do not strictly
-    ascend, or green power is negative or does not match the topology;
-    InfeasibleAvatar naming the first avatar whose eNB reaches no cloudlet
-    within the delay bound; InsufficientCapacity if the avatars cannot all
-    be hosted.
+    Each feasible set is the tables' frozenset for the avatar's eNB, whose
+    cloudlets all exist, and each weight is `avatar_weights` of a CPU
+    figure that was range-checked when the world drew it or its
+    `AvatarLoad` was made, so the build skips the constructor's own
+    checks. It raises what `MilpInstance._finish` raises; green power of
+    the wrong length is a per-cloudlet length that disagrees.
     """
-    n = len(ids)
-    if len(cpus) != n or len(enbs) != n:
-        raise ValueError("per-avatar field lengths disagree")
-    if type(ids) is not range:
-        ids = tuple(ids)
-        if any(map(ge, ids, ids[1:])):
-            raise ValueError("avatar ids must strictly ascend")
-    elif ids.step < 0 and n > 1:
-        raise ValueError("avatar ids must strictly ascend")
-    if len(green) != len(tables.capacity):
-        raise ValueError("green length must match the topology")
-    green = tuple(map(float, green))
-    if any(g < 0 for g in green):
-        raise ValueError("green power must be non-negative")
-    reach = tables.reach
-    if not all(reach):  # some eNB reaches no cloudlet: does an avatar use it?
-        for avatar_id, enb in zip(ids, enbs):
-            if not reach[enb]:
-                raise InfeasibleAvatar(avatar_id)
-    if sum(tables.capacity) < n:
-        raise InsufficientCapacity(
-            f"capacity {sum(tables.capacity)} < {n} avatars")
     inst = MilpInstance.__new__(MilpInstance)  # no per-avatar __post_init__
     inst.weights = tuple(avatar_weights(cpus, tables.power))
-    inst.feasible_sets = _take(reach, enbs)
-    inst.green_power = green
+    inst.feasible_sets = _take(tables.reach, enbs)
+    inst.green_power = tuple(map(float, green))
     inst.count_capacity = tables.capacity
-    inst.avatar_ids = ids
-    inst._derive(dict(zip(reach, tables.reach_ascending)))
+    inst.avatar_ids = ids if type(ids) is range else tuple(ids)
+    inst._finish(dict(zip(tables.reach, tables.reach_ascending)))
     return inst
 
 
@@ -358,10 +337,6 @@ def _take(values: Sequence, positions: Sequence[int]) -> tuple:
     return tuple(values[k] for k in positions)
 
 
-def _to_assignment(inst: MilpInstance, place: Sequence[int]) -> Assignment:
-    return Assignment.from_index(inst.avatar_ids, place)
-
-
 def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     """Depth-first branch and bound over placements.
 
@@ -385,26 +360,9 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     The root bound is the aggregate bound of the empty placement,
     max(0, total weight - total green). A seed that meets the gap tolerance
     against it is returned after one node, before any search structure is
-    built.
-
-    Sibling bounds are computed lazily. For a node with deficit D and slack
-    S, branching avatar weight wk and weight wr left after it, the bound of
-    the child on a cloudlet with e = load - green is
-    D + max(0, wr + wk - S) for e <= -wk, D + e + wk + max(0, wr - S - e)
-    for -wk < e < 0 and D + wk + max(0, wr - S) for e >= 0: continuous and
-    non-decreasing in e. Children are visited in order of (e, index), so the
-    children that beat the incumbent are a prefix of that order. A child's
-    bound is computed only when the walk is about to enter it, and the
-    first child that cannot beat the incumbent closes its parent.
-
-    Siblings are ordered lazily too. Entering a node costs one pass over
-    its feasible cloudlets, which finds its first child in (e, index)
-    order. The node's children are sorted only if the walk comes back to
-    it; the child just left is undone first, so the node's loads are its
-    entry state again and the sorted order is the one its first child was
-    taken from. A dive that never backtracks sorts nothing, and every
-    search visits and counts the same nodes as one that sorts each node's
-    children on entry.
+    built. Sibling bounds and sibling order are computed lazily; the README
+    ("Library use") states why a search still visits and counts the same
+    nodes as one that sorts and bounds every child on entry.
     """
     cfg = config or SolverConfig()
     iw, ig = inst._iw, inst._ig
@@ -432,7 +390,7 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     gap = 0.0 if best_obj == lb_units else (objective - lower_bound) / max(objective, _TINY)
     return Solution(
         assignment=(cfg.seed_assignment if best_place is seed_place
-                    else _to_assignment(inst, best_place)),
+                    else Assignment.from_index(inst.avatar_ids, best_place)),
         objective=objective,
         lower_bound=lower_bound,
         gap=gap,
@@ -590,7 +548,7 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
         raise Infeasible("no feasible placement exists")
     objective = _to_watts(best_obj)
     return Solution(
-        assignment=_to_assignment(inst, best_place),
+        assignment=Assignment.from_index(inst.avatar_ids, best_place),
         objective=objective,
         lower_bound=objective,
         gap=0.0,

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from operator import itemgetter, ne
+from operator import ne
 
 from .model import (
     Assignment,
@@ -60,8 +60,15 @@ class SlotState:
                    green_power: Iterable[float], prev_assignment: Assignment,
                    topo: SiteTopology, specs: Sequence[CloudletSpec],
                    power: PowerParams, delay: DelayParams) -> SlotState:
-        """A state from loads in any order; tabulates the run's tables."""
+        """A state from loads in any order; tabulates the run's tables.
+
+        Raises ValueError naming the first avatar attached to an eNB that
+        the topology does not have."""
         ids, cpu, enb = slot_columns(tuple(loads))
+        for avatar_id, e in zip(ids, enb):
+            if e >= topo.site_count:
+                raise ValueError(f"avatar {avatar_id} is attached to eNB {e}, "
+                                 f"outside the {topo.site_count}-site topology")
         return cls(ids, cpu, enb, tuple(green_power), prev_assignment,
                    run_tables(topo, specs, power, delay))
 
@@ -103,24 +110,17 @@ def _count_migrations(place: Sequence[int], prev: Assignment,
     return sum(map(ne, place, before))
 
 
-def far_placement(avatars: Iterable[tuple[int, int]],
+def far_placement(ids: Sequence[int], enbs: Sequence[int],
                   tables: RunTables) -> Assignment:
-    """Nearest-with-room greedy: place each (avatar id, eNB) in the given
-    order at the nearest in-range cloudlet that still has room.
+    """Nearest-with-room greedy: place avatar `ids[k]`, attached to eNB
+    `enbs[k]`, in the given order at the nearest in-range cloudlet that
+    still has room. The placement carries its index form over `ids`.
 
     When the nearest cloudlet is full the avatar overflows to the
     next-nearest with room, still within the delay bound. Raises Infeasible
     if every in-range cloudlet is full; that proves only that the greedy
     failed, not that no placement exists, and the message says so.
     """
-    pairs = list(avatars)
-    return _nearest_with_room(list(map(itemgetter(0), pairs)),
-                              list(map(itemgetter(1), pairs)), tables)
-
-
-def _nearest_with_room(ids: Sequence[int], enbs: Sequence[int],
-                       tables: RunTables) -> Assignment:
-    """`far_placement` over the avatars as id and eNB columns."""
     order = tables.reach_order
     # When no cloudlet is the nearest of more avatars than it can host, no
     # nearest cloudlet ever runs out of room, and the greedy places every
@@ -153,7 +153,7 @@ def far_assign(state: SlotState) -> StrategyOutcome:
 
     Its placement carries its index form over the state's ids, which
     GEAR's checks, the accounting and the migration count read."""
-    assignment = _nearest_with_room(state.ids, state.enb, state.tables)
+    assignment = far_placement(state.ids, state.enb, state.tables)
     return StrategyOutcome(
         assignment=assignment,
         migrations=_count_migrations(assignment.place, state.prev_assignment,

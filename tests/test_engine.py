@@ -220,9 +220,9 @@ class TestWorld:
         assert run(cfg, "far", bell_trace) == run(cfg, "far", bell_trace,
                                                   world=shared)
         private, = made
-        assert private.loads(3) == shared.loads(3)
+        assert private.columns(3) == shared.columns(3)
         with pytest.raises(IndexError):
-            private.loads(2)  # read once, in order: slot 2 was not kept
+            private.columns(2)  # read once, in order: slot 2 was not kept
 
     def test_drawn_cpu_out_of_range_rejected(self, monkeypatch):
         step = engine.step_mobility
@@ -233,20 +233,20 @@ class TestWorld:
             return cpu, enbs
         monkeypatch.setattr(engine, "step_mobility", overdrawn)
         with pytest.raises(ValueError, match="total_cpu"):
-            World(ScenarioConfig(ue_count=3, slot_count=2)).loads(0)
+            World(ScenarioConfig(ue_count=3, slot_count=2)).columns(0)
 
     def test_slots_drawn_in_order_and_replayed(self):
         world = World(ScenarioConfig(ue_count=5, slot_count=3))
         with pytest.raises(IndexError):
-            world.loads(1)
-        first = world.loads(0)
-        assert [a.avatar_id for a in first] == list(range(5))
-        assert world.loads(0) == first
-        world.loads(1)
-        world.loads(2)
+            world.columns(1)
+        first = [list(column) for column in world.columns(0)]
+        assert [len(column) for column in first] == [5, 5]  # ids 0..4
+        assert [list(column) for column in world.columns(0)] == first
+        world.columns(1)
+        world.columns(2)
         with pytest.raises(IndexError):
-            world.loads(3)
-        assert world.loads(0) == first
+            world.columns(3)
+        assert [list(column) for column in world.columns(0)] == first
 
 
 class TestOncePerRun:
@@ -335,6 +335,15 @@ class TestOncePerDecision:
         sunny = replace(dark, green_power=tuple(
             300.0 if i % 3 == 0 else 0.0 for i in range(len(dark.green_power))))
         return {"root stop": dark, "dive": sunny}
+
+    def test_initial_placement_is_in_the_slots_index_form(self, states):
+        # made over the slot's own ids, so slot 0 reads its index form
+        # instead of mapping its dict
+        state = states["root stop"]
+        ids = range(len(state.cpu))
+        prev = state.prev_assignment
+        assert prev.ids == ids
+        assert prev.cloudlets(ids) is prev.place
 
     @pytest.mark.parametrize("kind", ["root stop", "dive"])
     def test_each_fact_established_once(self, states, kind, monkeypatch):

@@ -144,12 +144,13 @@ def test_default_day_solver_evidence_matches_golden(tmp_path, monkeypatch):
 
 
 def world_stream_digest(config, slot_length=0.25) -> str:
-    """sha256 of a world's initial eNBs and every slot's loads, in order."""
+    """sha256 of a world's initial eNBs and every slot's (avatar id, CPU,
+    eNB) triples, in order."""
     world = gcnsim.World(config, slot_length)
     h = hashlib.sha256(repr(world.initial_enbs).encode())
     for t in range(config.slot_count):
-        h.update(repr([(a.avatar_id, a.total_cpu, a.attached_enb)
-                       for a in world.loads(t)]).encode())
+        h.update(repr([(k, cpu, enb) for k, (cpu, enb)
+                       in enumerate(zip(*world.columns(t)))]).encode())
     return h.hexdigest()
 
 

@@ -1,6 +1,8 @@
-"""Module boundaries: no gcnsim module reaches into a sibling's privates."""
+"""Module boundaries: no gcnsim module reaches into a sibling's privates,
+and the package imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import gcnsim
@@ -35,3 +37,24 @@ def test_no_module_imports_a_sibling_private():
         if (names := private_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the modules a source imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    assert absolute_imports("import numpy.linalg\nfrom .model import x\n"
+                            "from scipy import optimize\n") == {"numpy",
+                                                                 "scipy"}
+    imported = set().union(*(absolute_imports(path.read_text(encoding="utf-8"))
+                             for path in sorted(PACKAGE.rglob("*.py"))))
+    assert "argparse" in imported
+    assert sorted(imported - set(sys.stdlib_module_names)) == []

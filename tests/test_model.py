@@ -230,6 +230,10 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             AvatarLoad(avatar_id=0, total_cpu=101.0, attached_enb=0)
 
+    def test_avatar_load_rejects_a_negative_enb(self):
+        with pytest.raises(ValueError, match="attached_enb"):
+            AvatarLoad(avatar_id=0, total_cpu=50.0, attached_enb=-1)
+
     def test_avatar_loads_from_columns_match_checked_construction(self):
         cpu, enbs = [10.0, 55.5, 100.0], [0, 7, 3]
         built = AvatarLoad.from_columns(range(3), cpu, enbs)

@@ -55,7 +55,8 @@ class TestTopology:
 def initial_placement(ues, cfg, topo, specs, power, delay):
     """The engine's initial placement: the shared greedy in avatar order."""
     enbs = enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side)
-    return far_placement(enumerate(enbs), run_tables(topo, specs, power, delay))
+    return far_placement(range(len(enbs)), enbs,
+                         run_tables(topo, specs, power, delay))
 
 
 class TestInitUes:

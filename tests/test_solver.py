@@ -202,6 +202,12 @@ class TestTableBuild:
         assert type(built) is type(made) is ValueError
         assert str(built) == str(made) == "green power must be non-negative"
 
+    def test_green_of_the_wrong_length(self, power, delay):
+        built, made = self.errors((0, 1), [50.0, 60.0], [0, 1],
+                                  [0.0, 0.0, 0.0], self.tables(power, delay))
+        assert type(built) is type(made) is ValueError
+        assert str(built) == str(made) == "per-cloudlet field lengths disagree"
+
 
 class TestCheckAssignment:
     """Each rejection names what `check_assignment` promises to name."""

@@ -56,6 +56,16 @@ def zero_green(topo):
     return [0.0] * topo.site_count
 
 
+class TestSlotState:
+    def test_enb_outside_the_topology_rejected(self, grid_topo,
+                                               state_factory):
+        loads = [AvatarLoad(0, 50.0, 3), AvatarLoad(4, 50.0, 16),
+                 AvatarLoad(2, 50.0, 17)]
+        with pytest.raises(ValueError, match="^avatar 2 is attached to eNB "
+                           "17, outside the 16-site topology$"):
+            state_factory(loads, zero_green(grid_topo))
+
+
 class TestFar:
     def test_colocated_cloudlet_preferred(self, grid_topo, state_factory):
         loads = [AvatarLoad(0, 50.0, 5)]
@@ -124,7 +134,8 @@ class TestFar:
                                specs=specs, power=tiny, default_delay=delay)
             assert far_assign(state).assignment.placement == reference
             greedy_in_given_order = far_placement(
-                [(a.avatar_id, a.attached_enb) for a in shuffled],
+                [a.avatar_id for a in shuffled],
+                [a.attached_enb for a in shuffled],
                 run_tables(grid_topo, specs, tiny, delay)).placement
             reordered.add(greedy_in_given_order != reference)
         assert True in reordered  # capacity binds: order matters to the greedy
@@ -159,20 +170,20 @@ class TestFar:
                                 PowerParams(server_capacity=rng.choice([1, 4])),
                                 delay)
             n = rng.randint(0, 60)
-            pairs = list(zip(rng.sample(range(1000), n),
-                             (rng.randrange(grid_topo.site_count)
-                              for _ in range(n))))
-            nearest = [tables.reach_order[enb][0] for _, enb in pairs]
+            ids = rng.sample(range(1000), n)
+            enbs = [rng.randrange(grid_topo.site_count) for _ in range(n)]
+            pairs = list(zip(ids, enbs))
+            nearest = [tables.reach_order[enb][0] for enb in enbs]
             overflow = any(nearest.count(i) > c
                            for i, c in enumerate(tables.capacity))
             expected = self._greedy(pairs, tables)
             if expected is None:
                 kinds.add("greedy fails")
                 with pytest.raises(Infeasible, match="greedy failed"):
-                    far_placement(iter(pairs), tables)
+                    far_placement(ids, enbs, tables)
                 continue
             kinds.add("overflow" if overflow else "all nearest")
-            got = far_placement(iter(pairs), tables).placement
+            got = far_placement(ids, enbs, tables).placement
             assert list(got.items()) == list(expected.items())
         assert kinds == {"greedy fails", "overflow", "all nearest"}
 
@@ -183,7 +194,7 @@ class TestFar:
         tables = run_tables(grid_topo, specs, power, delay)
         no_reach = replace(tables, reach_order=((),) + tables.reach_order[1:])
         with pytest.raises(Infeasible) as err:
-            far_placement([(3, 5), (7, 0)], no_reach)
+            far_placement([3, 7], [5, 0], no_reach)
         assert str(err.value) == (
             "FAR's nearest-with-room greedy failed: no room for avatar 7 at "
             "eNB 0, whose in-range cloudlets (nearest first)  are all full; "
