@@ -18,7 +18,6 @@ from .model import (
     ongrid_energy,
     propagation_delay,
     run_tables,
-    slot_columns,
 )
 from .solver import (
     Infeasible,

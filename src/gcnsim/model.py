@@ -8,7 +8,8 @@ built on top of these primitives, so any power number reported anywhere in
 the package traces back to this module.
 
 Every per-slot layer reads a slot's avatars as columns in ascending avatar
-id, and weighs them with one formula, `avatar_weights`. What depends only on
+id, holds a placement as one cloudlet per column (`Assignment`), and weighs
+the avatars with one formula, `avatar_weights`. What depends only on
 the network and the parameters, not on the slot (which cloudlets each eNB
 reaches, how many avatars each cloudlet hosts, each cloudlet-eNB delay),
 is tabulated once per run by `run_tables`.
@@ -17,7 +18,8 @@ is tabulated once per run by `run_tables`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -155,41 +157,43 @@ class AvatarLoad(_AvatarLoadFields):
         return tuple(map(tuple.__new__, repeat(cls), zip(ids, cpu, enbs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Placement map: avatar_id -> cloudlet index, one cloudlet per avatar.
+    """A placement, one cloudlet per avatar: `place[k]` is the cloudlet of
+    avatar `ids[k]`, for distinct ids. Strategies and the solver make it
+    over a slot's ids, in ascending avatar id as the slot's columns hold
+    them. Neither sequence may be modified.
 
-    A placement made by a strategy or the solver also carries its index
-    form: `place[k]` is the cloudlet of avatar `ids[k]`, with `ids` in
-    ascending avatar id as the slot's columns hold them. `from_index`
-    builds the map from it once; `cloudlets` hands the list back to every
-    reader that walks the same ids, instead of mapping the dict again.
-    Both forms are one placement, so neither may be modified.
+    Two assignments are equal iff they put every avatar on the same
+    cloudlet, whatever order or sequence types their ids and cloudlets
+    come in; assignments are not hashable.
     """
 
-    placement: dict[int, int] = field(default_factory=dict)
-    ids: Sequence[int] | None = field(default=None, compare=False, repr=False)
-    place: Sequence[int] | None = field(default=None, compare=False,
-                                        repr=False)
+    ids: Sequence[int]
+    place: Sequence[int]
 
-    @classmethod
-    def from_index(cls, ids: Sequence[int], place: Sequence[int]
-                   ) -> Assignment:
-        """The placement that puts avatar `ids[k]` on cloudlet `place[k]`."""
-        return cls(dict(zip(ids, place)), ids, place)
+    @cached_property
+    def placement(self) -> dict[int, int]:
+        """The map avatar id -> cloudlet, built on first read."""
+        return dict(zip(self.ids, self.place))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return self.placement == other.placement
 
     def cloudlets(self, ids: Sequence[int]) -> Sequence[int]:
-        """The cloudlet of each avatar of `ids`, in that order: the index
-        form itself when it was made for these ids, else read from the map.
-        Raises KeyError for an avatar the placement does not cover."""
-        if self.ids is not None and (self.ids is ids or self.ids == ids):
+        """The cloudlet of each avatar of `ids`, in that order: `place`
+        itself when the assignment was made for these ids, else read from
+        the map. Raises KeyError for an avatar it does not place."""
+        if self.ids is ids or self.ids == ids:
             return self.place
         return list(map(self.placement.__getitem__, ids))
 
     def counts(self, n_cloudlets: int) -> list[int]:
         """Number of avatars hosted per cloudlet."""
         out = [0] * n_cloudlets
-        for i in self.placement.values():
+        for i in self.place:
             out[i] += 1
         return out
 
@@ -213,19 +217,6 @@ def cloudlet_power_exact(cpus: Sequence[float], params: PowerParams) -> float:
             * params.standby_power
             + params.avatar_coeff * len(cpus)
             + params.cpu_coeff * sum(cpus))
-
-
-def slot_columns(loads: Sequence[AvatarLoad]
-                 ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
-    """A slot's (avatar ids, CPU figures, eNBs) in ascending avatar id,
-    the order in which every layer reads a slot's avatars; keeping one
-    summation order everywhere makes energy comparisons between strategies
-    reproducible bit for bit. The engine's columns ascend already.
-    """
-    ids, cpus, enbs = zip(*loads) if loads else ((), (), ())
-    if list(ids) != sorted(ids):
-        ids, cpus, enbs = zip(*sorted(loads, key=lambda a: a.avatar_id))
-    return ids, cpus, enbs
 
 
 def avatar_weights(cpus: Iterable[float], params: PowerParams) -> list[float]:

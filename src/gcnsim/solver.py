@@ -162,19 +162,20 @@ class MilpInstance:
 
     def check_assignment(self, assignment: Assignment) -> Sequence[int]:
         """Check a complete assignment against the instance and return its
-        cloudlet per instance position: its index form, when it carries one
-        for these avatar ids, else a list read from its map.
+        cloudlet per instance position: its `place`, when it was made for
+        these avatar ids, else a list read from its map.
 
         Raises ValueError if it misses an avatar or places one outside the
         instance, outside its feasible set, or on a cloudlet over capacity.
         """
-        placement, ids = assignment.placement, self.avatar_ids
+        ids = self.avatar_ids
         try:  # the ids are distinct, so equal lengths mean no extra avatar
             place = assignment.cloudlets(ids)
         except KeyError:
             place = None
         if (place is None or len(place) != len(ids)
-                or len(placement) != len(ids)):
+                or place is not assignment.place
+                and len(assignment.placement) != len(ids)):
             raise ValueError("assignment does not cover the avatar population")
         if not all(map(frozenset.__contains__, self.feasible_sets, place)):
             for a, fs, i in zip(ids, self.feasible_sets, place):
@@ -390,7 +391,7 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     gap = 0.0 if best_obj == lb_units else (objective - lower_bound) / max(objective, _TINY)
     return Solution(
         assignment=(cfg.seed_assignment if best_place is seed_place
-                    else Assignment.from_index(inst.avatar_ids, best_place)),
+                    else Assignment(inst.avatar_ids, best_place)),
         objective=objective,
         lower_bound=lower_bound,
         gap=gap,
@@ -548,7 +549,7 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
         raise Infeasible("no feasible placement exists")
     objective = _to_watts(best_obj)
     return Solution(
-        assignment=Assignment.from_index(inst.avatar_ids, best_place),
+        assignment=Assignment(inst.avatar_ids, best_place),
         objective=objective,
         lower_bound=objective,
         gap=0.0,

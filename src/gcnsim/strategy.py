@@ -33,7 +33,6 @@ from .model import (
     RunTables,
     SiteTopology,
     run_tables,
-    slot_columns,
 )
 from .solver import Infeasible, Solution, SolverConfig, build_instance, solve
 
@@ -45,7 +44,9 @@ class SlotState:
     next-slot green supply, the previous placement, and the run's tables.
 
     The engine hands over the world's own record arrays with ids
-    `range(n)`; `from_loads` builds a state from `AvatarLoad`s.
+    `range(n)`; `from_loads` builds a state from `AvatarLoad`s. Raises
+    ValueError if the columns' lengths disagree, or naming the first
+    avatar attached to an eNB that the topology does not have.
     """
 
     ids: Sequence[int]
@@ -55,20 +56,24 @@ class SlotState:
     prev_assignment: Assignment
     tables: RunTables
 
+    def __post_init__(self) -> None:
+        if not len(self.ids) == len(self.cpu) == len(self.enb):
+            raise ValueError("per-avatar column lengths disagree")
+        sites = len(self.tables.reach)
+        if not frozenset(range(sites)).issuperset(self.enb):
+            for avatar_id, e in zip(self.ids, self.enb):
+                if e not in range(sites):
+                    raise ValueError(f"avatar {avatar_id} is attached to eNB "
+                                     f"{e}, outside the {sites}-site topology")
+
     @classmethod
     def from_loads(cls, loads: Iterable[AvatarLoad],
                    green_power: Iterable[float], prev_assignment: Assignment,
                    topo: SiteTopology, specs: Sequence[CloudletSpec],
                    power: PowerParams, delay: DelayParams) -> SlotState:
-        """A state from loads in any order; tabulates the run's tables.
-
-        Raises ValueError naming the first avatar attached to an eNB that
-        the topology does not have."""
-        ids, cpu, enb = slot_columns(tuple(loads))
-        for avatar_id, e in zip(ids, enb):
-            if e >= topo.site_count:
-                raise ValueError(f"avatar {avatar_id} is attached to eNB {e}, "
-                                 f"outside the {topo.site_count}-site topology")
+        """A state from loads in any order; tabulates the run's tables."""
+        # AvatarLoad tuples sort by avatar id first
+        ids, cpu, enb = tuple(zip(*sorted(loads))) or ((), (), ())
         return cls(ids, cpu, enb, tuple(green_power), prev_assignment,
                    run_tables(topo, specs, power, delay))
 
@@ -114,7 +119,7 @@ def far_placement(ids: Sequence[int], enbs: Sequence[int],
                   tables: RunTables) -> Assignment:
     """Nearest-with-room greedy: place avatar `ids[k]`, attached to eNB
     `enbs[k]`, in the given order at the nearest in-range cloudlet that
-    still has room. The placement carries its index form over `ids`.
+    still has room. The placement is made over `ids`.
 
     When the nearest cloudlet is full the avatar overflows to the
     next-nearest with room, still within the delay bound. Raises Infeasible
@@ -130,7 +135,7 @@ def far_placement(ids: Sequence[int], enbs: Sequence[int],
     demand = Counter(first)
     if -1 not in demand and all(
             c <= tables.capacity[i] for i, c in demand.items()):
-        return Assignment.from_index(ids, first)
+        return Assignment(ids, first)
     room = list(tables.capacity)
     place: list[int] = []
     for avatar_id, enb in zip(ids, enbs):
@@ -145,14 +150,14 @@ def far_placement(ids: Sequence[int], enbs: Sequence[int],
                 f"{avatar_id} at eNB {enb}, whose in-range cloudlets (nearest "
                 f"first) {', '.join(map(str, order[enb]))} are all full; this "
                 "does not prove that no placement exists")
-    return Assignment.from_index(ids, place)
+    return Assignment(ids, place)
 
 
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id.
 
-    Its placement carries its index form over the state's ids, which
-    GEAR's checks, the accounting and the migration count read."""
+    Its placement is made over the state's ids, so GEAR's checks, the
+    accounting and the migration count read its `place` as it is."""
     assignment = far_placement(state.ids, state.enb, state.tables)
     return StrategyOutcome(
         assignment=assignment,

@@ -3,18 +3,18 @@ import random
 import pytest
 
 from gcnsim import (
+    Assignment,
     DelayParams,
     MilpInstance,
     PowerParams,
     ScenarioConfig,
     SiteTopology,
+    SlotState,
     avatar_weights,
     build_instance,
     default_delay_params,
     default_power_params,
     init_topology,
-    run_tables,
-    slot_columns,
 )
 from gcnsim.cli import bundled_trace_path
 from gcnsim.scenario import load_solar_trace
@@ -71,7 +71,13 @@ def random_instance(rng: random.Random, max_avatars: int = 8,
                         green_power=green, count_capacity=caps)
 
 
+def from_map(placement: dict) -> Assignment:
+    """The assignment that puts avatar a on cloudlet placement[a]."""
+    return Assignment(tuple(placement), tuple(placement.values()))
+
+
 def instance_from_loads(loads, specs, green, topo, power, delay) -> MilpInstance:
     """`build_instance` for loads in any order, with the run's tables."""
-    return build_instance(*slot_columns(tuple(loads)), green,
-                          run_tables(topo, specs, power, delay))
+    s = SlotState.from_loads(loads, green, from_map({}), topo, specs, power,
+                             delay)
+    return build_instance(s.ids, s.cpu, s.enb, s.green_power, s.tables)

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from gcnsim import (
-    Assignment,
     AvatarLoad,
     CloudletSpec,
     DelayParams,
@@ -20,7 +19,7 @@ from gcnsim import engine, model, solver, strategy
 from gcnsim.solver import Infeasible
 from gcnsim.strategy import SlotState, StrategyOutcome
 
-from conftest import line_topology
+from conftest import from_map, line_topology
 
 
 def dark_trace():
@@ -30,7 +29,7 @@ def dark_trace():
 def single_site_state(loads, green, power, delay, server_count=2):
     topo = line_topology(1.0, 1)
     specs = (CloudletSpec(server_count=server_count),)
-    prev = Assignment({a.avatar_id: 0 for a in loads})
+    prev = from_map({a.avatar_id: 0 for a in loads})
     return SlotState.from_loads(loads=tuple(loads), green_power=(green,),
                                 prev_assignment=prev, topo=topo, specs=specs,
                                 power=power, delay=delay)
@@ -286,7 +285,6 @@ class TestOncePerRun:
 
     def test_engine_decisions_build_no_avatar_objects(
             self, bell_trace, monkeypatch):
-        columns = self.count_calls(monkeypatch, "slot_columns")
         rows = [0]
         from_columns = AvatarLoad.from_columns.__func__
 
@@ -305,13 +303,12 @@ class TestOncePerRun:
         for strategy in ("far", "gear"):
             run(cfg, strategy, bell_trace)
         assert decisions[0] == 5
-        assert columns[0] == rows[0] == 0
+        assert rows[0] == 0
 
 
 class TestOncePerDecision:
-    """One GEAR decision at 1000 avatars weighs the slot once, builds FAR's
-    placement map once, and checks and scores each warm start at most
-    once."""
+    """One GEAR decision at 1000 avatars weighs the slot once, builds no
+    placement map, and checks and scores each warm start at most once."""
 
     @pytest.fixture(scope="class")
     def states(self, bell_trace):
@@ -386,9 +383,10 @@ class TestOncePerDecision:
         assert (sol.nodes_explored > 1) is improved is (kind == "dive")
         assert outcome.assignment is (sol.assignment if improved else far_made)
         assert weighed[0] == 1
-        # FAR's map, and the solver's when it improved on FAR
+        # FAR's placement, and the solver's when it improved on FAR
         assert len(made) == 1 + improved
         assert made[0] is far_made and made[-1] is sol.assignment
+        assert not any("placement" in vars(a) for a in made)
         # each check is [assignment] plus, if it passed, the index form
         far_checks = [c for c in checked if c[0] is far_made]
         assert len(far_checks) == 1

@@ -19,16 +19,15 @@ from gcnsim import (
     nearest_feasible_order,
     ongrid_energy,
     propagation_delay,
-    slot_columns,
 )
 
-from conftest import line_topology
+from conftest import from_map, line_topology
 
 
 def account(cpus, power, placement=None, n_cloudlets=1):
     """The engine's accounting of avatars 0..n-1 with the given CPU figures,
     all on cloudlet 0 unless `placement` maps them elsewhere."""
-    placement = Assignment(placement or dict.fromkeys(range(len(cpus)), 0))
+    placement = from_map(placement or dict.fromkeys(range(len(cpus)), 0))
     state = SlotState.from_loads(
         loads=tuple(AvatarLoad(k, u, 0) for k, u in enumerate(cpus)),
         green_power=(0.0,) * n_cloudlets, prev_assignment=placement,
@@ -138,16 +137,51 @@ class TestLinearizedCloudletPower:
             assert resummed == pytest.approx(total, rel=1e-9)
 
 
-class TestSlotColumns:
-    def test_columns_ascend_by_avatar_id_whatever_the_load_order(self):
+class TestFromLoads:
+    @staticmethod
+    def columns(loads, power, delay):
+        """The (ids, CPU, eNB) columns of a six-site state of `loads`."""
+        state = SlotState.from_loads(
+            loads, (0.0,) * 6, from_map({}), line_topology(1.0, 6),
+            (CloudletSpec(server_count=1),) * 6, power, delay)
+        return state.ids, state.cpu, state.enb
+
+    def test_columns_ascend_by_avatar_id_whatever_the_load_order(
+            self, power, delay):
         loads = [AvatarLoad(3, 30.0, 2), AvatarLoad(0, 10.0, 5),
                  AvatarLoad(7, 70.0, 1), AvatarLoad(1, 15.0, 5)]
         expected = ((0, 1, 3, 7), (10.0, 15.0, 30.0, 70.0), (5, 5, 2, 1))
-        assert slot_columns(loads) == expected
-        assert slot_columns(sorted(loads)) == expected
+        assert self.columns(loads, power, delay) == expected
+        assert self.columns(sorted(loads), power, delay) == expected
 
-    def test_no_avatars(self):
-        assert slot_columns(()) == ((), (), ())
+    def test_no_avatars(self, power, delay):
+        assert self.columns((), power, delay) == ((), (), ())
+
+
+class TestAssignment:
+    def test_one_placement_whatever_its_form(self):
+        a = Assignment(range(3), (2, 0, 2))
+        assert a == Assignment((0, 1, 2), (2, 0, 2))  # range against tuple
+        assert a == Assignment(range(3), [2, 0, 2])   # list against tuple
+        assert a != Assignment(range(3), (2, 0, 1))
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_map_built_once_on_first_read(self):
+        a = Assignment(range(3), (2, 0, 2))
+        assert "placement" not in vars(a)
+        assert a.placement is a.placement == {0: 2, 1: 0, 2: 2}
+
+    def test_counts_read_the_index_form(self):
+        a = Assignment(range(4), (2, 0, 2, 2))
+        assert a.counts(4) == [1, 0, 3, 0]
+        assert "placement" not in vars(a)
+
+    def test_ids_in_another_order_give_the_same_map(self):
+        a = Assignment((2, 0, 1), (5, 3, 4))
+        assert a.placement == {0: 3, 1: 4, 2: 5}
+        assert a == Assignment(range(3), (3, 4, 5))
+        assert a.cloudlets(range(3)) == [3, 4, 5]
 
 
 class TestPropagationDelay:

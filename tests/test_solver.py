@@ -24,7 +24,8 @@ from gcnsim import (
     solve,
 )
 
-from conftest import instance_from_loads, line_topology, random_instance
+from conftest import (from_map, instance_from_loads, line_topology,
+                      random_instance)
 
 
 def full_instance(weights, green, cap_each=100):
@@ -225,7 +226,7 @@ class TestCheckAssignment:
     def test_fitting_assignment_returns_cloudlets_in_instance_order(self):
         inst = self.reach_instance()
         assert inst.check_assignment(
-            Assignment({9: 2, 8: 2, 5: 1, 3: 0})) == [0, 1, 2, 2]
+            from_map({9: 2, 8: 2, 5: 1, 3: 0})) == [0, 1, 2, 2]
 
     @pytest.mark.parametrize("placement", [
         {3: 0, 5: 1, 9: 2},              # avatar 8 missing
@@ -236,7 +237,14 @@ class TestCheckAssignment:
     def test_missing_or_extra_avatar_rejected(self, placement):
         with pytest.raises(ValueError, match="^assignment does not cover the "
                            "avatar population$"):
-            self.reach_instance().check_assignment(Assignment(placement))
+            self.reach_instance().check_assignment(from_map(placement))
+
+    @pytest.mark.parametrize("place", [(0, 1, 2), (0, 1, 2, 2, 0)])
+    def test_index_form_of_another_length_rejected(self, place):
+        inst = self.reach_instance()  # made over the instance's own ids
+        with pytest.raises(ValueError, match="^assignment does not cover the "
+                           "avatar population$"):
+            inst.check_assignment(Assignment(inst.avatar_ids, place))
 
     @pytest.mark.parametrize("placement, named", [
         ({8: 0, 3: 1, 5: 1, 9: 2}, 3),  # 8 and 3 stray: lowest id named
@@ -248,7 +256,7 @@ class TestCheckAssignment:
     def test_avatar_outside_its_set_named(self, placement, named):
         with pytest.raises(ValueError, match=f"^avatar {named} placed outside "
                            "its feasible set$"):
-            self.reach_instance().check_assignment(Assignment(placement))
+            self.reach_instance().check_assignment(from_map(placement))
 
     @pytest.mark.parametrize("placement, named", [
         ({0: 1, 1: 1, 2: 0, 3: 0}, 0),  # cloudlets 0 and 1 both over
@@ -261,7 +269,7 @@ class TestCheckAssignment:
                             green_power=(0.0,) * 3, count_capacity=(1, 1, 2))
         with pytest.raises(ValueError, match=f"^cloudlet {named} over "
                            "capacity in assignment$"):
-            inst.check_assignment(Assignment(placement))
+            inst.check_assignment(from_map(placement))
 
 
 class TestAggregateBound:
@@ -531,7 +539,7 @@ class TestSolve:
             i = rng.choice(options)
             placement[inst.avatar_ids[k]] = i
             used[i] += 1
-        return Assignment(placement)
+        return from_map(placement)
 
     @staticmethod
     def _objective_of(inst, assignment):

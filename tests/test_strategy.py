@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from gcnsim import (
-    Assignment,
     AvatarLoad,
     CloudletSpec,
     Infeasible,
@@ -23,7 +22,7 @@ from gcnsim.engine import compute_slot_metrics
 from gcnsim.solver import _int_objective
 from gcnsim.strategy import SlotState, far_assign, far_placement, gear_assign
 
-from conftest import instance_from_loads, line_topology
+from conftest import from_map, instance_from_loads, line_topology
 
 
 def make_state(topo, loads, green, prev=None, specs=None, power=None, delay=None,
@@ -32,7 +31,7 @@ def make_state(topo, loads, green, prev=None, specs=None, power=None, delay=None
     delay = delay or default_delay
     specs = specs or tuple(CloudletSpec(server_count=2)
                            for _ in range(topo.site_count))
-    prev = prev if prev is not None else Assignment(
+    prev = prev if prev is not None else from_map(
         {a.avatar_id: a.attached_enb for a in loads})
     return SlotState.from_loads(loads=tuple(loads), green_power=tuple(green),
                                 prev_assignment=prev, topo=topo,
@@ -64,6 +63,27 @@ class TestSlotState:
         with pytest.raises(ValueError, match="^avatar 2 is attached to eNB "
                            "17, outside the 16-site topology$"):
             state_factory(loads, zero_green(grid_topo))
+
+    @staticmethod
+    def direct_state(topo, power, delay, cpu, enb):
+        """A state built with the dataclass constructor, ids 0..n-1."""
+        specs = (CloudletSpec(server_count=2),) * topo.site_count
+        return SlotState(range(len(enb)), cpu, enb, tuple(zero_green(topo)),
+                         from_map({}), run_tables(topo, specs, power, delay))
+
+    @pytest.mark.parametrize("enb", [-1, 16])
+    def test_directly_built_state_checks_its_enbs(self, grid_topo, power,
+                                                  delay, enb):
+        with pytest.raises(ValueError, match=f"^avatar 1 is attached to eNB "
+                           f"{enb}, outside the 16-site topology$"):
+            self.direct_state(grid_topo, power, delay, [50.0] * 3,
+                              [3, enb, 17])
+
+    def test_directly_built_state_checks_its_column_lengths(
+            self, grid_topo, power, delay):
+        with pytest.raises(ValueError, match="^per-avatar column lengths "
+                           "disagree$"):
+            self.direct_state(grid_topo, power, delay, [50.0], [3, 4])
 
 
 class TestFar:
@@ -202,7 +222,7 @@ class TestFar:
 
     def test_migrations_counted_against_previous(self, grid_topo, state_factory):
         loads = [AvatarLoad(0, 50.0, 5), AvatarLoad(1, 50.0, 6)]
-        prev = Assignment({0: 5, 1: 2})
+        prev = from_map({0: 5, 1: 2})
         outcome = far_assign(state_factory(loads, zero_green(grid_topo), prev=prev))
         assert outcome.assignment.placement == {0: 5, 1: 6}
         assert outcome.migrations == 1
@@ -357,7 +377,7 @@ class TestGear:
         loads = [AvatarLoad(0, 50.0, 5)]
         green = [0.0] * 16
         green[6] = 500.0
-        prev = Assignment({0: 6})
+        prev = from_map({0: 6})
         state = state_factory(loads, green, prev=prev)
         gear = gear_assign(state)
         assert gear.assignment.placement == {0: 6}
@@ -367,7 +387,7 @@ class TestGear:
             self, grid_topo, state_factory):
         # cloudlet 15 is out of range for cell 0: the stale placement cannot seed
         loads = [AvatarLoad(0, 50.0, 0)]
-        prev = Assignment({0: 15})
+        prev = from_map({0: 15})
         state = state_factory(loads, zero_green(grid_topo), prev=prev)
         gear = gear_assign(state)
         assert gear.assignment.placement == {0: 0}
@@ -383,7 +403,7 @@ class TestGear:
                       for _ in range(grid_topo.site_count))
         loads = [AvatarLoad(0, 50.0, 5)] + [AvatarLoad(k, 50.0, 0)
                                             for k in range(1, 5)]
-        prev = Assignment({0: 6, 1: 0, 2: 1, 3: 4, 4: 5})
+        prev = from_map({0: 6, 1: 0, 2: 1, 3: 4, 4: 5})
         state = make_state(grid_topo, loads, zero_green(grid_topo), prev=prev,
                            specs=specs, power=tiny, default_delay=delay)
         with pytest.raises(Infeasible):
@@ -399,7 +419,7 @@ class TestGear:
                       for _ in range(grid_topo.site_count))
         loads = [AvatarLoad(0, 50.0, 5)] + [AvatarLoad(k, 50.0, 0)
                                             for k in range(1, 5)]
-        stale = Assignment({k: 15 for k in range(5)})
+        stale = from_map({k: 15 for k in range(5)})
         state = make_state(grid_topo, loads, zero_green(grid_topo), prev=stale,
                            specs=specs, power=tiny, default_delay=delay)
         gear = gear_assign(state)
