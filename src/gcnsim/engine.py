@@ -7,9 +7,12 @@ depends on a placement decision, so it is drawn once and replayed: `run`
 with the same `World` gives FAR, GEAR and every kappa point the identical
 world (common random numbers by construction). The world is drawn lazily,
 one slot at a time as the first run reaches it, by one columnar kernel
-call per slot (`scenario.step_mobility`), and recorded compactly. A world
-that `run` draws for itself is read once, in order, and keeps only the slot
-being read.
+call per slot (`scenario.step_mobility`), and recorded compactly. The
+kernel draws each waypoint as one inline Box-Muller pair, exact because
+waypoints always take their `gauss` deviates in pairs; a stream with a
+deviate pending, or whose class overrides `gauss`, is drawn through
+`gauss`. A world that `run` draws for itself is read once, in order, and
+keeps only the slot being read.
 
 A strategy pass (`run`) reads the world slot by slot. Before the first
 slot it tabulates what no slot changes (`run_tables`: reach, capacities,
@@ -100,10 +103,11 @@ class World:
     Construction draws the topology and the initial UEs from
     `random.Random(config.rng_seed)` and nothing else. `columns(t)` draws
     slot t when it is the next undrawn slot, with one `step_mobility` call
-    over every UE's columns, and records it; a recorded slot is read from
-    the record. The record keeps one CPU float and one eNB index per
-    avatar and slot. The world serves every config that differs from its
-    own only in `kappa`, which touches green supply alone.
+    over every UE's columns, and records the kernel's arrays as they are;
+    a recorded slot is read from the record. The record keeps one CPU float
+    and one eNB index (one byte on grids of up to 256 sites) per avatar
+    and slot. The world serves every config that differs from its own only
+    in `kappa`, which touches green supply alone.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -116,9 +120,6 @@ class World:
         self.initial_enbs = tuple(enb_indices(self._ues.x, self._ues.y,
                                               config.grid_dim,
                                               config.area_side))
-        sites = self.topo.site_count  # the smallest eNB index type that fits
-        self._enb_code = ("B" if sites <= 1 << 8
-                          else "H" if sites <= 1 << 16 else "L")
         self._cpu: list[array | None] = []
         self._enb: list[array | None] = []
         self._keep = True  # False: only the latest slot stays recorded
@@ -149,7 +150,7 @@ class World:
         if not self._keep and self._cpu:
             self._cpu[-1] = self._enb[-1] = None
         self._cpu.append(cpu)
-        self._enb.append(array(self._enb_code, enbs))
+        self._enb.append(enbs)
         if len(self._cpu) == self.config.slot_count:
             self._ues = self._rng = None  # fully drawn; only the record is read
 

@@ -20,8 +20,11 @@ import random
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
 from .model import CloudletSpec, SiteTopology
+
+_TWOPI = 2.0 * math.pi  # random.TWOPI, which random.Random.gauss reads
 
 
 class ParseError(ValueError):
@@ -190,37 +193,67 @@ def init_ues(config: ScenarioConfig, topo: SiteTopology,
 
 
 def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
-                  rng: random.Random) -> tuple[array, list[int]]:
+                  rng: random.Random) -> tuple[array, array]:
     """Advance every UE by one slot of random-waypoint motion and draw its
     avatar's CPU for the slot; return the slot's CPU (percent, kernel floor
-    included) and eNB index per avatar.
+    included) and eNB index per avatar, the eNBs in the smallest unsigned
+    array type that holds the grid's site indices.
 
     Each UE draws a fresh speed, moves straight toward its waypoint and
     stops there exactly (no overshoot); on arrival the next waypoint is
     drawn immediately. The draw order is per UE in ascending avatar id:
     the speed, then any waypoint redraws, then the CPU. Each uniform draw is
     `random.Random.uniform`'s own expression, a + (b - a) * random().
+
+    The waypoint draw and the cell rule are `_draw_destination`'s and
+    `enb_indices`'s, inlined so each UE is drawn and located in one pass.
+    Each waypoint is one Box-Muller pair computed as `random.Random.gauss`
+    computes it. That is exact because waypoints always take their
+    deviates in pairs, so `gauss_next` is None whenever one is drawn. When
+    `rng.gauss_next` is set on entry, or `rng`'s class overrides `gauss`,
+    every waypoint is drawn through `_draw_destination` instead.
     """
     xs, ys, wxs, wys = ues.x, ues.y, ues.wx, ues.wy
     random_, hypot = rng.random, math.hypot
+    pair = rng.gauss_next is None and type(rng).gauss is random.Random.gauss
+    side, mu, sigma = config.area_side, config.dest_mean, config.dest_stddev
     speed_lo, cpu_lo = config.speed_range[0], config.cpu_range[0]
     speed_span = config.speed_range[1] - speed_lo
     cpu_span = config.cpu_range[1] - cpu_lo
-    cpu = array("d", [0.0]) * len(xs)
-    for k in range(len(xs)):  # the draw order is part of the World contract
+    g = config.grid_dim
+    cell, last = side / g, g - 1
+    n = len(xs)
+    cpu = array("d", [0.0]) * n
+    sites = g * g
+    enbs = array("B" if sites <= 1 << 8 else "H" if sites <= 1 << 16 else "L",
+                 [0]) * n
+    for k in range(n):  # the draw order is part of the World contract
         speed = speed_lo + speed_span * random_()
         px, py = xs[k], ys[k]
         dx, dy = wxs[k] - px, wys[k] - py
         remaining = hypot(dx, dy)
         travel = speed * slot_seconds / 1000.0  # km per slot
         if travel >= remaining:
-            xs[k], ys[k] = wxs[k], wys[k]
-            wxs[k], wys[k] = _draw_destination(config, rng)
+            px, py = wxs[k], wys[k]
+            if pair:
+                while True:  # _draw_destination, one gauss pair a try
+                    x2pi = random_() * _TWOPI
+                    g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+                    wx = mu + (_cos(x2pi) * g2rad) * sigma
+                    wy = mu + (_sin(x2pi) * g2rad) * sigma
+                    if 0.0 <= wx <= side and 0.0 <= wy <= side:
+                        break
+                wxs[k], wys[k] = wx, wy
+            else:
+                wxs[k], wys[k] = _draw_destination(config, rng)
         else:
             frac = travel / remaining
-            xs[k], ys[k] = px + dx * frac, py + dy * frac
+            px, py = px + dx * frac, py + dy * frac
+        xs[k], ys[k] = px, py
         cpu[k] = cpu_lo + cpu_span * random_()
-    return cpu, enb_indices(xs, ys, config.grid_dim, config.area_side)
+        gx, gy = int(px / cell), int(py / cell)  # enb_indices's cell rule
+        enbs[k] = (gy if gy < last else last) * g + (gx if gx < last else last)
+    return cpu, enbs
 
 
 def green_power(trace: SolarTrace, slot: int, spec: CloudletSpec,

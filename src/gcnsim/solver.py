@@ -67,6 +67,14 @@ def _to_watts(units: int) -> float:
     return units / _SCALE
 
 
+def check_ascending_ids(ids: Sequence[int]) -> None:
+    """Raise ValueError unless `ids` strictly ascend (so no id repeats):
+    O(1) for a `range`, else one C-level pass."""
+    if (ids.step < 0 and len(ids) > 1 if type(ids) is range
+            else any(map(ge, ids, ids[1:]))):
+        raise ValueError("avatar ids must strictly ascend")
+
+
 @dataclass
 class MilpInstance:
     """One slot's placement problem.
@@ -125,9 +133,7 @@ class MilpInstance:
         n, ids = len(self.weights), self.avatar_ids
         if len(self.feasible_sets) != n or len(ids) != n:
             raise ValueError("per-avatar field lengths disagree")
-        if (ids.step < 0 and n > 1 if type(ids) is range
-                else any(map(ge, ids, ids[1:]))):
-            raise ValueError("avatar ids must strictly ascend")
+        check_ascending_ids(ids)
         if len(self.count_capacity) != len(self.green_power):
             raise ValueError("per-cloudlet field lengths disagree")
         if any(g < 0 for g in self.green_power):

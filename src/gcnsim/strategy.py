@@ -34,7 +34,14 @@ from .model import (
     SiteTopology,
     run_tables,
 )
-from .solver import Infeasible, Solution, SolverConfig, build_instance, solve
+from .solver import (
+    Infeasible,
+    Solution,
+    SolverConfig,
+    build_instance,
+    check_ascending_ids,
+    solve,
+)
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,9 @@ class SlotState:
 
     The engine hands over the world's own record arrays with ids
     `range(n)`; `from_loads` builds a state from `AvatarLoad`s. Raises
-    ValueError if the columns' lengths disagree, or naming the first
-    avatar attached to an eNB that the topology does not have.
+    ValueError if the columns' lengths disagree, if the ids do not
+    strictly ascend (a repeated id included), or naming the first avatar
+    attached to an eNB that the topology does not have.
     """
 
     ids: Sequence[int]
@@ -59,6 +67,7 @@ class SlotState:
     def __post_init__(self) -> None:
         if not len(self.ids) == len(self.cpu) == len(self.enb):
             raise ValueError("per-avatar column lengths disagree")
+        check_ascending_ids(self.ids)
         sites = len(self.tables.reach)
         if not frozenset(range(sites)).issuperset(self.enb):
             for avatar_id, e in zip(self.ids, self.enb):

@@ -13,7 +13,11 @@ from gcnsim import (
     SolverConfig,
     World,
     compute_slot_metrics,
+    enb_indices,
+    init_topology,
+    init_ues,
     run,
+    step_mobility,
 )
 from gcnsim import engine, model, solver, strategy
 from gcnsim.solver import Infeasible
@@ -246,6 +250,20 @@ class TestWorld:
         with pytest.raises(IndexError):
             world.columns(3)
         assert [list(column) for column in world.columns(0)] == first
+
+    @pytest.mark.parametrize("grid_dim, code", [(4, "B"), (17, "H")])
+    def test_enbs_recorded_as_the_kernel_draws_them(self, grid_dim, code):
+        # one byte per avatar and slot on the default 16-site grid
+        cfg = ScenarioConfig(grid_dim=grid_dim, ue_count=200, slot_count=3)
+        world = World(cfg)
+        rng = random.Random(cfg.rng_seed)
+        ues = init_ues(cfg, init_topology(cfg, rng)[0], rng)
+        for t in range(cfg.slot_count):
+            _, enbs = step_mobility(ues, 900.0, cfg, rng)
+            assert enbs.typecode == code
+            assert world.columns(t)[1] == enbs
+            assert list(enbs) == enb_indices(ues.x, ues.y, grid_dim,
+                                              cfg.area_side)
 
 
 class TestOncePerRun:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from gcnsim import (
     run_tables,
     step_mobility,
 )
-from gcnsim.scenario import CountError, ParseError
+from gcnsim.scenario import CountError, ParseError, _draw_destination
 from gcnsim.model import CloudletSpec
 from gcnsim.strategy import far_placement
 
@@ -145,7 +146,126 @@ class TestMobility:
         ues = UEColumns([1.0, 3.9, 8.0], [1.0, 0.1, 8.0], [1.0, 3.9, 8.0],
                         [1.0, 0.1, 8.0])
         _, enbs = step_mobility(ues, 900.0, cfg, random.Random(3))
-        assert enbs == [0, 1, 15]
+        assert list(enbs) == [0, 1, 15]
+
+
+class CountingGauss(random.Random):
+    """`random.Random`'s own stream, counting its `gauss` calls."""
+
+    calls = 0
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        self.calls += 1
+        return super().gauss(mu, sigma)
+
+
+class NarrowGauss(random.Random):
+    """A stream whose `gauss` is not `random.Random.gauss`."""
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        return super().gauss(mu, sigma / 2)
+
+
+def reference_step(ues, slot_seconds, cfg, rng):
+    """`step_mobility`'s contract one UE at a time: every waypoint through
+    `_draw_destination`, so through `rng.gauss`, and the cells by
+    `enb_indices`. Returns the CPU and eNB lists and the arrival count."""
+    cpu, arrivals = [], 0
+    for k in range(len(ues.x)):
+        speed = rng.uniform(*cfg.speed_range)
+        px, py = ues.x[k], ues.y[k]
+        dx, dy = ues.wx[k] - px, ues.wy[k] - py
+        remaining = math.hypot(dx, dy)
+        travel = speed * slot_seconds / 1000.0
+        if travel >= remaining:
+            arrivals += 1
+            ues.x[k], ues.y[k] = ues.wx[k], ues.wy[k]
+            ues.wx[k], ues.wy[k] = _draw_destination(cfg, rng)
+        else:
+            frac = travel / remaining
+            ues.x[k], ues.y[k] = px + dx * frac, py + dy * frac
+        cpu.append(rng.uniform(*cfg.cpu_range))
+    return cpu, enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side), arrivals
+
+
+def random_config(seed, **fixed):
+    """A config drawn from `seed`, with the `fixed` fields as given;
+    waypoints center on the middle of the area."""
+    draw = random.Random(seed)
+    side = fixed.get("area_side", draw.uniform(1.0, 20.0))
+    lo = draw.uniform(0.0, 6.0)
+    fields = dict(grid_dim=draw.randint(1, 6), area_side=side,
+                  ue_count=draw.randint(20, 60),
+                  speed_range=(lo, lo + draw.uniform(0.0, 6.0)),
+                  dest_mean=side / 2, dest_stddev=side * draw.uniform(0.05, 0.3),
+                  rng_seed=seed)
+    return ScenarioConfig(**{**fields, **fixed})
+
+
+def kernel_against_reference(cfg, kernel_rng, ref_rng, prime=False, slots=8):
+    """Draw the same world with the kernel and with `reference_step`, each
+    from its own stream, and assert after each slot that positions,
+    waypoints, CPU, eNBs and stream state agree. With `prime`, one
+    `gauss()` call on each stream precedes each slot. Returns the
+    reference's arrivals per slot."""
+    ues = init_ues(cfg, init_topology(cfg, kernel_rng)[0], kernel_rng)
+    ref = init_ues(cfg, init_topology(cfg, ref_rng)[0], ref_rng)
+    arrivals = []
+    for _ in range(slots):
+        if prime:
+            kernel_rng.gauss()
+            ref_rng.gauss()
+        cpu, enbs = step_mobility(ues, 900.0, cfg, kernel_rng)
+        ref_cpu, ref_enbs, arrived = reference_step(ref, 900.0, cfg, ref_rng)
+        assert ues == ref
+        assert (list(cpu), list(enbs)) == (ref_cpu, ref_enbs)
+        assert kernel_rng.getstate() == ref_rng.getstate()
+        arrivals.append(arrived)
+    return arrivals
+
+
+# name: (fields fixed on a random config, None or what the case must
+# exercise, given the config, the arrivals per slot and the reference's
+# gauss calls)
+KERNEL_CASES = {
+    "every UE arrives": (
+        {"speed_range": (10.0, 10.0), "area_side": 5.0},
+        lambda cfg, arrivals, calls: set(arrivals) == {cfg.ue_count}),
+    "no UE moves": (
+        {"speed_range": (0.0, 0.0)},
+        lambda cfg, arrivals, calls: set(arrivals) == {0}),
+    "tiny area": ({"area_side": 0.01}, None),
+    "large area": ({"area_side": 500.0}, None),
+    "out-of-area redraws": (
+        {"area_side": 8.0, "dest_stddev": 8.0},
+        # two gauss calls per destination drawn, more when one is redrawn
+        lambda cfg, arrivals, calls: calls > 2 * (cfg.ue_count
+                                                  + sum(arrivals))),
+    "17x17 grid": ({"grid_dim": 17}, None),
+    "3x3 cells over 7 km": ({"grid_dim": 3, "area_side": 7.0}, None),
+    "random 1": ({}, None),
+    "random 2": ({}, None),
+}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_matches_the_per_ue_reference(self, name):
+        fixed, exercised = KERNEL_CASES[name]
+        cfg = random_config(list(KERNEL_CASES).index(name), **fixed)
+        ref_rng = CountingGauss(cfg.rng_seed)
+        arrivals = kernel_against_reference(cfg, random.Random(cfg.rng_seed),
+                                            ref_rng)
+        assert exercised is None or exercised(cfg, arrivals, ref_rng.calls)
+
+    def test_pending_gauss_deviate_is_drawn_through_gauss(self):
+        cfg = random_config(20, speed_range=(10.0, 10.0), area_side=5.0)
+        kernel_against_reference(cfg, random.Random(20), random.Random(20),
+                                 prime=True)
+
+    def test_overridden_gauss_is_called(self):
+        cfg = random_config(21, speed_range=(10.0, 10.0), area_side=5.0)
+        kernel_against_reference(cfg, NarrowGauss(21), NarrowGauss(21))
 
 
 def enb_of(position, cfg=ScenarioConfig()):

@@ -79,6 +79,21 @@ class TestSlotState:
             self.direct_state(grid_topo, power, delay, [50.0] * 3,
                               [3, enb, 17])
 
+    @pytest.mark.parametrize("ids", [(0, 0), (4, 2)])
+    def test_ids_must_strictly_ascend(self, grid_topo, power, delay, ids):
+        specs = (CloudletSpec(server_count=2),) * grid_topo.site_count
+        with pytest.raises(ValueError, match="^avatar ids must strictly "
+                           "ascend$"):
+            SlotState(ids, [50.0, 60.0], [3, 3],
+                      tuple(zero_green(grid_topo)), from_map({}),
+                      run_tables(grid_topo, specs, power, delay))
+
+    def test_repeated_load_id_rejected(self, grid_topo, state_factory):
+        loads = [AvatarLoad(0, 50.0, 3), AvatarLoad(0, 60.0, 3)]
+        with pytest.raises(ValueError, match="^avatar ids must strictly "
+                           "ascend$"):
+            state_factory(loads, zero_green(grid_topo), prev=from_map({}))
+
     def test_directly_built_state_checks_its_column_lengths(
             self, grid_topo, power, delay):
         with pytest.raises(ValueError, match="^per-avatar column lengths "
