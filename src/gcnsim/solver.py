@@ -9,10 +9,13 @@ capacity, and minimize total on-grid power, i.e.
 where `load_i` is the sum of the placement weights of the avatars put on
 cloudlet i. The problem is NP-hard (it contains the partition problem), so
 `solve` runs depth-first branch and bound with an admissible aggregate
-bound and supports truncation by node budget or relative gap, returning
-the best incumbent found. `brute_force` is an exhaustive oracle for small
-instances, used to validate the search. Neither search recurses, so the
-number of avatars is not limited by the interpreter's stack.
+bound, truncated by node budget or relative gap, and returns the best
+incumbent found. A solve that one dive leaves unproven also gets a
+class-flow root bound (a max flow from avatars grouped by feasible set to
+the cloudlets' green supply) and a move-and-swap descent from its
+incumbent before it searches on. `brute_force` is an exhaustive oracle for
+small instances, used to validate the search. Neither search recurses, so
+the number of avatars is not limited by the interpreter's stack.
 
 Arithmetic note: objectives and bounds are computed in fixed-point integer
 watts (1/2^20 W resolution). All partial sums are exact, so two placements
@@ -24,6 +27,7 @@ converted back to float watts.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -256,7 +260,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Result of a solve: incumbent assignment plus proof metadata."""
+    """Result of a solve: incumbent assignment plus proof metadata.
+
+    `stage` names the step of `solve` that returned: "seed", "dive",
+    "descent" or "search"; `brute_force`'s exhaustive result says "search".
+    """
 
     assignment: Assignment
     objective: float
@@ -264,6 +272,7 @@ class Solution:
     gap: float
     nodes_explored: int
     proven_optimal: bool
+    stage: str
 
 
 def build_instance(ids: Sequence[int], cpus: Sequence[float],
@@ -318,8 +327,8 @@ def _int_objective(place, iw: tuple[int, ...], ig: tuple[int, ...]) -> int:
 def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
     """Lower bound (W) on the best completion of a partial placement.
 
-    `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the root
-    bound. Computed in exact fixed-point arithmetic by the same routine the
+    `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the
+    aggregate root bound, which the class-flow bound dominates. Computed in exact fixed-point arithmetic by the same routine the
     search prunes with, so the admissibility relation to `brute_force`
     optima carries over to the returned floats unchanged.
     """
@@ -345,34 +354,47 @@ def _take(values: Sequence, positions: Sequence[int]) -> tuple:
 
 
 def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
-    """Depth-first branch and bound over placements.
+    """Branch and bound over placements, in steps; `Solution.stage` names
+    the step that returned.
 
-    Branches on the heaviest unplaced avatar; children are its feasible
-    cloudlets with spare capacity, visited in order of residual green
-    supply. Avatars with identical weight and feasible set are
-    interchangeable, so their cloudlet indices are forced non-decreasing
-    to kill the symmetry. A `seed_assignment` is installed as the initial
-    incumbent and can only be improved on; if no leaf improves on it, the
-    returned `Solution.assignment` is the seed object itself. Its check
-    (`MilpInstance.check_assignment`, ValueError if it does not fit) and
-    its fixed-point objective come from `MilpInstance.evaluate`, so a seed
-    that GEAR has already evaluated on this instance is not checked or
-    scored again. Without a seed, the node budget starts binding only after
-    the first complete placement is found, so truncated searches still
-    return a feasible answer. All ties break toward the lowest index, which
-    makes runs bit-reproducible. The depth-first walk keeps an explicit
-    stack of open nodes, one per depth in flat per-depth arrays, instead of
-    recursing, so any number of avatars can be searched.
+    Seed ("seed"): a `seed_assignment` is the initial incumbent, checked
+    and scored through `MilpInstance.evaluate` (ValueError if it does not
+    fit), so a seed GEAR has evaluated is not checked or scored again. If
+    nothing beats it, the returned assignment is the seed object itself. A
+    seed within the gap tolerance of the root bound, max(0, total weight -
+    total green), is returned after one node, before any search set-up.
 
-    The root bound is the aggregate bound of the empty placement,
-    max(0, total weight - total green). A seed that meets the gap tolerance
-    against it is returned after one node, before any search structure is
-    built. Sibling bounds and sibling order are computed lazily; the README
-    ("Library use") states why a search still visits and counts the same
-    nodes as one that sorts and bounds every child on entry.
+    Dive ("dive"): a depth-first walk (`_search`) gets min(node_limit,
+    n + 1) nodes for n avatars, one root-to-leaf path. It branches on the
+    heaviest unplaced avatar; children are its feasible cloudlets with
+    room, in order of residual green supply, with sibling bounds and order
+    worked out lazily (README, "Library use"). Avatars with identical
+    weight and feasible set are forced onto non-decreasing cloudlets.
+    Without a seed the budget binds only once a complete placement exists.
+    What the walk returns within its nodes (a proof, an exhausted tree or
+    a `node_limit` of at most n + 1) is the answer.
+
+    A walk that stops on those n + 1 nodes with an incumbent, while
+    `node_limit` allows more, goes on:
+
+    1. The class-flow bound (`_flow_bound`), which dominates the aggregate
+       bound, replaces the root bound; an incumbent within the gap
+       tolerance of it is returned ("dive").
+    2. A move-and-swap descent (`_descent`) improves the incumbent; a
+       result within the tolerance of the flow bound is returned
+       ("descent").
+    3. Otherwise a second walk starts from the root with the better
+       incumbent, the flow bound as its root bound and the nodes left of
+       `node_limit` ("search").
+
+    Once step 1 has run, `lower_bound` is the flow bound and `gap` is taken
+    against it, unless the second walk exhausts its tree. Neither walk
+    recurses, and all ties break toward the lowest index, so runs are
+    bit-reproducible.
     """
     cfg = config or SolverConfig()
     iw, ig = inst._iw, inst._ig
+    tol, node_limit = cfg.gap_tolerance, cfg.node_limit
     root_bound = _int_bound([0] * len(ig), sum(iw), ig)
 
     seed_place: Sequence[int] | None = None
@@ -380,12 +402,28 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     if cfg.seed_assignment is not None:
         seed_place, _, best_obj = inst.evaluate(cfg.seed_assignment)
 
-    if best_obj is not None and best_obj - root_bound <= cfg.gap_tolerance * best_obj:
-        # Seed already meets the tolerance against the root bound.
+    if best_obj is not None and best_obj - root_bound <= tol * best_obj:
         best_place, nodes, stop, stopped_by_gap = seed_place, 1, True, True
+        stage = "seed"
     else:
         best_obj, best_place, nodes, stop, stopped_by_gap = _search(
-            inst, cfg, root_bound, best_obj, seed_place)
+            inst, min(node_limit, inst.n_avatars + 1), tol, root_bound,
+            best_obj, seed_place)
+        stage = "dive"
+        if stop and not stopped_by_gap and nodes < node_limit:
+            root_bound = _flow_bound(inst)
+            stopped_by_gap = best_obj - root_bound <= tol * best_obj
+            if not stopped_by_gap:
+                place, obj = _descent(inst, best_place)
+                if obj < best_obj:
+                    best_obj, best_place, stage = obj, place, "descent"
+                    stopped_by_gap = best_obj - root_bound <= tol * best_obj
+            if not stopped_by_gap:
+                best_obj, best_place, more, stop, stopped_by_gap = _search(
+                    inst, node_limit - nodes, tol, root_bound, best_obj,
+                    best_place)
+                nodes += more
+                stage = "search"
     exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
 
     if best_obj is None or best_place is None:
@@ -402,13 +440,154 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
         lower_bound=lower_bound,
         gap=gap,
         nodes_explored=nodes,
-        proven_optimal=exhausted or stopped_by_gap or gap <= cfg.gap_tolerance,
+        proven_optimal=exhausted or stopped_by_gap or gap <= tol,
+        stage=stage,
     )
 
 
-def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
-            best_obj: int | None, best_place: list[int] | None):
-    """The depth-first walk of `solve`, from the root.
+def _flow_bound(inst: MilpInstance) -> int:
+    """The class-flow root bound, in fixed point.
+
+    Avatars with one feasible set form a class. Route each class's weight
+    to the cloudlets it reaches, each cloudlet taking at most its green
+    supply: whatever no routing fits must come from the grid, so total
+    weight minus the maximum flow is admissible. It is at least the
+    aggregate bound, whose routing ignores reach, and equals the maximum
+    over class sets S of weight(S) - green(cloudlets S reaches) (Gale's
+    supply-demand theorem). Capacities in avatars are ignored.
+
+    The maximum flow is found by shortest augmenting paths: from a class
+    with weight left, forward to a cloudlet it reaches, back from a
+    cloudlet to a class routing weight to it, and so on until a cloudlet
+    with green left.
+    """
+    weight: dict[frozenset[int], int] = {}
+    for fs, w in zip(inst.feasible_sets, inst._iw):
+        weight[fs] = weight.get(fs, 0) + w
+    reach = _take(inst._ascending, tuple(weight))
+    left = list(weight.values())       # class weight not yet routed
+    green = list(inst._ig)             # cloudlet green supply not yet used
+    classes = range(len(left))
+    flow = [[0] * len(green) for _ in classes]
+    while True:
+        # breadth first; from_class[i] is the class a path reached cloudlet
+        # i from, from_cloudlet[k] the cloudlet (-1: none) it reached class k
+        queue = [k for k in classes if left[k]]
+        from_cloudlet = dict.fromkeys(queue, -1)
+        from_class: dict[int, int] = {}
+        end = -1
+        for k in queue:  # grows while it is walked
+            for i in reach[k]:
+                if i in from_class:
+                    continue
+                from_class[i] = k
+                if green[i]:
+                    end = i
+                    break
+                for back in classes:
+                    if flow[back][i] and back not in from_cloudlet:
+                        from_cloudlet[back] = i
+                        queue.append(back)
+            if end >= 0:
+                break
+        if end < 0:
+            return sum(left)
+        amount, i = green[end], end
+        while True:
+            k = from_class[i]
+            i = from_cloudlet[k]
+            if i < 0:
+                amount = min(amount, left[k])
+                break
+            amount = min(amount, flow[k][i])
+        green[end] -= amount
+        i = end
+        while True:
+            k = from_class[i]
+            flow[k][i] += amount
+            i = from_cloudlet[k]
+            if i < 0:
+                left[k] -= amount
+                break
+            flow[k][i] -= amount
+
+
+def _descent(inst: MilpInstance, start: Sequence[int]) -> tuple[list[int], int]:
+    """First-improvement descent from a complete placement: (placement,
+    fixed-point objective), never above the start's.
+
+    Passes over the avatars in instance order try to move each to the
+    first cloudlet, in ascending index, that it reaches, that has room and
+    whose move lowers the objective. When a pass moves no avatar, a pass
+    of swaps follows: each avatar, against the avatars lighter than it on
+    each cloudlet it reaches (cloudlets ascending, avatars in instance
+    order) whose own reach holds its cloudlet. Each improving move or swap
+    is made as soon as it is found; the descent stops after a pass of
+    moves and a pass of swaps that change nothing.
+
+    Moving weight t > 0 from cloudlet a to cloudlet b, with e = load -
+    green, lowers the objective only if e_a > 0 > e_b, and then by
+    min(t, e_a) - max(0, e_b + t), which is positive iff t < e_a - e_b.
+    """
+    iw = inst._iw
+    place = list(start)
+    ex = [-g for g in inst._ig]        # load - green per cloudlet
+    room = list(inst.count_capacity)
+    on: list[list[int]] = [[] for _ in ex]   # avatars per cloudlet, ascending
+    for k, i in enumerate(place):
+        ex[i] += iw[k]
+        room[i] -= 1
+        on[i].append(k)
+    reach = _take(inst._ascending, inst.feasible_sets)
+    sets = inst.feasible_sets
+    moved = True
+    while moved:
+        moved = False
+        for k, a in enumerate(place):
+            if ex[a] <= 0:
+                continue
+            w = iw[k]
+            for b in reach[k]:
+                if ex[b] < 0 and room[b] and 0 < w < ex[a] - ex[b]:
+                    ex[a] -= w
+                    ex[b] += w
+                    room[a] += 1
+                    room[b] -= 1
+                    place[k] = b
+                    on[a].remove(k)
+                    insort(on[b], k)
+                    moved = True
+                    break
+        if moved:
+            continue
+        for k, a in enumerate(place):
+            if ex[a] <= 0:
+                continue
+            w = iw[k]
+            for b in reach[k]:
+                if ex[b] >= 0:
+                    continue
+                for j in on[b]:
+                    t = w - iw[j]
+                    if 0 < t < ex[a] - ex[b] and a in sets[j]:
+                        ex[a] -= t
+                        ex[b] += t
+                        place[k], place[j] = b, a
+                        on[a].remove(k)
+                        insort(on[a], j)
+                        on[b].remove(j)
+                        insort(on[b], k)
+                        moved = True
+                        break
+                if place[k] != a:
+                    break
+    return place, sum(e for e in ex if e > 0)
+
+
+def _search(inst: MilpInstance, node_limit: int, gap: float, root_bound: int,
+            best_obj: int | None, best_place: Sequence[int] | None):
+    """One depth-first walk of `solve`, from the root, under a budget of
+    `node_limit` nodes and a relative `gap` against `root_bound`.
 
     Returns (best objective, best placement, nodes, stop, stopped_by_gap);
     the best placement is the `best_place` object passed in unless a leaf
@@ -453,7 +632,6 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
     pend: list = [None] * n
     cand: list = [None] * n
     nodes = 0
-    gap, node_limit = cfg.gap_tolerance, cfg.node_limit
     d, deficit, slack = 0, 0, sum(ig)
     while True:
         nodes += 1  # enter the node at depth d
@@ -561,4 +739,5 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
         gap=0.0,
         nodes_explored=leaves,
         proven_optimal=True,
+        stage="search",
     )

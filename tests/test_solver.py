@@ -14,15 +14,22 @@ from gcnsim import (
     InfeasibleAvatar,
     InsufficientCapacity,
     MilpInstance,
+    ScenarioConfig,
     SolverConfig,
     TooLarge,
+    World,
     aggregate_bound,
     avatar_weights,
     brute_force,
     build_instance,
+    default_delay_params,
+    run,
     run_tables,
     solve,
+    strategy,
 )
+from gcnsim.solver import (_descent, _flow_bound, _int_objective, _search,
+                           _to_units)
 
 from conftest import (from_map, instance_from_loads, line_topology,
                       random_instance)
@@ -555,12 +562,14 @@ class TestVisitOrder:
     Every `Solution` field depends on the walk: the placement on which leaf
     came first, `nodes_explored` on every node entered, and the bound, gap
     and proof flag on where a budget or gap test stopped it. The digest was
-    captured from the code before entering a node stopped sorting its
-    children; a change to the walk that is meant to visit the same nodes
-    must leave it alone.
+    captured from the code after `solve` gained its steps after the first
+    dive, which change the 18 cases whose walk passed n + 1 nodes with
+    budget left; the other cases' solutions are the same as before those
+    steps. A change to the walk that is meant to visit the same nodes must
+    leave it alone.
     """
 
-    DIGEST = "bc219a041a6ebbe0ec9cd9b06859157f19ac6b28164a2b739ab39288e4448ca1"
+    DIGEST = "e53122a4648a11903af227fa6606c513a58dd941e6814fbe927430a2842d7940"
 
     @staticmethod
     def _case(rng, power):
@@ -607,7 +616,7 @@ class TestVisitOrder:
             h.update(repr((sorted(sol.assignment.placement.items()),
                            sol.objective, sol.lower_bound, sol.gap,
                            sol.nodes_explored, sol.proven_optimal,
-                           seed_back)).encode() + b";")
+                           seed_back, sol.stage)).encode() + b";")
             seen.add("proven" if sol.proven_optimal else "unproven")
             if seed_back:
                 seen.add("seed returned")
@@ -629,11 +638,17 @@ class TestVisitOrder:
                                            frozenset({1})),
                             green_power=(10.0, 12.0, 12.0),
                             count_capacity=(2, 2, 2))
-        sol = solve(inst)
-        assert sol.assignment.placement == {0: 2, 1: 1}
-        assert sol.objective == 0.0
+        obj, place, nodes, stop, _ = _search(inst, 100_000, 0.0, 0, None, None)
+        assert (place, obj, stop) == ([2, 1], 0, True)
         # root, child on 1, its leaf, child on 2, its leaf
-        assert sol.nodes_explored == 5
+        assert nodes == 5
+        # solve stops the walk once it has passed n + 1 = 3 nodes without a
+        # proof, and the descent moves avatar 0 to the first cloudlet, in
+        # ascending index, that takes it within its green supply
+        sol = solve(inst)
+        assert sol.assignment.placement == {0: 0, 1: 1}
+        assert (sol.objective, sol.proven_optimal) == (0.0, True)
+        assert (sol.stage, sol.nodes_explored) == ("descent", 4)
 
     def test_node_with_every_cloudlet_full_closes_without_a_child(self):
         # Avatar 0 goes first to green cloudlet 0 and fills it; avatar 1,
@@ -651,6 +666,131 @@ class TestVisitOrder:
         # root, the closed node, child on 1, its leaf
         assert sol.nodes_explored == 4
         assert sol.objective == brute_force(inst).objective
+
+
+class TestAfterTheDive:
+    """The steps `solve` takes only when its walk is still unproven after
+    the first n + 1 nodes: the class-flow bound, the descent and the
+    second walk."""
+
+    @staticmethod
+    def _class_instance(rng, power):
+        """Up to 7 avatars in at most 3 classes (avatars sharing a feasible
+        set) on up to 4 cloudlets, with capacities that often bind."""
+        n, m = rng.randint(1, 7), rng.randint(1, 4)
+        sets = [frozenset(i for i in range(m) if rng.random() < 0.5)
+                or frozenset({rng.randrange(m)}) for _ in range(3)]
+        caps = [0] * m
+        for _ in range(n + rng.randint(0, 2)):
+            caps[rng.randrange(m)] += 1
+        return MilpInstance(
+            weights=tuple(avatar_weights([rng.uniform(10.0, 100.0)
+                                          for _ in range(n)], power)),
+            feasible_sets=tuple(rng.choice(sets) for _ in range(n)),
+            green_power=tuple(rng.uniform(0.0, 80.0) for _ in range(m)),
+            count_capacity=tuple(caps))
+
+    def test_flow_bound_between_aggregate_bound_and_optimum(self, power):
+        rng = random.Random(61)
+        checked = above = 0
+        while checked < 300:
+            inst = self._class_instance(rng, power)
+            try:
+                optimum = brute_force(inst).objective
+            except Infeasible:
+                continue
+            checked += 1
+            flow = _flow_bound(inst)
+            aggregate = _to_units(aggregate_bound(inst, {}))
+            assert aggregate <= flow <= _to_units(optimum)
+            above += flow > aggregate
+        assert above > 30  # reach binds often enough for the test to bite
+
+    def test_descent_fits_and_never_scores_above_its_start(self, power):
+        rng = random.Random(67)
+        improved = 0
+        for _ in range(300):
+            inst = self._class_instance(rng, power)
+            seed = TestSolve._greedy_seed(inst, rng)
+            if seed is None:
+                continue
+            start = inst.check_assignment(seed)
+            place, obj = _descent(inst, start)
+            inst.check_assignment(Assignment(inst.avatar_ids, place))
+            assert obj == _int_objective(place, inst._iw, inst._ig)
+            before = _int_objective(start, inst._iw, inst._ig)
+            assert obj <= before
+            improved += obj < before
+        assert improved > 20
+
+    @staticmethod
+    def _scan_order_instance(weights, start, greens, caps):
+        """Nine cloudlets; every avatar reaches 0, 1 and 8 through one
+        frozenset whose iteration order is not ascending."""
+        reach = frozenset([8, 1, 0])
+        assert list(reach) != sorted(reach)
+        inst = MilpInstance(weights=weights,
+                            feasible_sets=(reach,) * len(weights),
+                            green_power=greens, count_capacity=caps)
+        return _descent(inst, start)
+
+    def test_descent_scans_cloudlets_in_ascending_index(self):
+        # A 1-move: avatar 0 over green on cloudlet 0; cloudlets 1 and 8
+        # would each take it within their supply, and 1 comes first.
+        greens = (0.0, 10.0) + (0.0,) * 6 + (10.0,)
+        assert self._scan_order_instance((10.0,), [0], greens,
+                                         (1,) * 9) == ([1], 0)
+        # A swap: cloudlets 1 and 8 are full, so avatar 0 trades places with
+        # the lighter avatar on cloudlet 1, the first it reaches.
+        place, obj = self._scan_order_instance((10.0, 4.0, 4.0), [0, 1, 8],
+                                               greens, (1,) * 9)
+        assert (place, obj) == ([1, 0, 8], _to_units(4.0))
+
+    # Captured from the code before `solve` gained its steps after the
+    # first dive: a budget of at most n + 1 nodes must not reach them.
+    SHORT_BUDGET_DIGEST = (
+        "e402cba20d4723f84454a6f81ce12fa906bbdf7b19b1bdb4f4234376dcebd826")
+
+    def test_budget_within_the_first_dive_solves_as_before(self, power):
+        rng = random.Random(71)
+        h = hashlib.sha256()
+        for _ in range(300):
+            inst, config = TestVisitOrder._case(rng, power)
+            config = replace(config,
+                             node_limit=rng.randint(1, inst.n_avatars + 1))
+            try:
+                sol = solve(inst, config)
+            except Infeasible:
+                h.update(b"infeasible;")
+                continue
+            assert sol.stage in ("seed", "dive")
+            h.update(repr((sorted(sol.assignment.placement.items()),
+                           sol.objective, sol.lower_bound, sol.gap,
+                           sol.nodes_explored, sol.proven_optimal,
+                           sol.assignment is config.seed_assignment)
+                          ).encode() + b";")
+        assert h.hexdigest() == self.SHORT_BUDGET_DIGEST
+
+    def test_gear_never_above_far_over_a_tight_sla_world(self, bell_trace,
+                                                         monkeypatch):
+        stages = []
+        solve_first = strategy.solve
+
+        def recording_solve(inst, config=None):
+            sol = solve_first(inst, config)
+            stages.append(sol.stage)
+            return sol
+
+        monkeypatch.setattr(strategy, "solve", recording_solve)
+        config = ScenarioConfig(ue_count=300, rng_seed=1)
+        delay = replace(default_delay_params(), sla_max_delay=7.0)
+        world = World(config)
+        far = run(config, "far", bell_trace, delay=delay, world=world)
+        gear = run(config, "gear", bell_trace, delay=delay, world=world)
+        assert len(gear.slots) == len(stages) == 96
+        assert "descent" in stages  # the steps after the dive did run
+        for f, g in zip(far.slots, gear.slots):
+            assert g.ongrid_approx_wh <= f.ongrid_approx_wh
 
 
 class TestBruteForce:
