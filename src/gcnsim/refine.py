@@ -1,0 +1,157 @@
+"""The class-flow root bound and the move-and-swap descent that `solve`
+runs on a walk still unproven after its first dive.
+
+Both work in the solver's fixed-point integer watts on plain sequences:
+`sets` holds each avatar's feasible cloudlet set, `weights` its placement
+weight, `green` each cloudlet's green supply, and `reach` maps each
+feasible set to its cloudlets in ascending index.
+"""
+
+from __future__ import annotations
+
+from bisect import insort
+from collections.abc import Mapping, Sequence
+
+
+def flow_bound(sets: Sequence[frozenset[int]], weights: Sequence[int],
+               green: Sequence[int],
+               reach: Mapping[frozenset[int], tuple[int, ...]]) -> int:
+    """The class-flow lower bound on on-grid power.
+
+    Avatars with one feasible set form a class. Route each class's weight
+    to the cloudlets it reaches, each cloudlet taking at most its green
+    supply: whatever no routing fits must come from the grid, so total
+    weight minus the maximum flow is admissible. It is at least the
+    aggregate bound, whose routing ignores reach, and equals the maximum
+    over class sets S of weight(S) - green(cloudlets S reaches) (Gale's
+    supply-demand theorem). Capacities in avatars are ignored.
+
+    The maximum flow is found by shortest augmenting paths: from a class
+    with weight left, forward to a cloudlet it reaches, back from a
+    cloudlet to a class routing weight to it, and so on until a cloudlet
+    with green left.
+    """
+    weight: dict[frozenset[int], int] = {}
+    for fs, w in zip(sets, weights):
+        weight[fs] = weight.get(fs, 0) + w
+    to = [reach[fs] for fs in weight]  # each class's cloudlets, ascending
+    left = list(weight.values())       # class weight not yet routed
+    green = list(green)                # cloudlet green supply not yet used
+    classes = range(len(left))
+    flow = [[0] * len(green) for _ in classes]
+    while True:
+        # breadth first; from_class[i] is the class a path reached cloudlet
+        # i from, from_cloudlet[k] the cloudlet (-1: none) it reached class k
+        queue = [k for k in classes if left[k]]
+        from_cloudlet = dict.fromkeys(queue, -1)
+        from_class: dict[int, int] = {}
+        end = -1
+        for k in queue:  # grows while it is walked
+            for i in to[k]:
+                if i in from_class:
+                    continue
+                from_class[i] = k
+                if green[i]:
+                    end = i
+                    break
+                for back in classes:
+                    if flow[back][i] and back not in from_cloudlet:
+                        from_cloudlet[back] = i
+                        queue.append(back)
+            if end >= 0:
+                break
+        if end < 0:
+            return sum(left)
+        amount, i = green[end], end
+        while True:
+            k = from_class[i]
+            i = from_cloudlet[k]
+            if i < 0:
+                amount = min(amount, left[k])
+                break
+            amount = min(amount, flow[k][i])
+        green[end] -= amount
+        i = end
+        while True:
+            k = from_class[i]
+            flow[k][i] += amount
+            i = from_cloudlet[k]
+            if i < 0:
+                left[k] -= amount
+                break
+            flow[k][i] -= amount
+
+
+def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
+            weights: Sequence[int], green: Sequence[int],
+            capacity: Sequence[int],
+            reach: Mapping[frozenset[int], tuple[int, ...]]
+            ) -> tuple[list[int], int]:
+    """First-improvement descent from a complete index-form placement
+    that fits `capacity` (avatars per cloudlet): (placement, on-grid
+    power), never above the start's.
+
+    Passes over the avatars in order try to move each to the first
+    cloudlet, in ascending index, that it reaches, that has room and whose
+    move lowers the objective. When a pass moves no avatar, a pass of
+    swaps follows: each avatar, against the avatars lighter than it on
+    each cloudlet it reaches (cloudlets ascending, avatars in order) whose
+    own reach holds its cloudlet. Each improving move or swap is made as
+    soon as it is found; the descent stops after a pass of moves and a
+    pass of swaps that change nothing.
+
+    Moving weight t > 0 from cloudlet a to cloudlet b, with e = load -
+    green, lowers the objective only if e_a > 0 > e_b, and then by
+    min(t, e_a) - max(0, e_b + t), which is positive iff t < e_a - e_b.
+    """
+    place = list(start)
+    ex = [-g for g in green]           # load - green per cloudlet
+    room = list(capacity)
+    on: list[list[int]] = [[] for _ in ex]   # avatars per cloudlet, ascending
+    for k, i in enumerate(place):
+        ex[i] += weights[k]
+        room[i] -= 1
+        on[i].append(k)
+    to = list(map(reach.__getitem__, sets))
+    moved = True
+    while moved:
+        moved = False
+        for k, a in enumerate(place):
+            if ex[a] <= 0:
+                continue
+            w = weights[k]
+            for b in to[k]:
+                if ex[b] < 0 and room[b] and 0 < w < ex[a] - ex[b]:
+                    ex[a] -= w
+                    ex[b] += w
+                    room[a] += 1
+                    room[b] -= 1
+                    place[k] = b
+                    on[a].remove(k)
+                    insort(on[b], k)
+                    moved = True
+                    break
+        if moved:
+            continue
+        for k, a in enumerate(place):
+            if ex[a] <= 0:
+                continue
+            w = weights[k]
+            for b in to[k]:
+                if ex[b] >= 0:
+                    continue
+                for j in on[b]:
+                    t = w - weights[j]
+                    if 0 < t < ex[a] - ex[b] and a in sets[j]:
+                        ex[a] -= t
+                        ex[b] += t
+                        place[k], place[j] = b, a
+                        on[a].remove(k)
+                        insort(on[a], j)
+                        on[b].remove(j)
+                        insort(on[b], k)
+                        moved = True
+                        break
+                if place[k] != a:
+                    break
+    return place, sum(e for e in ex if e > 0)

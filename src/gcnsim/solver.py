@@ -10,12 +10,13 @@ where `load_i` is the sum of the placement weights of the avatars put on
 cloudlet i. The problem is NP-hard (it contains the partition problem), so
 `solve` runs depth-first branch and bound with an admissible aggregate
 bound, truncated by node budget or relative gap, and returns the best
-incumbent found. A solve that one dive leaves unproven also gets a
+incumbent found. A walk still unproven after one dive pauses for a
 class-flow root bound (a max flow from avatars grouped by feasible set to
-the cloudlets' green supply) and a move-and-swap descent from its
-incumbent before it searches on. `brute_force` is an exhaustive oracle for
-small instances, used to validate the search. Neither search recurses, so
-the number of avatars is not limited by the interpreter's stack.
+the cloudlets' green supply); where that bound beats the aggregate one, a
+move-and-swap descent improves the incumbent before the walk goes on.
+`brute_force` is an exhaustive oracle for small instances, used to
+validate the search. Neither search recurses, so the number of avatars is
+not limited by the interpreter's stack.
 
 Arithmetic note: objectives and bounds are computed in fixed-point integer
 watts (1/2^20 W resolution). All partial sums are exact, so two placements
@@ -27,14 +28,14 @@ converted back to float watts.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat
 from operator import ge, itemgetter, mul
 
 from .model import Assignment, RunTables, avatar_weights
+from .refine import descent, flow_bound
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
 _SCALE = 1 << 20
@@ -328,9 +329,10 @@ def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
     """Lower bound (W) on the best completion of a partial placement.
 
     `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the
-    aggregate root bound, which the class-flow bound dominates. Computed in exact fixed-point arithmetic by the same routine the
-    search prunes with, so the admissibility relation to `brute_force`
-    optima carries over to the returned floats unchanged.
+    aggregate root bound, which the class-flow bound dominates. Computed
+    in exact fixed-point arithmetic by the same routine the search prunes
+    with, so the admissibility relation to `brute_force` optima carries
+    over to the returned floats unchanged.
     """
     load = [0] * inst.n_cloudlets
     wrem = placed = 0
@@ -364,37 +366,43 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     seed within the gap tolerance of the root bound, max(0, total weight -
     total green), is returned after one node, before any search set-up.
 
-    Dive ("dive"): a depth-first walk (`_search`) gets min(node_limit,
-    n + 1) nodes for n avatars, one root-to-leaf path. It branches on the
-    heaviest unplaced avatar; children are its feasible cloudlets with
-    room, in order of residual green supply, with sibling bounds and order
-    worked out lazily (README, "Library use"). Avatars with identical
-    weight and feasible set are forced onto non-decreasing cloudlets.
-    Without a seed the budget binds only once a complete placement exists.
-    What the walk returns within its nodes (a proof, an exhausted tree or
-    a `node_limit` of at most n + 1) is the answer.
+    Dive ("dive"): a depth-first walk (`_search`) under `node_limit`
+    nodes. It branches on the heaviest unplaced avatar; children are its
+    feasible cloudlets with room, in order of residual green supply, with
+    sibling bounds and order worked out lazily (README, "Library use").
+    Avatars with identical weight and feasible set are forced onto
+    non-decreasing cloudlets. Without a seed the budget binds only once a
+    complete placement exists. A walk that returns without the pause below
+    says "dive": it found a proof or exhausted the tree within its first
+    n + 1 nodes for n avatars (one root-to-leaf path), or its budget ran
+    out there (a `node_limit` of at most n + 1, or no incumbent before
+    `node_limit` nodes).
 
-    A walk that stops on those n + 1 nodes with an incumbent, while
-    `node_limit` allows more, goes on:
+    A walk still going after those n + 1 nodes, with an incumbent and
+    budget left, pauses once there:
 
-    1. The class-flow bound (`_flow_bound`), which dominates the aggregate
-       bound, replaces the root bound; an incumbent within the gap
-       tolerance of it is returned ("dive").
-    2. A move-and-swap descent (`_descent`) improves the incumbent; a
-       result within the tolerance of the flow bound is returned
+    1. It computes the class-flow bound (`refine.flow_bound`), which
+       dominates the aggregate root bound. If the two are equal, the
+       avatars' reach does not bind, steps 2 and 3 are skipped and the
+       walk goes on unchanged, so its nodes and answer are those of one
+       plain walk ("search"). Otherwise the flow bound replaces the root
+       bound, and an incumbent within the gap tolerance of it is returned
+       ("dive").
+    2. A move-and-swap descent (`refine.descent`) improves the incumbent;
+       a result within the tolerance of the flow bound is returned
        ("descent").
-    3. Otherwise a second walk starts from the root with the better
+    3. Otherwise the walk goes on from where it paused, with the better
        incumbent, the flow bound as its root bound and the nodes left of
        `node_limit` ("search").
 
-    Once step 1 has run, `lower_bound` is the flow bound and `gap` is taken
-    against it, unless the second walk exhausts its tree. Neither walk
-    recurses, and all ties break toward the lowest index, so runs are
-    bit-reproducible.
+    `lower_bound` is the root bound the walk ended with (the flow bound
+    once step 1 raised it), or the objective when the walk exhausted its
+    tree; `gap` is taken against it. The walk does not recurse, and all
+    ties break toward the lowest index, so runs are bit-reproducible.
     """
     cfg = config or SolverConfig()
     iw, ig = inst._iw, inst._ig
-    tol, node_limit = cfg.gap_tolerance, cfg.node_limit
+    tol = cfg.gap_tolerance
     root_bound = _int_bound([0] * len(ig), sum(iw), ig)
 
     seed_place: Sequence[int] | None = None
@@ -402,28 +410,31 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     if cfg.seed_assignment is not None:
         seed_place, _, best_obj = inst.evaluate(cfg.seed_assignment)
 
+    stage = "dive"
+
+    def after_dive(obj: int, place: Sequence[int]):
+        """Steps 1 and 2, once the walk has paused; returns the root bound,
+        objective and placement it goes on with."""
+        nonlocal root_bound, stage
+        flow = flow_bound(inst.feasible_sets, iw, ig, inst._ascending)
+        if flow > root_bound:
+            root_bound = flow
+            if obj - flow > tol * obj:
+                better, better_obj = descent(place, inst.feasible_sets, iw,
+                                             ig, inst.count_capacity,
+                                             inst._ascending)
+                if better_obj < obj:
+                    place, obj, stage = better, better_obj, "descent"
+        if obj - root_bound > tol * obj:
+            stage = "search"
+        return root_bound, obj, place
+
     if best_obj is not None and best_obj - root_bound <= tol * best_obj:
         best_place, nodes, stop, stopped_by_gap = seed_place, 1, True, True
         stage = "seed"
     else:
         best_obj, best_place, nodes, stop, stopped_by_gap = _search(
-            inst, min(node_limit, inst.n_avatars + 1), tol, root_bound,
-            best_obj, seed_place)
-        stage = "dive"
-        if stop and not stopped_by_gap and nodes < node_limit:
-            root_bound = _flow_bound(inst)
-            stopped_by_gap = best_obj - root_bound <= tol * best_obj
-            if not stopped_by_gap:
-                place, obj = _descent(inst, best_place)
-                if obj < best_obj:
-                    best_obj, best_place, stage = obj, place, "descent"
-                    stopped_by_gap = best_obj - root_bound <= tol * best_obj
-            if not stopped_by_gap:
-                best_obj, best_place, more, stop, stopped_by_gap = _search(
-                    inst, node_limit - nodes, tol, root_bound, best_obj,
-                    best_place)
-                nodes += more
-                stage = "search"
+            inst, cfg, root_bound, best_obj, seed_place, after_dive)
     exhausted = (not stop) or (stopped_by_gap and best_obj == root_bound)
 
     if best_obj is None or best_place is None:
@@ -445,155 +456,23 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     )
 
 
-def _flow_bound(inst: MilpInstance) -> int:
-    """The class-flow root bound, in fixed point.
+def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
+            best_obj: int | None, best_place: Sequence[int] | None,
+            after_dive: Callable | None = None):
+    """The depth-first walk of `solve`, from the root.
 
-    Avatars with one feasible set form a class. Route each class's weight
-    to the cloudlets it reaches, each cloudlet taking at most its green
-    supply: whatever no routing fits must come from the grid, so total
-    weight minus the maximum flow is admissible. It is at least the
-    aggregate bound, whose routing ignores reach, and equals the maximum
-    over class sets S of weight(S) - green(cloudlets S reaches) (Gale's
-    supply-demand theorem). Capacities in avatars are ignored.
-
-    The maximum flow is found by shortest augmenting paths: from a class
-    with weight left, forward to a cloudlet it reaches, back from a
-    cloudlet to a class routing weight to it, and so on until a cloudlet
-    with green left.
-    """
-    weight: dict[frozenset[int], int] = {}
-    for fs, w in zip(inst.feasible_sets, inst._iw):
-        weight[fs] = weight.get(fs, 0) + w
-    reach = _take(inst._ascending, tuple(weight))
-    left = list(weight.values())       # class weight not yet routed
-    green = list(inst._ig)             # cloudlet green supply not yet used
-    classes = range(len(left))
-    flow = [[0] * len(green) for _ in classes]
-    while True:
-        # breadth first; from_class[i] is the class a path reached cloudlet
-        # i from, from_cloudlet[k] the cloudlet (-1: none) it reached class k
-        queue = [k for k in classes if left[k]]
-        from_cloudlet = dict.fromkeys(queue, -1)
-        from_class: dict[int, int] = {}
-        end = -1
-        for k in queue:  # grows while it is walked
-            for i in reach[k]:
-                if i in from_class:
-                    continue
-                from_class[i] = k
-                if green[i]:
-                    end = i
-                    break
-                for back in classes:
-                    if flow[back][i] and back not in from_cloudlet:
-                        from_cloudlet[back] = i
-                        queue.append(back)
-            if end >= 0:
-                break
-        if end < 0:
-            return sum(left)
-        amount, i = green[end], end
-        while True:
-            k = from_class[i]
-            i = from_cloudlet[k]
-            if i < 0:
-                amount = min(amount, left[k])
-                break
-            amount = min(amount, flow[k][i])
-        green[end] -= amount
-        i = end
-        while True:
-            k = from_class[i]
-            flow[k][i] += amount
-            i = from_cloudlet[k]
-            if i < 0:
-                left[k] -= amount
-                break
-            flow[k][i] -= amount
-
-
-def _descent(inst: MilpInstance, start: Sequence[int]) -> tuple[list[int], int]:
-    """First-improvement descent from a complete placement: (placement,
-    fixed-point objective), never above the start's.
-
-    Passes over the avatars in instance order try to move each to the
-    first cloudlet, in ascending index, that it reaches, that has room and
-    whose move lowers the objective. When a pass moves no avatar, a pass
-    of swaps follows: each avatar, against the avatars lighter than it on
-    each cloudlet it reaches (cloudlets ascending, avatars in instance
-    order) whose own reach holds its cloudlet. Each improving move or swap
-    is made as soon as it is found; the descent stops after a pass of
-    moves and a pass of swaps that change nothing.
-
-    Moving weight t > 0 from cloudlet a to cloudlet b, with e = load -
-    green, lowers the objective only if e_a > 0 > e_b, and then by
-    min(t, e_a) - max(0, e_b + t), which is positive iff t < e_a - e_b.
-    """
-    iw = inst._iw
-    place = list(start)
-    ex = [-g for g in inst._ig]        # load - green per cloudlet
-    room = list(inst.count_capacity)
-    on: list[list[int]] = [[] for _ in ex]   # avatars per cloudlet, ascending
-    for k, i in enumerate(place):
-        ex[i] += iw[k]
-        room[i] -= 1
-        on[i].append(k)
-    reach = _take(inst._ascending, inst.feasible_sets)
-    sets = inst.feasible_sets
-    moved = True
-    while moved:
-        moved = False
-        for k, a in enumerate(place):
-            if ex[a] <= 0:
-                continue
-            w = iw[k]
-            for b in reach[k]:
-                if ex[b] < 0 and room[b] and 0 < w < ex[a] - ex[b]:
-                    ex[a] -= w
-                    ex[b] += w
-                    room[a] += 1
-                    room[b] -= 1
-                    place[k] = b
-                    on[a].remove(k)
-                    insort(on[b], k)
-                    moved = True
-                    break
-        if moved:
-            continue
-        for k, a in enumerate(place):
-            if ex[a] <= 0:
-                continue
-            w = iw[k]
-            for b in reach[k]:
-                if ex[b] >= 0:
-                    continue
-                for j in on[b]:
-                    t = w - iw[j]
-                    if 0 < t < ex[a] - ex[b] and a in sets[j]:
-                        ex[a] -= t
-                        ex[b] += t
-                        place[k], place[j] = b, a
-                        on[a].remove(k)
-                        insort(on[a], j)
-                        on[b].remove(j)
-                        insort(on[b], k)
-                        moved = True
-                        break
-                if place[k] != a:
-                    break
-    return place, sum(e for e in ex if e > 0)
-
-
-def _search(inst: MilpInstance, node_limit: int, gap: float, root_bound: int,
-            best_obj: int | None, best_place: Sequence[int] | None):
-    """One depth-first walk of `solve`, from the root, under a budget of
-    `node_limit` nodes and a relative `gap` against `root_bound`.
+    If the walk is still going after n + 1 nodes, with an incumbent and
+    budget left, it calls `after_dive(best objective, best placement)`
+    once and goes on with the (root bound, objective, placement) that
+    returns, stopping at once if they meet the gap tolerance.
 
     Returns (best objective, best placement, nodes, stop, stopped_by_gap);
     the best placement is the `best_place` object passed in unless a leaf
-    improved on `best_obj`.
+    or `after_dive` improved on `best_obj`.
     """
     n = inst.n_avatars
+    gap, node_limit = cfg.gap_tolerance, cfg.node_limit
+    limit = node_limit if after_dive is None else min(node_limit, n + 1)
     iw, ig = inst._iw, inst._ig
 
     # Per-depth tables. Branch order: heaviest first, then lowest instance
@@ -643,11 +522,17 @@ def _search(inst: MilpInstance, node_limit: int, gap: float, root_bound: int,
                     # provably within tolerance
                     return best_obj, best_place, nodes, True, True
             i = -1
-        elif best_obj is not None and nodes >= node_limit:
-            # The budget binds only once an incumbent exists, so
-            # truncation still returns a feasible placement.
-            return best_obj, best_place, nodes, True, False
         else:
+            if best_obj is not None and nodes >= limit:
+                # The budget binds only once an incumbent exists, so
+                # truncation still returns a feasible placement.
+                if nodes >= node_limit:
+                    return best_obj, best_place, nodes, True, False
+                limit = node_limit
+                root_bound, best_obj, best_place = after_dive(best_obj,
+                                                              best_place)
+                if best_obj - root_bound <= gap * best_obj:
+                    return best_obj, best_place, nodes, True, True
             dd[d], ss[d], pend[d] = deficit, slack, None
             # its first child: least (load - green, index) among the
             # feasible cloudlets with room at or above the symmetry floor

@@ -28,8 +28,9 @@ from gcnsim import (
     solve,
     strategy,
 )
-from gcnsim.solver import (_descent, _flow_bound, _int_objective, _search,
-                           _to_units)
+from gcnsim.refine import descent, flow_bound
+from gcnsim.solver import (_int_bound, _int_objective, _search, _to_units,
+                           _to_watts)
 
 from conftest import (from_map, instance_from_loads, line_topology,
                       random_instance)
@@ -563,13 +564,14 @@ class TestVisitOrder:
     came first, `nodes_explored` on every node entered, and the bound, gap
     and proof flag on where a budget or gap test stopped it. The digest was
     captured from the code after `solve` gained its steps after the first
-    dive, which change the 18 cases whose walk passed n + 1 nodes with
-    budget left; the other cases' solutions are the same as before those
-    steps. A change to the walk that is meant to visit the same nodes must
-    leave it alone.
+    dive, and hashes `Solution.stage` too. Those steps change 5 of the 272
+    feasible cases: each walked past n + 1 nodes with budget left, on an
+    instance whose class-flow bound is above the aggregate bound; the other
+    267 give the same `Solution` as before. A change to the walk that is
+    meant to visit the same nodes must leave it alone.
     """
 
-    DIGEST = "e53122a4648a11903af227fa6606c513a58dd941e6814fbe927430a2842d7940"
+    DIGEST = "ca6c1a33c43006365430dc461209b21030688c485817a35e92ddf8f9e702b2c1"
 
     @staticmethod
     def _case(rng, power):
@@ -618,12 +620,14 @@ class TestVisitOrder:
                            sol.nodes_explored, sol.proven_optimal,
                            seed_back, sol.stage)).encode() + b";")
             seen.add("proven" if sol.proven_optimal else "unproven")
+            seen.add(sol.stage)
             if seed_back:
                 seen.add("seed returned")
             elif config.seed_assignment is not None:
                 seen.add("seed improved")
+        # no case here needs the descent; TestAfterTheDive covers it
         assert seen == {"infeasible", "proven", "unproven", "seed returned",
-                        "seed improved"}
+                        "seed improved", "seed", "dive", "search"}
         assert h.hexdigest() == self.DIGEST
 
     def test_second_child_entered_after_first_is_left(self):
@@ -638,17 +642,14 @@ class TestVisitOrder:
                                            frozenset({1})),
                             green_power=(10.0, 12.0, 12.0),
                             count_capacity=(2, 2, 2))
-        obj, place, nodes, stop, _ = _search(inst, 100_000, 0.0, 0, None, None)
-        assert (place, obj, stop) == ([2, 1], 0, True)
-        # root, child on 1, its leaf, child on 2, its leaf
-        assert nodes == 5
-        # solve stops the walk once it has passed n + 1 = 3 nodes without a
-        # proof, and the descent moves avatar 0 to the first cloudlet, in
-        # ascending index, that takes it within its green supply
         sol = solve(inst)
-        assert sol.assignment.placement == {0: 0, 1: 1}
-        assert (sol.objective, sol.proven_optimal) == (0.0, True)
-        assert (sol.stage, sol.nodes_explored) == ("descent", 4)
+        assert sol.assignment.placement == {0: 2, 1: 1}
+        assert sol.objective == 0.0
+        # root, child on 1, its leaf, child on 2, its leaf; the walk goes on
+        # past n + 1 = 3 nodes, and the flow bound, 0 W like the aggregate
+        # bound, leaves it unchanged
+        assert sol.nodes_explored == 5
+        assert sol.stage == "search"
 
     def test_node_with_every_cloudlet_full_closes_without_a_child(self):
         # Avatar 0 goes first to green cloudlet 0 and fills it; avatar 1,
@@ -668,10 +669,21 @@ class TestVisitOrder:
         assert sol.objective == brute_force(inst).objective
 
 
+def _flow_bound(inst):
+    """`refine.flow_bound` on an instance's own fixed-point fields."""
+    return flow_bound(inst.feasible_sets, inst._iw, inst._ig, inst._ascending)
+
+
+def _descent(inst, start):
+    """`refine.descent` from `start` on an instance's own fields."""
+    return descent(start, inst.feasible_sets, inst._iw, inst._ig,
+                   inst.count_capacity, inst._ascending)
+
+
 class TestAfterTheDive:
     """The steps `solve` takes only when its walk is still unproven after
-    the first n + 1 nodes: the class-flow bound, the descent and the
-    second walk."""
+    the first n + 1 nodes: the class-flow bound, the descent and the rest
+    of the walk."""
 
     @staticmethod
     def _class_instance(rng, power):
@@ -745,6 +757,77 @@ class TestAfterTheDive:
         place, obj = self._scan_order_instance((10.0, 4.0, 4.0), [0, 1, 8],
                                                greens, (1,) * 9)
         assert (place, obj) == ([1, 0, 8], _to_units(4.0))
+
+    def test_descent_proves_what_the_dive_left_open(self):
+        # No avatar reaches cloudlet 1, whose 12 W of green the aggregate
+        # bound counts: 33 W of weight against 32 W of green gives it 1 W,
+        # the flow bound 33 - 20 = 13 W. The dive ends on 15 W, and the
+        # descent reaches 13 W.
+        inst = MilpInstance(
+            weights=(6.0, 8.0, 3.0, 7.0, 9.0),
+            feasible_sets=(frozenset({0, 3}),) + (frozenset({0, 2}),) * 3
+            + (frozenset({0, 3}),),
+            green_power=(10.0, 12.0, 2.0, 8.0), count_capacity=(2, 1, 2, 2))
+        dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1))
+        assert (dive.stage, dive.objective, dive.proven_optimal) == (
+            "dive", 15.0, False)
+        sol = solve(inst)
+        assert sol.stage == "descent"
+        assert sol.objective == sol.lower_bound == _to_watts(_flow_bound(inst))
+        assert sol.objective == brute_force(inst).objective == 13.0
+        assert aggregate_bound(inst, {}) == 1.0
+        assert sol.proven_optimal
+        assert sol.nodes_explored == 7  # the dive's 6 nodes and one more
+
+    def test_walk_goes_on_under_the_flow_bound(self):
+        # One class reaches cloudlets 0-2 (15 W of green) with 29 W, so the
+        # flow bound is 14 W against an aggregate bound of 5 W. Capacities
+        # keep the optimum at 15 W, which the dive already found; the
+        # descent cannot reach 14 W, and the walk goes on.
+        inst = MilpInstance(weights=(6.0, 6.0, 9.0, 8.0),
+                            feasible_sets=(frozenset({0, 1, 2}),) * 4,
+                            green_power=(10.0, 2.0, 3.0, 9.0),
+                            count_capacity=(1, 1, 3, 1))
+        assert aggregate_bound(inst, {}) == 5.0
+        assert brute_force(inst).objective == 15.0
+        cut = solve(inst, SolverConfig(node_limit=20))
+        assert (cut.stage, cut.objective, cut.proven_optimal) == (
+            "search", 15.0, False)
+        assert cut.lower_bound == _to_watts(_flow_bound(inst)) == 14.0
+        assert cut.gap == pytest.approx(1 / 15)
+        assert cut.nodes_explored == 20
+        # with the default budget the walk exhausts the tree
+        sol = solve(inst)
+        assert (sol.stage, sol.objective, sol.lower_bound) == (
+            "search", 15.0, 15.0)
+        assert sol.proven_optimal and sol.nodes_explored == 21
+
+    def test_flow_bound_equal_to_aggregate_keeps_the_plain_walk(self, power):
+        # Where reach does not raise the root bound, the pause changes
+        # nothing: solve returns what the walk alone returns.
+        rng = random.Random(73)
+        went_on = 0
+        for _ in range(400):
+            inst, config = TestVisitOrder._case(rng, power)
+            root = _int_bound([0] * inst.n_cloudlets, sum(inst._iw),
+                              inst._ig)
+            try:
+                sol = solve(inst, config)
+            except Infeasible:
+                continue
+            if sol.stage == "seed" or _flow_bound(inst) > root:
+                continue
+            seed_place = seed_obj = None
+            if config.seed_assignment is not None:
+                seed_place, _, seed_obj = inst.evaluate(config.seed_assignment)
+            obj, place, nodes, _, _ = _search(inst, config, root, seed_obj,
+                                              seed_place)
+            assert sol.stage in ("dive", "search")
+            assert list(sol.assignment.place) == list(place)
+            assert (_to_units(sol.objective), sol.nodes_explored) == (obj,
+                                                                      nodes)
+            went_on += sol.stage == "search"
+        assert went_on > 10
 
     # Captured from the code before `solve` gained its steps after the
     # first dive: a budget of at most n + 1 nodes must not reach them.
