@@ -528,6 +528,7 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
                 # truncation still returns a feasible placement.
                 if nodes >= node_limit:
                     return best_obj, best_place, nodes, True, False
+                # the pause after the dive, at most once per walk
                 limit = node_limit
                 root_bound, best_obj, best_place = after_dive(best_obj,
                                                               best_place)
