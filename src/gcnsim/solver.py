@@ -10,10 +10,10 @@ where `load_i` is the sum of the placement weights of the avatars put on
 cloudlet i. The problem is NP-hard (it contains the partition problem), so
 `solve` runs depth-first branch and bound with an admissible aggregate
 bound, truncated by node budget or relative gap, and returns the best
-incumbent found. A walk still unproven after one dive pauses for a
-class-flow root bound (a max flow from avatars grouped by feasible set to
-the cloudlets' green supply); where that bound beats the aggregate one, a
-move-and-swap descent improves the incumbent before the walk goes on.
+incumbent found. A walk still unproven after one dive pauses: a class-flow
+bound (a max flow from avatars grouped by feasible set to the cloudlets'
+green supply) becomes its root bound, and move-and-swap descents from the
+incumbent, then the warm start, improve it while it misses that bound.
 `brute_force` is an exhaustive oracle for small instances, used to
 validate the search. Neither search recurses, so the number of avatars is
 not limited by the interpreter's stack.
@@ -381,23 +381,22 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     A walk still going after those n + 1 nodes, with an incumbent and
     budget left, pauses once there:
 
-    1. It computes the class-flow bound (`refine.flow_bound`), which
-       dominates the aggregate root bound. If the two are equal, the
-       avatars' reach does not bind, steps 2 and 3 are skipped and the
-       walk goes on unchanged, so its nodes and answer are those of one
-       plain walk ("search"). Otherwise the flow bound replaces the root
-       bound, and an incumbent within the gap tolerance of it is returned
-       ("dive").
-    2. A move-and-swap descent (`refine.descent`) improves the incumbent;
-       a result within the tolerance of the flow bound is returned
+    1. The class-flow bound (`refine.flow_bound`), which dominates the
+       aggregate bound, becomes the root bound; an incumbent within the
+       gap tolerance of it is returned ("dive").
+    2. A move-and-swap descent (`refine.descent`) runs from the dive's
+       incumbent, and, if its result still misses the tolerance, once
+       more from the seed, unless there is none or it is that incumbent.
+       A result replaces the incumbent only if it is strictly lower, and
+       one within the tolerance of the flow bound is returned
        ("descent").
     3. Otherwise the walk goes on from where it paused, with the better
        incumbent, the flow bound as its root bound and the nodes left of
        `node_limit` ("search").
 
     `lower_bound` is the root bound the walk ended with (the flow bound
-    once step 1 raised it), or the objective when the walk exhausted its
-    tree; `gap` is taken against it. The walk does not recurse, and all
+    once it paused), or the objective when the walk exhausted its tree;
+    `gap` is taken against it. The walk does not recurse, and all
     ties break toward the lowest index, so runs are bit-reproducible.
     """
     cfg = config or SolverConfig()
@@ -416,15 +415,14 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
         """Steps 1 and 2, once the walk has paused; returns the root bound,
         objective and placement it goes on with."""
         nonlocal root_bound, stage
-        flow = flow_bound(inst.feasible_sets, iw, ig, inst._ascending)
-        if flow > root_bound:
-            root_bound = flow
-            if obj - flow > tol * obj:
-                better, better_obj = descent(place, inst.feasible_sets, iw,
-                                             ig, inst.count_capacity,
-                                             inst._ascending)
-                if better_obj < obj:
-                    place, obj, stage = better, better_obj, "descent"
+        root_bound = flow_bound(inst.feasible_sets, iw, ig, inst._ascending)
+        for start in (place, None if seed_place is place else seed_place):
+            if start is None or obj - root_bound <= tol * obj:
+                break
+            better, better_obj = descent(start, inst.feasible_sets, iw, ig,
+                                         inst.count_capacity, inst._ascending)
+            if better_obj < obj:
+                place, obj, stage = better, better_obj, "descent"
         if obj - root_bound > tol * obj:
             stage = "search"
         return root_bound, obj, place

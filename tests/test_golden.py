@@ -3,15 +3,17 @@ library day on which the solver has to search.
 
 The `run` and `sweep-kappa` digests were captured from the code before the
 closed-form power model, the shared reachability table and the shared greedy
-replaced their earlier implementations; the `sweep-ues` digest from the code
-before runs shared one drawn world; the default GEAR day's solver evidence
-from the code before the search bounded siblings lazily; the world-stream
-digests from the code before the world was drawn by one columnar slot
-kernel. Both searching days' GEAR digests were captured from the code after
-`solve` gained its steps after the first dive (class-flow bound, descent,
-the rest of the walk): they prove and improve solves that the dive leaves
-unproven, so GEAR's placements on those days changed on purpose. FAR's
-digest on the searching day did not move.
+replaced their earlier implementations; the default GEAR day's solver
+evidence from the code before the search bounded siblings lazily; the
+world-stream digests from the code before the world was drawn by one
+columnar slot kernel. The `sweep-ues` digest and both searching days' GEAR
+digests were captured from the code whose pause after the first dive takes
+the class-flow bound as its root bound and descends from the dive's
+incumbent and then from the seed, wherever the incumbent misses that bound.
+That proves and improves solves the dive leaves unproven, the 300-UE
+`sweep-ues` point's included, so GEAR's placements there changed on
+purpose and no slot's linearized energy rose. FAR's digest on the searching
+day did not move.
 A change that is meant to alter outputs must name that change and re-pin
 these digests; any other change must leave them alone.
 """
@@ -32,8 +34,10 @@ GOLDEN = {
         "305e77a5184cd16e6e2e71b32ed89cb679e63f9791aee81631b748658301e1a7",
     ("sweep-kappa", "sweep.csv"):
         "f1164b5dc22d86aa2b321ce37d4879d9f77128b578d3215fddad3db1e4f7ebc9",
+    # the 300-UE point's 2 solves that walk on past their dive are proven
+    # by the descent: GEAR's linearized energy falls by 1.44 Wh
     ("sweep-ues", "sweep.csv"):
-        "2cd043f2d79b55f278285af0868814f4c41843156b05e39b712e1b4140c8c021",
+        "33409b1d84b4c0a28a7af5dfda230744dd4a0dec8b7b15e9e3d751385e79c2fb",
 }
 
 ARGV = {
@@ -59,15 +63,18 @@ def test_output_digest_matches_golden(outputs, command, name):
 
 # A 7 ms SLA leaves most avatars few cloudlets, so GEAR searches instead of
 # diving once; 5 of its 48 solves are still unproven after their first dive:
-# the class-flow bound proves one incumbent optimal, the descent reaches that
-# bound in 3 more, and one walk goes on to the node limit.
+# the class-flow bound proves one incumbent optimal and the descent reaches
+# that bound in the other 4, each from the dive's incumbent. One of them,
+# whose flow bound equals the aggregate bound, used to skip the descent and
+# walk on to the node limit; GEAR's linearized energy falls by 14.1 Wh in
+# that one slot.
 SEARCHING_DAY = {
     "slots-far.csv":
         "fa9cec8979dab30f5a3d1e6d62b1b97906b73c9d9395ca3cb615db1518dfc4c0",
     "slots-gear.csv":
-        "4eeec50f8f2f0a56f3915ccdee5fbc142a02401376ed2ce2192c1c6c364e65a2",
+        "42692c09f1a3565696855f33b473f21f4062d87ad63f75359967019ecbb77aee",
     "solver-evidence":
-        "7b5dfd8477d9a6a1918f9246738f36d687af4186c369d4a2ed92a866f799d12f",
+        "02ce5879b1ac74f36694d3aab5d6416dfdc51b592d72760f66aa53b0af22458d",
 }
 
 
@@ -115,14 +122,14 @@ def test_searching_day_matches_golden(tmp_path, monkeypatch):
 
 
 # The same day with a fifth of the default node budget and a 5% gap
-# tolerance: most solves stop on the gap at the root; of the 4 still
-# unproven after their first dive, the descent proves 3 and one walk goes on
-# to the node limit.
+# tolerance: most solves stop on the gap at the root, and the descent proves
+# all 4 still unproven after their first dive, the one whose walk used to
+# run on to the node limit included (14.1 Wh lower in that slot).
 GAP_STOP_DAY = {
     "slots-gear.csv":
-        "26154ee7f97cd5f595638b0921485f88066efa0d9f8d36b0f127d81c7ccd3a90",
+        "dca9ae147d11243ff067522cb04dcdbfc49928fc07fbc55e9fbc3cd17c9234d6",
     "solver-evidence":
-        "2bda3cb30f0910853fee9004b0c93b6aad518b97b5e9eace1b83abbcea48d4f1",
+        "ed674f7331b093b1f551a60c128175d3ad9d868cbda35f74bf2e8582e91b7b79",
 }
 
 

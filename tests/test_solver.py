@@ -28,6 +28,7 @@ from gcnsim import (
     solve,
     strategy,
 )
+from gcnsim import solver
 from gcnsim.refine import descent, flow_bound
 from gcnsim.solver import (_int_bound, _int_objective, _search, _to_units,
                            _to_watts)
@@ -562,16 +563,18 @@ class TestVisitOrder:
 
     Every `Solution` field depends on the walk: the placement on which leaf
     came first, `nodes_explored` on every node entered, and the bound, gap
-    and proof flag on where a budget or gap test stopped it. The digest was
-    captured from the code after `solve` gained its steps after the first
-    dive, and hashes `Solution.stage` too. Those steps change 5 of the 272
-    feasible cases: each walked past n + 1 nodes with budget left, on an
-    instance whose class-flow bound is above the aggregate bound; the other
-    267 give the same `Solution` as before. A change to the walk that is
-    meant to visit the same nodes must leave it alone.
+    and proof flag on where a budget or gap test stopped it. The digest
+    hashes `Solution.stage` too, over enough cases that every stage occurs.
+    It was captured from the code whose pause after the first dive always
+    takes the class-flow bound as its root bound and descends from the
+    dive's incumbent and then from the seed. Against the code that paused
+    without descending where that bound equals the aggregate bound, the
+    1,022 feasible cases differ in 10, each a walk that paused; the 937
+    that do not pause give the same `Solution`. A change to the walk that
+    is meant to visit the same nodes must leave it alone.
     """
 
-    DIGEST = "ca6c1a33c43006365430dc461209b21030688c485817a35e92ddf8f9e702b2c1"
+    DIGEST = "5e4053f753dbc20dd0bbf59fdcb841b630800ba34f851e8df739485b4c177ff2"
 
     @staticmethod
     def _case(rng, power):
@@ -606,7 +609,7 @@ class TestVisitOrder:
         rng = random.Random(9)
         h = hashlib.sha256()
         seen = set()
-        for _ in range(400):
+        for _ in range(1500):
             inst, config = self._case(rng, power)
             try:
                 sol = solve(inst, config)
@@ -625,31 +628,36 @@ class TestVisitOrder:
                 seen.add("seed returned")
             elif config.seed_assignment is not None:
                 seen.add("seed improved")
-        # no case here needs the descent; TestAfterTheDive covers it
         assert seen == {"infeasible", "proven", "unproven", "seed returned",
-                        "seed improved", "seed", "dive", "search"}
+                        "seed improved", "seed", "dive", "descent", "search"}
         assert h.hexdigest() == self.DIGEST
 
     def test_second_child_entered_after_first_is_left(self):
-        # Avatar 0 (heavier, branched first) may use any cloudlet; avatar 1
-        # only cloudlet 1. Avatar 0's children in (load - green, index)
-        # order are cloudlets 1, 2, 0: 1 and 2 tie on residual green and
-        # the lower index goes first. Cloudlet 1 leads to a 3 W leaf, so
-        # the walk leaves it and enters cloudlet 2, whose leaf reaches 0 W,
-        # the root bound.
-        inst = MilpInstance(weights=(8.0, 7.0),
-                            feasible_sets=(frozenset({0, 1, 2}),
-                                           frozenset({1})),
-                            green_power=(10.0, 12.0, 12.0),
-                            count_capacity=(2, 2, 2))
-        sol = solve(inst)
-        assert sol.assignment.placement == {0: 2, 1: 1}
-        assert sol.objective == 0.0
-        # root, child on 1, its leaf, child on 2, its leaf; the walk goes on
-        # past n + 1 = 3 nodes, and the flow bound, 0 W like the aggregate
-        # bound, leaves it unchanged
+        # Avatar 0 (heavier, branched first) may use cloudlets 0 and 1,
+        # avatar 1 cloudlets 0 and 2; each cloudlet hosts one avatar. Avatar
+        # 0's children in (load - green, index) order are cloudlets 0, 1.
+        # Cloudlet 0 leaves avatar 1 only the dark cloudlet 2, whose 4 W
+        # leaf beats the 7 W seed; the walk then leaves cloudlet 0 and
+        # enters cloudlet 1, whose leaf reaches the 3 W optimum.
+        inst = MilpInstance(weights=(8.0, 4.0),
+                            feasible_sets=(frozenset({0, 1}),
+                                           frozenset({0, 2})),
+                            green_power=(10.0, 5.0, 0.0),
+                            count_capacity=(1, 1, 1))
+        seed = Assignment(range(2), [1, 2])
+        # The walk pauses after its dive, and both descents miss the 0 W
+        # class-flow bound: from the dive's leaf nothing moves, and from
+        # the seed avatar 0 moves to cloudlet 0, which gives that same 4 W
+        # leaf, no lower than the incumbent.
+        assert _flow_bound(inst) == 0
+        assert _descent(inst, [0, 2]) == ([0, 2], _to_units(4.0))
+        assert _descent(inst, [1, 2]) == ([0, 2], _to_units(4.0))
+        sol = solve(inst, SolverConfig(seed_assignment=seed))
+        assert sol.assignment.placement == {0: 1, 1: 0}
+        assert sol.objective == brute_force(inst).objective == 3.0
+        # root, child on 0, its leaf, child on 1, its leaf
         assert sol.nodes_explored == 5
-        assert sol.stage == "search"
+        assert sol.stage == "search" and sol.proven_optimal
 
     def test_node_with_every_cloudlet_full_closes_without_a_child(self):
         # Avatar 0 goes first to green cloudlet 0 and fills it; avatar 1,
@@ -802,32 +810,82 @@ class TestAfterTheDive:
             "search", 15.0, 15.0)
         assert sol.proven_optimal and sol.nodes_explored == 21
 
-    def test_flow_bound_equal_to_aggregate_keeps_the_plain_walk(self, power):
-        # Where reach does not raise the root bound, the pause changes
-        # nothing: solve returns what the walk alone returns.
-        rng = random.Random(73)
-        went_on = 0
-        for _ in range(400):
-            inst, config = TestVisitOrder._case(rng, power)
-            root = _int_bound([0] * inst.n_cloudlets, sum(inst._iw),
-                              inst._ig)
+    def test_descent_runs_where_reach_does_not_bind(self):
+        # Both avatars' reach covers all the weight, so the class-flow bound
+        # is the aggregate bound, 0 W. The dive puts both on cloudlet 0 (4 W
+        # over its green), and the descent moves avatar 0 to cloudlet 1.
+        inst = MilpInstance(weights=(7.0, 7.0),
+                            feasible_sets=(frozenset({0, 1}), frozenset({0})),
+                            green_power=(10.0, 8.0), count_capacity=(2, 2))
+        assert _flow_bound(inst) == _to_units(aggregate_bound(inst, {})) == 0
+        dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1))
+        assert (dive.stage, dive.objective) == ("dive", 4.0)
+        sol = solve(inst)
+        assert sol.stage == "descent" and sol.proven_optimal
+        assert sol.assignment.placement == {0: 1, 1: 0}
+        assert sol.objective == sol.lower_bound == 0.0
+        assert sol.nodes_explored == 4  # the dive's 3 nodes and one more
+
+    def test_seed_descent_reaches_the_bound_the_first_misses(self):
+        # Avatar 1 (heavier) dives onto cloudlet 0, which hosts one avatar,
+        # so avatar 0 goes to cloudlet 2, 2 W over its green, beating the
+        # 6 W seed. No single move or swap improves that leaf, but from the
+        # seed avatar 1 moves from cloudlet 2 to cloudlet 1 and reaches the
+        # 0 W class-flow bound.
+        inst = MilpInstance(weights=(4.0, 8.0),
+                            feasible_sets=(frozenset({0, 2}),
+                                           frozenset({0, 1, 2})),
+                            green_power=(12.0, 8.0, 2.0),
+                            count_capacity=(1, 2, 2))
+        seed = Assignment(range(2), [0, 2])
+        assert _flow_bound(inst) == 0
+        dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1,
+                                        seed_assignment=seed))
+        assert dive.assignment.placement == {0: 2, 1: 0}
+        assert dive.objective == 2.0
+        assert _descent(inst, [2, 0])[1] == _to_units(2.0)
+        assert _descent(inst, [0, 2]) == ([0, 1], 0)
+        sol = solve(inst, SolverConfig(seed_assignment=seed))
+        assert sol.stage == "descent" and sol.proven_optimal
+        assert sol.assignment.placement == {0: 0, 1: 1}
+        assert sol.objective == sol.lower_bound == 0.0
+        assert sol.nodes_explored == 4
+
+    def test_never_above_the_plain_walk(self, power, monkeypatch):
+        # On random instances whose walk pauses, solve's answer is never
+        # above the walk's without the pause at the same budget, and every
+        # answer it calls optimal is the brute-force optimum.
+        paused = []
+        monkeypatch.setattr(solver, "flow_bound",
+                            lambda *args: paused.append(args)
+                            or flow_bound(*args))
+        rng = random.Random(79)
+        checked = better = 0
+        while checked < 400:
+            inst = self._class_instance(rng, power)
+            seed = (TestSolve._greedy_seed(inst, rng) if rng.random() < 0.5
+                    else None)
+            config = SolverConfig(node_limit=rng.choice([10, 20, 100_000]),
+                                  seed_assignment=seed)
+            paused.clear()
             try:
                 sol = solve(inst, config)
             except Infeasible:
                 continue
-            if sol.stage == "seed" or _flow_bound(inst) > root:
+            if not paused:
                 continue
+            checked += 1
             seed_place = seed_obj = None
-            if config.seed_assignment is not None:
-                seed_place, _, seed_obj = inst.evaluate(config.seed_assignment)
-            obj, place, nodes, _, _ = _search(inst, config, root, seed_obj,
-                                              seed_place)
-            assert sol.stage in ("dive", "search")
-            assert list(sol.assignment.place) == list(place)
-            assert (_to_units(sol.objective), sol.nodes_explored) == (obj,
-                                                                      nodes)
-            went_on += sol.stage == "search"
-        assert went_on > 10
+            if seed is not None:
+                seed_place, _, seed_obj = inst.evaluate(seed)
+            root = _int_bound([0] * inst.n_cloudlets, sum(inst._iw),
+                              inst._ig)
+            plain = _search(inst, config, root, seed_obj, seed_place)[0]
+            assert _to_units(sol.objective) <= plain
+            better += _to_units(sol.objective) < plain
+            if sol.proven_optimal:
+                assert sol.objective == brute_force(inst).objective
+        assert better > 10
 
     # Captured from the code before `solve` gained its steps after the
     # first dive: a budget of at most n + 1 nodes must not reach them.
