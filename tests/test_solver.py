@@ -26,9 +26,9 @@ from gcnsim import (
     run,
     run_tables,
     solve,
+    solver,
     strategy,
 )
-from gcnsim import solver
 from gcnsim.refine import descent, flow_bound
 from gcnsim.solver import (_int_bound, _int_objective, _search, _to_units,
                            _to_watts)
