@@ -385,8 +385,8 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
        aggregate bound, becomes the root bound; an incumbent within the
        gap tolerance of it is returned ("dive").
     2. A move-and-swap descent (`refine.descent`) runs from the dive's
-       incumbent, and, if its result still misses the tolerance, once
-       more from the seed, unless there is none or it is that incumbent.
+       incumbent, and, if the flow bound is still missed by more than the
+       tolerance, from the seed, unless there is none or it is that incumbent.
        A result replaces the incumbent only if it is strictly lower, and
        one within the tolerance of the flow bound is returned
        ("descent").
