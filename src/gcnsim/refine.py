@@ -1,16 +1,18 @@
-"""The class-flow root bound and the move-and-swap descent that `solve`
-runs on a walk still unproven after its first dive.
+"""The class-flow root bound, and the move-and-swap descent and transfer
+chains that `solve` runs on a walk still unproven after its first dive.
 
-Both work in the solver's fixed-point integer watts on plain sequences:
+All work in the solver's fixed-point integer watts on plain sequences:
 `sets` holds each avatar's feasible cloudlet set, `weights` its placement
-weight, `green` each cloudlet's green supply, and `reach` maps each
-feasible set to its cloudlets in ascending index.
+weight, `green` each cloudlet's green supply, `capacity` the avatars each
+cloudlet hosts, and `reach` maps each feasible set to its cloudlets in
+ascending index.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Mapping, Sequence
+from heapq import heapify, heappop, heappush
 
 
 def flow_bound(sets: Sequence[frozenset[int]], weights: Sequence[int],
@@ -82,6 +84,21 @@ def flow_bound(sets: Sequence[frozenset[int]], weights: Sequence[int],
             flow[k][i] -= amount
 
 
+def _state(place: Sequence[int], weights: Sequence[int],
+           green: Sequence[int], capacity: Sequence[int]
+           ) -> tuple[list[int], list[int], list[list[int]]]:
+    """Per cloudlet of a placement: load - green, room left, and the
+    avatars on it in ascending order."""
+    ex = [-g for g in green]
+    room = list(capacity)
+    on: list[list[int]] = [[] for _ in ex]
+    for k, i in enumerate(place):
+        ex[i] += weights[k]
+        room[i] -= 1
+        on[i].append(k)
+    return ex, room, on
+
+
 def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
             weights: Sequence[int], green: Sequence[int],
             capacity: Sequence[int],
@@ -105,13 +122,7 @@ def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
     min(t, e_a) - max(0, e_b + t), which is positive iff t < e_a - e_b.
     """
     place = list(start)
-    ex = [-g for g in green]           # load - green per cloudlet
-    room = list(capacity)
-    on: list[list[int]] = [[] for _ in ex]   # avatars per cloudlet, ascending
-    for k, i in enumerate(place):
-        ex[i] += weights[k]
-        room[i] -= 1
-        on[i].append(k)
+    ex, room, on = _state(place, weights, green, capacity)
     to = list(map(reach.__getitem__, sets))
     moved = True
     while moved:
@@ -155,3 +166,80 @@ def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
                 if place[k] != a:
                     break
     return place, sum(e for e in ex if e > 0)
+
+
+def transfer_chains(start: Sequence[int], sets: Sequence[frozenset[int]],
+                    weights: Sequence[int], green: Sequence[int],
+                    capacity: Sequence[int],
+                    reach: Mapping[frozenset[int], tuple[int, ...]]
+                    ) -> tuple[list[int], int]:
+    """Transfer chains alternated with `descent` from a complete index-form
+    placement that fits `capacity`, until no chain is found: (placement,
+    on-grid power), never above the start's.
+
+    With e = load - green per cloudlet, on-grid power is sum(e) plus the
+    unused green sum(max(0, -e)), and sum(e) is fixed by the avatars. A
+    chain (`_widest_chain`) lowers the unused green of the cloudlet it ends
+    on and raises it nowhere, so each one lowers the objective, and the
+    alternation stops.
+    """
+    place = list(start)
+    to = list(map(reach.__getitem__, sets))
+    while True:
+        ex, room, on = _state(place, weights, green, capacity)
+        chain = _widest_chain(ex, room, on, weights, to)
+        if chain is None:
+            return place, sum(e for e in ex if e > 0)
+        for k, b in chain:
+            place[k] = b
+        place, _ = descent(place, sets, weights, green, capacity, reach)
+
+
+def _widest_chain(ex: Sequence[int], room: Sequence[int],
+                  on: Sequence[Sequence[int]], weights: Sequence[int],
+                  to: Sequence[tuple[int, ...]]) -> list[tuple[int, int]] | None:
+    """A transfer chain as (avatar, cloudlet it moves to) steps in order,
+    or None: each step moves one avatar from the cloudlet the step before
+    moved one to, along distinct cloudlets c0 -> c1 -> ... -> cL, each
+    avatar one that `on` places on the cloudlet it leaves and reaches the
+    one it enters. c0 has e > 0 and cL has e < 0 and room for one more
+    avatar; every other cloudlet ends at e >= 0, i.e. the avatar leaving
+    c_j weighs at most its budget, e(c0) for c0 and e(c_j) plus the weight
+    that entered otherwise.
+
+    A widest-path (max-budget Dijkstra) search from every cloudlet with
+    e > 0 at once: it settles the cloudlet of largest budget (then lowest
+    index), relaxes through each avatar on it of weight in (0, budget], in
+    ascending order, to each cloudlet it reaches, in ascending index, and
+    returns the first chain that reaches a cloudlet with e < 0 and room.
+    """
+    budget = [e if e > 0 else 0 for e in ex]
+    came: list[tuple[int, int] | None] = [None] * len(ex)  # (from, avatar)
+    settled = [False] * len(ex)
+    heap = [(-b, i) for i, b in enumerate(budget) if b]
+    heapify(heap)
+    while heap:
+        a = heappop(heap)[1]
+        if settled[a]:  # an entry from before its budget rose
+            continue
+        settled[a] = True
+        for k in on[a]:
+            w = weights[k]
+            if not 0 < w <= budget[a]:
+                continue
+            for c in to[k]:
+                if settled[c]:
+                    continue
+                if ex[c] < 0 and room[c]:
+                    chain = [(k, c)]
+                    while came[a] is not None:
+                        before, k = came[a]
+                        chain.append((k, a))
+                        a = before
+                    chain.reverse()
+                    return chain
+                t = ex[c] + w
+                if t > budget[c]:
+                    budget[c], came[c] = t, (a, k)
+                    heappush(heap, (-t, c))
+    return None

@@ -13,7 +13,8 @@ bound, truncated by node budget or relative gap, and returns the best
 incumbent found. A walk still unproven after one dive pauses: a class-flow
 bound (a max flow from avatars grouped by feasible set to the cloudlets'
 green supply) becomes its root bound, and move-and-swap descents from the
-incumbent, then the warm start, improve it while it misses that bound.
+incumbent, then the warm start, then transfer chains toward unused green
+improve it while it misses that bound.
 `brute_force` is an exhaustive oracle for small instances, used to
 validate the search. Neither search recurses, so the number of avatars is
 not limited by the interpreter's stack.
@@ -35,7 +36,7 @@ from itertools import accumulate, product, repeat
 from operator import ge, itemgetter, mul
 
 from .model import Assignment, RunTables, avatar_weights
-from .refine import descent, flow_bound
+from .refine import descent, flow_bound, transfer_chains
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
 _SCALE = 1 << 20
@@ -387,10 +388,12 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     2. A move-and-swap descent (`refine.descent`) runs from the dive's
        incumbent, and, if the flow bound is still missed by more than the
        tolerance, from the seed, unless there is none or it is that incumbent.
-       A result replaces the incumbent only if it is strictly lower, and
-       one within the tolerance of the flow bound is returned
+       If the bound is still missed, transfer chains alternated with the
+       descent (`refine.transfer_chains`) run from the better incumbent.
+       Each result replaces the incumbent only if it is strictly lower,
+       and one within the tolerance of the flow bound is returned
        ("descent").
-    3. Otherwise the walk goes on from where it paused, with the better
+    3. Otherwise the walk goes on from where it paused, with the best
        incumbent, the flow bound as its root bound and the nodes left of
        `node_limit` ("search").
 
@@ -416,11 +419,16 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
         objective and placement it goes on with."""
         nonlocal root_bound, stage
         root_bound = flow_bound(inst.feasible_sets, iw, ig, inst._ascending)
+        fields = (inst.feasible_sets, iw, ig, inst.count_capacity,
+                  inst._ascending)
         for start in (place, None if seed_place is place else seed_place):
             if start is None or obj - root_bound <= tol * obj:
                 break
-            better, better_obj = descent(start, inst.feasible_sets, iw, ig,
-                                         inst.count_capacity, inst._ascending)
+            better, better_obj = descent(start, *fields)
+            if better_obj < obj:
+                place, obj, stage = better, better_obj, "descent"
+        if obj - root_bound > tol * obj:
+            better, better_obj = transfer_chains(place, *fields)
             if better_obj < obj:
                 place, obj, stage = better, better_obj, "descent"
         if obj - root_bound > tol * obj:

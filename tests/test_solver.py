@@ -29,9 +29,10 @@ from gcnsim import (
     solver,
     strategy,
 )
-from gcnsim.refine import descent, flow_bound
-from gcnsim.solver import (_int_bound, _int_objective, _search, _to_units,
-                           _to_watts)
+from gcnsim.refine import (_state, _widest_chain, descent, flow_bound,
+                           transfer_chains)
+from gcnsim.solver import (_int_bound, _int_objective, _search, _take,
+                           _to_units, _to_watts)
 
 from conftest import (from_map, instance_from_loads, line_topology,
                       random_instance)
@@ -694,21 +695,23 @@ class TestAfterTheDive:
     of the walk."""
 
     @staticmethod
-    def _class_instance(rng, power):
+    def _class_instance(rng, power, equal_green=False):
         """Up to 7 avatars in at most 3 classes (avatars sharing a feasible
-        set) on up to 4 cloudlets, with capacities that often bind."""
+        set) on up to 4 cloudlets, with capacities that often bind; with
+        `equal_green`, every cloudlet has the same green supply."""
         n, m = rng.randint(1, 7), rng.randint(1, 4)
         sets = [frozenset(i for i in range(m) if rng.random() < 0.5)
                 or frozenset({rng.randrange(m)}) for _ in range(3)]
         caps = [0] * m
         for _ in range(n + rng.randint(0, 2)):
             caps[rng.randrange(m)] += 1
-        return MilpInstance(
-            weights=tuple(avatar_weights([rng.uniform(10.0, 100.0)
-                                          for _ in range(n)], power)),
-            feasible_sets=tuple(rng.choice(sets) for _ in range(n)),
-            green_power=tuple(rng.uniform(0.0, 80.0) for _ in range(m)),
-            count_capacity=tuple(caps))
+        weights = tuple(avatar_weights([rng.uniform(10.0, 100.0)
+                                        for _ in range(n)], power))
+        fsets = tuple(rng.choice(sets) for _ in range(n))
+        green = ((rng.uniform(0.0, 80.0),) * m if equal_green
+                 else tuple(rng.uniform(0.0, 80.0) for _ in range(m)))
+        return MilpInstance(weights=weights, feasible_sets=fsets,
+                            green_power=green, count_capacity=tuple(caps))
 
     def test_flow_bound_between_aggregate_bound_and_optimum(self, power):
         rng = random.Random(61)
@@ -851,18 +854,121 @@ class TestAfterTheDive:
         assert sol.objective == sol.lower_bound == 0.0
         assert sol.nodes_explored == 4
 
+    def test_chain_proves_what_moves_and_swaps_leave_open(self):
+        # No avatar reaches cloudlet 0, so the flow bound is 12 - 7 = 5 W
+        # against an aggregate bound of 0 W. The dive puts avatar 0 on
+        # cloudlet 3 (1 W over its green) and avatar 1, which cloudlet 3
+        # can no longer host, on the dark cloudlet 1: 7 W. No move or swap
+        # improves that, but a chain does: avatar 1 moves from cloudlet 1 to
+        # 3, which is then 7 W over its green, and avatar 0 leaves 3 for the
+        # 2 W of cloudlet 2.
+        inst = MilpInstance(weights=(6.0, 6.0),
+                            feasible_sets=(frozenset({1, 2, 3}),
+                                           frozenset({1, 3})),
+                            green_power=(8.0, 0.0, 2.0, 5.0),
+                            count_capacity=(2, 1, 1, 1))
+        assert aggregate_bound(inst, {}) == 0.0
+        assert _flow_bound(inst) == _to_units(5.0)
+        dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1))
+        assert dive.assignment.placement == {0: 3, 1: 1}
+        assert dive.objective == 7.0
+        assert _descent(inst, [3, 1]) == ([3, 1], _to_units(7.0))
+        ex, room, on = _state([3, 1], inst._iw, inst._ig, inst.count_capacity)
+        assert _widest_chain(ex, room, on, inst._iw,
+                             [(1, 2, 3), (1, 3)]) == [(1, 3), (0, 2)]
+        sol = solve(inst)
+        assert sol.stage == "descent" and sol.proven_optimal
+        assert sol.assignment.placement == {0: 2, 1: 3}
+        assert sol.objective == sol.lower_bound == 5.0
+        assert sol.objective == brute_force(inst).objective
+        assert sol.nodes_explored == 4  # the dive's 3 nodes and one more
+
+    def test_chain_lowers_unused_green_only_where_it_ends(self, power):
+        # Random placements that fill every cloudlet but one, which has room
+        # for one more avatar, and each avatar reaching two cloudlets. Every
+        # chain found leaves, at each step, the cloudlet the step before
+        # entered, along distinct cloudlets, within reach and capacity; no
+        # cloudlet's unused green rises, and the end's falls.
+        rng = random.Random(83)
+        found, longest = 0, []
+        for _ in range(300):
+            n, m = rng.randint(2, 20), rng.randint(2, 6)
+            sets = [frozenset(rng.sample(range(m), 2)) for _ in range(4)]
+            weights = avatar_weights([rng.uniform(10.0, 100.0)
+                                      for _ in range(n)], power)
+            fsets = [rng.choice(sets) for _ in range(n)]
+            place = [rng.choice(sorted(fs)) for fs in fsets]
+            caps = [place.count(i) for i in range(m)]
+            caps[rng.randrange(m)] += 1
+            inst = MilpInstance(
+                weights=weights, feasible_sets=fsets,
+                green_power=[rng.uniform(0.0, 2 * sum(weights) / m)
+                             for _ in range(m)],
+                count_capacity=caps)
+            ex, room, on = _state(place, inst._iw, inst._ig, caps)
+            chain = _widest_chain(ex, room, on, inst._iw,
+                                  _take(inst._ascending, inst.feasible_sets))
+            if chain is None:
+                continue
+            found += 1
+            longest.append(len(chain))
+            left = [place[k] for k, _ in chain]
+            entered = [i for _, i in chain]
+            assert left[1:] == entered[:-1]
+            assert len(set(left + entered)) == len(chain) + 1
+            for k, i in chain:
+                assert i in inst.feasible_sets[k]
+                place[k] = i
+            inst.check_assignment(Assignment(inst.avatar_ids, place))
+            after = _state(place, inst._iw, inst._ig, caps)[0]
+            for i, (e0, e1) in enumerate(zip(ex, after)):
+                unused0, unused1 = max(0, -e0), max(0, -e1)
+                assert (unused1 < unused0 if i == entered[-1]
+                        else unused1 <= unused0)
+            assert _int_objective(place, inst._iw, inst._ig) < sum(
+                e for e in ex if e > 0)
+        assert found > 50 and sum(k > 1 for k in longest) > 5
+
+    @pytest.mark.parametrize("world_seed, slot, objective",
+                             [(1001, 40, 40.111), (2001, 59, 42.325)])
+    def test_tight_sla_walks_proven_by_a_chain(self, bell_trace, monkeypatch,
+                                               world_seed, slot, objective):
+        # Two 7 ms-SLA solves that moves and swaps leave unproven, and that
+        # the walk after them does not prove in 100k nodes: transfer chains
+        # reach their class-flow bound.
+        solutions = []
+        solve_first = strategy.solve
+
+        def recording_solve(inst, config=None):
+            solutions.append(solve_first(inst, config))
+            return solutions[-1]
+
+        monkeypatch.setattr(strategy, "solve", recording_solve)
+        delay = replace(default_delay_params(), sla_max_delay=7.0)
+        run(ScenarioConfig(ue_count=300, rng_seed=world_seed), "gear",
+            bell_trace, delay=delay)
+        sol = solutions[slot]
+        assert sol.stage == "descent" and sol.proven_optimal
+        assert sol.objective == sol.lower_bound
+        assert round(sol.objective, 3) == objective
+
     def test_never_above_the_plain_walk(self, power, monkeypatch):
         # On random instances whose walk pauses, solve's answer is never
         # above the walk's without the pause at the same budget, and every
-        # answer it calls optimal is the brute-force optimum.
-        paused = []
+        # answer it calls optimal is the brute-force optimum: 400 instances
+        # with green supply drawn per cloudlet, then 400 with one supply
+        # shared by every cloudlet.
+        paused, chained = [], []
         monkeypatch.setattr(solver, "flow_bound",
                             lambda *args: paused.append(args)
                             or flow_bound(*args))
+        monkeypatch.setattr(solver, "transfer_chains",
+                            lambda *args: chained.append(args)
+                            or transfer_chains(*args))
         rng = random.Random(79)
         checked = better = 0
-        while checked < 400:
-            inst = self._class_instance(rng, power)
+        while checked < 800:
+            inst = self._class_instance(rng, power, equal_green=checked >= 400)
             seed = (TestSolve._greedy_seed(inst, rng) if rng.random() < 0.5
                     else None)
             config = SolverConfig(node_limit=rng.choice([10, 20, 100_000]),
@@ -885,7 +991,8 @@ class TestAfterTheDive:
             better += _to_units(sol.objective) < plain
             if sol.proven_optimal:
                 assert sol.objective == brute_force(inst).objective
-        assert better > 10
+        assert better > 20
+        assert len(chained) > 200  # both descents missed the flow bound
 
     # Captured from the code before `solve` gained its steps after the
     # first dive: a budget of at most n + 1 nodes must not reach them.
