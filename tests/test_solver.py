@@ -890,7 +890,7 @@ class TestAfterTheDive:
         # entered, along distinct cloudlets, within reach and capacity; no
         # cloudlet's unused green rises, and the end's falls.
         rng = random.Random(83)
-        found, longest = 0, []
+        lengths = []
         for _ in range(300):
             n, m = rng.randint(2, 20), rng.randint(2, 6)
             sets = [frozenset(rng.sample(range(m), 2)) for _ in range(4)]
@@ -910,8 +910,7 @@ class TestAfterTheDive:
                                   _take(inst._ascending, inst.feasible_sets))
             if chain is None:
                 continue
-            found += 1
-            longest.append(len(chain))
+            lengths.append(len(chain))
             left = [place[k] for k, _ in chain]
             entered = [i for _, i in chain]
             assert left[1:] == entered[:-1]
@@ -927,7 +926,7 @@ class TestAfterTheDive:
                         else unused1 <= unused0)
             assert _int_objective(place, inst._iw, inst._ig) < sum(
                 e for e in ex if e > 0)
-        assert found > 50 and sum(k > 1 for k in longest) > 5
+        assert len(lengths) > 50 and sum(k > 1 for k in lengths) > 5
 
     @pytest.mark.parametrize("world_seed, slot, objective",
                              [(1001, 40, 40.111), (2001, 59, 42.325)])
