@@ -371,13 +371,11 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     nodes. It branches on the heaviest unplaced avatar; children are its
     feasible cloudlets with room, in order of residual green supply, with
     sibling bounds and order worked out lazily (README, "Library use").
-    Avatars with identical weight and feasible set are forced onto
-    non-decreasing cloudlets. Without a seed the budget binds only once a
-    complete placement exists. A walk that returns without the pause below
-    says "dive": it found a proof or exhausted the tree within its first
-    n + 1 nodes for n avatars (one root-to-leaf path), or its budget ran
-    out there (a `node_limit` of at most n + 1, or no incumbent before
-    `node_limit` nodes).
+    Without a seed the budget binds only once a complete placement exists.
+    A walk that returns without the pause below says "dive": it found a
+    proof or exhausted the tree within its first n + 1 nodes for n avatars
+    (one root-to-leaf path), or its budget ran out there (a `node_limit`
+    of at most n + 1, or no incumbent before `node_limit` nodes).
 
     A walk still going after those n + 1 nodes, with an incumbent and
     budget left, pauses once there:
@@ -490,32 +488,20 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
     wr = list(accumulate(reversed(wd), initial=0))
     wr.pop()
     wr.reverse()
-    # Each depth's feasible cloudlets, ascending. Avatars with identical
-    # weight and feasible set are interchangeable, so an avatar's cloudlet
-    # may not be below that of the previous one in branch order, at depth
-    # up[d]; up[d] is n when there is none, and ent[n] stays 0.
-    sets = _take(inst.feasible_sets, order)
-    fsd = _take(inst._ascending, sets)
-    up = [n] * n
-    if len(set(wd)) < n:  # only equal weights can be interchangeable
-        last: dict[tuple[int, frozenset[int]], int] = {}
-        for d, key in enumerate(zip(wd, sets)):
-            up[d] = last.get(key, n)
-            last[key] = d
+    # each depth's feasible cloudlets, ascending
+    fsd = _take(inst._ascending, _take(inst.feasible_sets, order))
 
     place = [0] * n            # cloudlet per instance position, on the path
     ex = [-g for g in ig]      # load - green per cloudlet
     room = list(inst.count_capacity)
     has_room, excess = room.__getitem__, ex.__getitem__
-    # The open nodes, one per depth on the path: the child entered, the
-    # node's deficit and slack, its candidate cloudlets, and an iterator
-    # over its children not yet tried, built only when the walk first
-    # comes back to the node.
-    ent = [0] * (n + 1)
+    # The open nodes, one per depth on the path: the node's deficit and
+    # slack, and an iterator over its children not yet tried, built only
+    # when the walk first comes back to the node. The child entered is
+    # place[order[d]].
     dd = [0] * n
     ss = [0] * n
     pend: list = [None] * n
-    cand: list = [None] * n
     nodes = 0
     d, deficit, slack = 0, 0, sum(ig)
     while True:
@@ -542,14 +528,9 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
                     return best_obj, best_place, nodes, True, True
             dd[d], ss[d], pend[d] = deficit, slack, None
             # its first child: least (load - green, index) among the
-            # feasible cloudlets with room at or above the symmetry floor
-            fs = fsd[d]
-            floor = ent[up[d]]
-            if floor:
-                fs = fs[fs.index(floor):]
-            cand[d] = fs
+            # feasible cloudlets with room
             i = -1
-            for c in fs:
+            for c in fsd[d]:
                 if room[c]:
                     e = ex[c]
                     if i < 0 or e < e_min:
@@ -570,7 +551,6 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
                     slack -= e
                 spill = wr[d] - slack
                 if best_obj is None or deficit + (spill if spill > 0 else 0) < best_obj:
-                    ent[d] = i
                     place[order[d]] = i
                     ex[i] = e
                     room[i] -= 1
@@ -581,14 +561,14 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
             if not d:
                 return best_obj, best_place, nodes, False, False
             d -= 1
-            i = ent[d]
+            i = place[order[d]]
             ex[i] -= wd[d]
             room[i] += 1
             pending = pend[d]
             if pending is None:
                 # The node is back in its entry state, so its children in
                 # (load - green, index) order start with the one just left.
-                pending = pend[d] = iter(sorted(filter(has_room, cand[d]),
+                pending = pend[d] = iter(sorted(filter(has_room, fsd[d]),
                                                 key=excess))
                 next(pending)
             i = next(pending, -1)

@@ -1,19 +1,17 @@
 """Byte-identity gate: the CLI's CSV outputs at the default config, and a
 library day on which the solver has to search.
 
-The `run` and `sweep-kappa` digests were captured from the code before the
-closed-form power model, the shared reachability table and the shared greedy
-replaced their earlier implementations; the default GEAR day's solver
-evidence from the code before the search bounded siblings lazily; the
-world-stream digests from the code before the world was drawn by one
-columnar slot kernel. The `sweep-ues` digest and both searching days' GEAR
-digests were captured from the code whose pause after the first dive takes
-the class-flow bound as its root bound and descends from the dive's
-incumbent and then from the seed, wherever the incumbent misses that bound.
-That proves and improves solves the dive leaves unproven, the 300-UE
-`sweep-ues` point's included, so GEAR's placements there changed on
-purpose and no slot's linearized energy rose. FAR's digest on the searching
-day did not move.
+The `run` and `sweep-kappa` digests pin the outputs of the closed-form
+power model, the shared reachability table and the shared greedy; the
+default GEAR day's solver evidence pins the nodes of a search that bounds
+siblings lazily, the same nodes an eager sibling sort visits; the
+world-stream digests pin the columnar slot kernel's draw. The `sweep-ues`
+digest and both searching days' GEAR digests pin the pause after the first
+dive, which takes the class-flow bound as its root bound and descends from
+the dive's incumbent and then from the seed, wherever the incumbent misses
+that bound. That proves and improves solves the dive leaves unproven, the
+300-UE `sweep-ues` point's included, and it raises no slot's linearized
+energy. FAR's digest on the searching day does not depend on it.
 A change that is meant to alter outputs must name that change and re-pin
 these digests; any other change must leave them alone.
 """
@@ -64,10 +62,10 @@ def test_output_digest_matches_golden(outputs, command, name):
 # A 7 ms SLA leaves most avatars few cloudlets, so GEAR searches instead of
 # diving once; 5 of its 48 solves are still unproven after their first dive:
 # the class-flow bound proves one incumbent optimal and the descent reaches
-# that bound in the other 4, each from the dive's incumbent. One of them,
-# whose flow bound equals the aggregate bound, used to skip the descent and
-# walk on to the node limit; GEAR's linearized energy falls by 14.1 Wh in
-# that one slot.
+# that bound in the other 4, each from the dive's incumbent. One of them
+# has a flow bound equal to the aggregate bound; without the descent its
+# walk would go on to the node limit, and the descent lowers GEAR's
+# linearized energy in that slot by 14.1 Wh.
 SEARCHING_DAY = {
     "slots-far.csv":
         "fa9cec8979dab30f5a3d1e6d62b1b97906b73c9d9395ca3cb615db1518dfc4c0",
@@ -123,8 +121,8 @@ def test_searching_day_matches_golden(tmp_path, monkeypatch):
 
 # The same day with a fifth of the default node budget and a 5% gap
 # tolerance: most solves stop on the gap at the root, and the descent proves
-# all 4 still unproven after their first dive, the one whose walk used to
-# run on to the node limit included (14.1 Wh lower in that slot).
+# all 4 still unproven after their first dive, the one whose flow bound
+# equals the aggregate bound included (14.1 Wh lower in that slot).
 GAP_STOP_DAY = {
     "slots-gear.csv":
         "dca9ae147d11243ff067522cb04dcdbfc49928fc07fbc55e9fbc3cd17c9234d6",

@@ -566,22 +566,23 @@ class TestVisitOrder:
     came first, `nodes_explored` on every node entered, and the bound, gap
     and proof flag on where a budget or gap test stopped it. The digest
     hashes `Solution.stage` too, over enough cases that every stage occurs.
-    It was captured from the code whose pause after the first dive always
-    takes the class-flow bound as its root bound and descends from the
-    dive's incumbent and then from the seed. Against the code that paused
-    without descending where that bound equals the aggregate bound, the
-    1,022 feasible cases differ in 10, each a walk that paused; the 937
-    that do not pause give the same `Solution`. A change to the walk that
-    is meant to visit the same nodes must leave it alone.
+    It pins a walk that tries every feasible cloudlet with room at each
+    node, also for interchangeable avatars (equal fixed-point weight and
+    the same feasible set). A walk that forces those onto non-decreasing
+    cloudlets gives another `Solution` in 149 of the 1,022 feasible cases,
+    each with interchangeable avatars: against it this walk's objective is
+    lower in 6 and higher in 1, and 4 proofs are lost. A change to the walk
+    that is meant to visit the same nodes must leave it alone.
     """
 
-    DIGEST = "5e4053f753dbc20dd0bbf59fdcb841b630800ba34f851e8df739485b4c177ff2"
+    DIGEST = "01cc64e8328044ebaf77572179595930e887fcf1518c6fd5fd17309491ebaec4"
 
     @staticmethod
     def _case(rng, power):
         n = rng.randint(1, 10)
         m = rng.randint(1, 5)
-        # few distinct weights and sets: repeats form symmetry groups
+        # few distinct weights and sets, so avatars are often
+        # interchangeable
         pool = avatar_weights([rng.uniform(10.0, 100.0)
                                for _ in range(rng.randint(1, n))], power)
         sets = [frozenset(i for i in range(m) if rng.random() < 0.6)
@@ -993,10 +994,15 @@ class TestAfterTheDive:
         assert better > 20
         assert len(chained) > 200  # both descents missed the flow bound
 
-    # Captured from the code before `solve` gained its steps after the
-    # first dive: a budget of at most n + 1 nodes must not reach them.
+    # A budget of at most n + 1 nodes never reaches the steps after the
+    # first dive, so these solves are the dive alone. The digest pins a
+    # dive that tries every cloudlet for interchangeable avatars too; one
+    # that forces them onto non-decreasing cloudlets gives another
+    # `Solution` in 23 of the 215 feasible cases, each with interchangeable
+    # avatars: against it this dive's objective is lower in 1 and 1 proof
+    # is lost.
     SHORT_BUDGET_DIGEST = (
-        "e402cba20d4723f84454a6f81ce12fa906bbdf7b19b1bdb4f4234376dcebd826")
+        "7d0b0b153b8494356999d42e06f70f8fb9db35d366e2d2187858efef6998d2ed")
 
     def test_budget_within_the_first_dive_solves_as_before(self, power):
         rng = random.Random(71)
@@ -1038,6 +1044,27 @@ class TestAfterTheDive:
         assert "descent" in stages  # the steps after the dive did run
         for f, g in zip(far.slots, gear.slots):
             assert g.ongrid_approx_wh <= f.ongrid_approx_wh
+
+    def test_every_solve_proven_on_an_equal_cpu_world(self, bell_trace,
+                                                      monkeypatch):
+        # Equal CPU figures make many avatars interchangeable. Slot 40 is
+        # the first of this world's slots whose solve a dive that forced
+        # interchangeable avatars onto non-decreasing cloudlets walks to
+        # the node limit unproven; the walk that tries every cloudlet
+        # proves all 41.
+        proven = []
+        solve_first = strategy.solve
+
+        def recording_solve(inst, config=None):
+            sol = solve_first(inst, config)
+            proven.append(sol.proven_optimal)
+            return sol
+
+        monkeypatch.setattr(strategy, "solve", recording_solve)
+        config = ScenarioConfig(ue_count=300, cpu_range=(50.0, 50.0),
+                                rng_seed=1, slot_count=41)
+        run(config, "gear", bell_trace, SolverConfig(node_limit=100_000))
+        assert len(proven) == 41 and all(proven)
 
 
 class TestBruteForce:
