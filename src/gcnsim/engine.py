@@ -23,7 +23,8 @@ computes each cloudlet's green supply, hands the resulting columnar state
 to the chosen strategy, and accounts energy under
 both power models (exact server-counting and the linearized per-avatar
 form the optimizer uses), so the cost of the linearization stays visible
-in the output.
+in the output. The accounting also counts the slot's migrations against
+the previous placement; strategies only place.
 
 Strategies see the exact next-slot loads and green supply rather than
 forecasts. This is deliberate: it isolates the quality of the migration
@@ -35,9 +36,12 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import ne
 
 from .model import (
+    Assignment,
     DelayParams,
     PowerParams,
     avatar_weights,
@@ -155,10 +159,22 @@ class World:
             self._ues = self._rng = None  # fully drawn; only the record is read
 
 
+def _count_migrations(place: Sequence[int], prev: Assignment,
+                      ids: Sequence[int]) -> int:
+    """Avatars of `ids` whose cloudlet in `place` differs from `prev`'s;
+    one that `prev` does not place counts as moved."""
+    try:
+        before = prev.cloudlets(ids)
+    except KeyError:
+        before = map(prev.placement.get, ids)
+    return sum(map(ne, place, before))
+
+
 def compute_slot_metrics(slot: int, state: SlotState,
                          outcome: StrategyOutcome) -> SlotMetrics:
     """Account one slot's assignment under both power models, in one pass
-    over the slot's columns in ascending avatar id."""
+    over the slot's columns in ascending avatar id, and count the avatars
+    it moves from the state's previous placement."""
     power, delay, table = state.power, state.delay, state.tables.delay_ms
     n_cloudlets = len(table)
     cpus = state.cpu
@@ -186,7 +202,7 @@ def compute_slot_metrics(slot: int, state: SlotState,
         green=tuple(state.green_power),
         ongrid_exact_wh=ongrid_exact,
         ongrid_approx_wh=ongrid_approx,
-        migrations=outcome.migrations,
+        migrations=_count_migrations(place, state.prev_assignment, state.ids),
         max_delay_ms=max(delays, default=0.0),
         sla_violations=sum(1 for d in delays if d > delay.sla_max_delay),
     )

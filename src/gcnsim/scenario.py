@@ -51,7 +51,6 @@ class ScenarioConfig:
     dest_mean: float = 4.0
     dest_stddev: float = 1.4
     cpu_range: tuple[float, float] = (10.0, 100.0)
-    kernel_cpu: float = 10.0
     panel_area: float = 5.0
     panel_efficiency: float = 0.46
     kappa: float = 0.0
@@ -77,8 +76,6 @@ class ScenarioConfig:
             raise ValueError("kappa must be in [0, 1]")
         if not (0 <= self.cpu_range[0] and self.cpu_range[1] <= 100):
             raise ValueError("cpu_range must lie within [0, 100]")
-        if self.kernel_cpu > self.cpu_range[0]:
-            raise ValueError("kernel_cpu cannot exceed the CPU range floor")
         x0, y0, x1, y1 = self.urban_region
         if x0 > x1 or y0 > y1:
             raise ValueError("urban_region must be an ordered rectangle")

@@ -200,11 +200,6 @@ class MilpInstance:
                 raise ValueError(f"cloudlet {i} over capacity in assignment")
         return place
 
-    def ongrid_power(self, assignment: Assignment) -> float:
-        """Linearized on-grid power (W) of a complete assignment in float
-        watts: the float half of `score` of its index form."""
-        return self.score(assignment.cloudlets(self.avatar_ids))[0]
-
     def score(self, place: Sequence[int]) -> tuple[float, int]:
         """On-grid power of an index-form placement (a cloudlet per
         instance position) from one pass over it, in float watts and in

@@ -13,7 +13,8 @@ Both strategies map one slot's state to a complete assignment:
   exceed either.
 
 Strategies are deterministic functions of their inputs; they draw no
-randomness and keep no state between slots.
+randomness and keep no state between slots. They only place: the engine's
+accounting counts the migrations a placement makes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from operator import ne
 
 from .model import (
     Assignment,
@@ -109,19 +109,7 @@ class StrategyOutcome:
     """A strategy's decision for one slot."""
 
     assignment: Assignment
-    migrations: int
     solver_stats: Solution | None = None
-
-
-def _count_migrations(place: Sequence[int], prev: Assignment,
-                      ids: Sequence[int]) -> int:
-    """Avatars of `ids` whose cloudlet in `place` differs from `prev`'s;
-    one that `prev` does not place counts as moved."""
-    try:
-        before = prev.cloudlets(ids)
-    except KeyError:
-        before = map(prev.placement.get, ids)
-    return sum(map(ne, place, before))
 
 
 def far_placement(ids: Sequence[int], enbs: Sequence[int],
@@ -165,14 +153,9 @@ def far_placement(ids: Sequence[int], enbs: Sequence[int],
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id.
 
-    Its placement is made over the state's ids, so GEAR's checks, the
-    accounting and the migration count read its `place` as it is."""
-    assignment = far_placement(state.ids, state.enb, state.tables)
-    return StrategyOutcome(
-        assignment=assignment,
-        migrations=_count_migrations(assignment.place, state.prev_assignment,
-                                     state.ids),
-    )
+    Its placement is made over the state's ids, so GEAR's checks and the
+    accounting read its `place` as it is."""
+    return StrategyOutcome(far_placement(state.ids, state.enb, state.tables))
 
 
 def gear_assign(state: SlotState, config: SolverConfig | None = None) -> StrategyOutcome:
@@ -191,8 +174,8 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     in index form; `solve` reuses that check and that fixed-point score for
     its seed. FAR's placement is checked like any other, although the
     greedy built it within reach and capacity. The solver's own placement
-    is feasible by construction and is only scored. Migrations are counted
-    on index forms, and a chosen FAR placement keeps FAR's count.
+    is feasible by construction, is made over the instance's ids, and is
+    only scored, on its `place`.
 
     When FAR's greedy finds no room for some avatar, a still-feasible
     previous placement is the warm start; failing that the solver runs
@@ -203,13 +186,10 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     inst = build_instance(state.ids, state.cpu, state.enb, state.green_power,
                           state.tables)
     try:
-        far: StrategyOutcome | None = far_assign(state)
+        warm = far_assign(state).assignment
     except Infeasible:
-        far = None  # the greedy can fail where a placement exists
-    warm, warm_power = None, math.inf
-    if far is not None:
-        warm = far.assignment
-        warm_power = inst.evaluate(warm)[1]
+        warm = None  # the greedy can fail where a placement exists
+    warm_power = math.inf if warm is None else inst.evaluate(warm)[1]
     prev = state.prev_assignment
     try:
         prev_power = inst.evaluate(prev)[1]
@@ -223,12 +203,7 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
 
     chosen = warm
     # the solver returns the seed object itself when nothing beat it
-    if sol.assignment is not warm and inst.ongrid_power(sol.assignment) < warm_power:
+    if (sol.assignment is not warm
+            and inst.score(sol.assignment.place)[0] < warm_power):
         chosen = sol.assignment
-    return StrategyOutcome(
-        assignment=chosen,
-        migrations=(far.migrations if far is not None and chosen is far.assignment
-                    else _count_migrations(chosen.cloudlets(state.ids), prev,
-                                           state.ids)),
-        solver_stats=sol,
-    )
+    return StrategyOutcome(chosen, sol)

@@ -21,7 +21,7 @@ from gcnsim import (
 )
 from gcnsim import engine, model, solver, strategy
 from gcnsim.solver import Infeasible
-from gcnsim.strategy import SlotState, StrategyOutcome
+from gcnsim.strategy import SlotState, StrategyOutcome, far_assign
 
 from conftest import from_map, line_topology
 
@@ -43,7 +43,7 @@ class TestSlotMetrics:
     def test_seventeen_avatars_both_models(self, power, delay):
         loads = [AvatarLoad(k, 10.0, 0) for k in range(17)]
         state = single_site_state(loads, 0.0, power, delay)
-        outcome = StrategyOutcome(assignment=state.prev_assignment, migrations=0)
+        outcome = StrategyOutcome(state.prev_assignment)
         metrics = compute_slot_metrics(3, state, outcome)
         # two active servers: 199.1 W * 0.25 h; linearized: 124.1 W * 0.25 h
         assert metrics.ongrid_exact_wh == pytest.approx(49.775, rel=1e-12)
@@ -51,14 +51,32 @@ class TestSlotMetrics:
         assert metrics.slot == 3
         assert metrics.max_delay_ms == 0.0
         assert metrics.sla_violations == 0
+        assert metrics.migrations == 0
 
     def test_green_surplus_no_ongrid(self, power, delay):
         loads = [AvatarLoad(0, 10.0, 0)]
         state = single_site_state(loads, 1000.0, power, delay)
-        outcome = StrategyOutcome(assignment=state.prev_assignment, migrations=0)
+        outcome = StrategyOutcome(state.prev_assignment)
         metrics = compute_slot_metrics(0, state, outcome)
         assert metrics.ongrid_exact_wh == 0.0
         assert metrics.ongrid_approx_wh == 0.0
+
+    def test_migrations_counted_against_previous(self, grid_topo, power,
+                                                 delay):
+        specs = tuple(CloudletSpec(server_count=2)
+                      for _ in range(grid_topo.site_count))
+        loads = [AvatarLoad(0, 50.0, 5), AvatarLoad(1, 50.0, 6)]
+
+        def moved(prev):
+            state = SlotState.from_loads(loads, (0.0,) * 16, prev, grid_topo,
+                                         specs, power, delay)
+            outcome = far_assign(state)
+            assert outcome.assignment.placement == {0: 5, 1: 6}
+            return compute_slot_metrics(0, state, outcome).migrations
+        assert moved(from_map({0: 5, 1: 2})) == 1
+        # an avatar the previous placement does not place counts as moved
+        assert moved(from_map({0: 5})) == 1
+        assert moved(from_map({})) == 2
 
 
 class TestRun:

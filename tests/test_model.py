@@ -34,7 +34,7 @@ def account(cpus, power, placement=None, n_cloudlets=1):
         topo=line_topology(1.0, n_cloudlets),
         specs=(CloudletSpec(server_count=1),) * n_cloudlets,
         power=power, delay=default_delay_params())
-    return compute_slot_metrics(0, state, StrategyOutcome(placement, 0))
+    return compute_slot_metrics(0, state, StrategyOutcome(placement))
 
 
 class TestServerCounting:

@@ -388,7 +388,6 @@ class TestConfigFile:
             "dest_mean = 3.0\n"
             "dest_stddev = 1.1\n"
             "cpu_range = 20,90\n"
-            "kernel_cpu = 10\n"
             "panel_area = 4.0\n"
             "panel_efficiency = 0.4\n"
             "kappa = 0.25\n"
@@ -399,8 +398,8 @@ class TestConfigFile:
         assert cfg == ScenarioConfig(
             grid_dim=3, area_side=6.0, ue_count=42, slot_count=8,
             capacity_range=(5, 7), speed_range=(1.0, 2.0), dest_mean=3.0,
-            dest_stddev=1.1, cpu_range=(20.0, 90.0), kernel_cpu=10.0,
-            panel_area=4.0, panel_efficiency=0.4, kappa=0.25,
+            dest_stddev=1.1, cpu_range=(20.0, 90.0), panel_area=4.0,
+            panel_efficiency=0.4, kappa=0.25,
             urban_region=(1.0, 1.0, 5.0, 5.0), rng_seed=99)
 
     def test_empty_file_keeps_defaults(self, tmp_path):
@@ -435,7 +434,7 @@ class TestConfigValidation:
         {"kappa": -0.1},
         {"capacity_range": (5, 3)},
         {"cpu_range": (5.0, 120.0)},
-        {"kernel_cpu": 50.0},  # above the cpu floor
+        {"area_side": 0.0},
         {"urban_region": (5.0, 0.0, 1.0, 8.0)},
     ])
     def test_rejects(self, kwargs):

@@ -69,30 +69,6 @@ class TestBuildInstance:
         assert sol.assignment.placement == {}
         assert sol.proven_optimal
 
-    def test_empty_feasible_set_rejected(self):
-        with pytest.raises(InfeasibleAvatar) as err:
-            MilpInstance(weights=(10.0,), feasible_sets=(frozenset(),),
-                         green_power=(0.0,), count_capacity=(5,),
-                         avatar_ids=(42,))
-        assert err.value.avatar_id == 42
-
-    def test_first_avatar_with_empty_set_named(self):
-        ok, empty = frozenset({0}), frozenset()
-        with pytest.raises(InfeasibleAvatar) as err:
-            MilpInstance(weights=(1.0,) * 4,
-                         feasible_sets=(ok, empty, ok, empty),
-                         green_power=(0.0,), count_capacity=(5,),
-                         avatar_ids=(7, 8, 9, 10))
-        assert err.value.avatar_id == 8
-
-    @pytest.mark.parametrize("ids", [(3, 3), (4, 2)])
-    def test_avatar_ids_must_strictly_ascend(self, ids):
-        with pytest.raises(ValueError, match="strictly ascend"):
-            MilpInstance(weights=(1.0, 1.0),
-                         feasible_sets=(frozenset({0}),) * 2,
-                         green_power=(0.0,), count_capacity=(5,),
-                         avatar_ids=ids)
-
     def test_loads_taken_in_ascending_avatar_id(self, power, delay):
         topo = line_topology(2.0, 2)
         specs = [CloudletSpec(server_count=1)] * 2
@@ -115,13 +91,6 @@ class TestBuildInstance:
         assert inst.feasible_sets == (shared,) * 3
         assert inst.feasible_sets[0] is shared
         assert all(type(fs) is frozenset for fs in inst.feasible_sets)
-
-    def test_capacity_shortfall_rejected(self, power, delay):
-        topo = line_topology(2.0, 2)
-        specs = [CloudletSpec(server_count=1)] * 2
-        loads = [AvatarLoad(k, 50.0, 0) for k in range(65)]  # cap is 2*16=32
-        with pytest.raises(InsufficientCapacity):
-            instance_from_loads(loads, specs, [0.0, 0.0], topo, power, delay)
 
     def test_fixed_point_is_round_half_even_of_scaled_watts(self):
         # k / 2**21 for odd k lies exactly halfway between two units

@@ -51,6 +51,11 @@ def instance_of(state):
                           list(state.green_power), state.tables)
 
 
+def power_of(inst, assignment):
+    """GEAR's float score of a complete assignment."""
+    return inst.score(assignment.cloudlets(inst.avatar_ids))[0]
+
+
 def zero_green(topo):
     return [0.0] * topo.site_count
 
@@ -235,13 +240,6 @@ class TestFar:
             "eNB 0, whose in-range cloudlets (nearest first)  are all full; "
             "this does not prove that no placement exists")
 
-    def test_migrations_counted_against_previous(self, grid_topo, state_factory):
-        loads = [AvatarLoad(0, 50.0, 5), AvatarLoad(1, 50.0, 6)]
-        prev = from_map({0: 5, 1: 2})
-        outcome = far_assign(state_factory(loads, zero_green(grid_topo), prev=prev))
-        assert outcome.assignment.placement == {0: 5, 1: 6}
-        assert outcome.migrations == 1
-
 
 class TestGear:
     def test_zero_green_returns_far_placement(self, grid_topo, state_factory):
@@ -280,8 +278,8 @@ class TestGear:
             far = far_assign(state)
             gear = gear_assign(state, SolverConfig(node_limit=2000))
             inst = instance_of(state)
-            assert (inst.ongrid_power(gear.assignment)
-                    <= inst.ongrid_power(far.assignment))
+            assert (power_of(inst, gear.assignment)
+                    <= power_of(inst, far.assignment))
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_scorer_is_the_engines_linearized_accounting(
@@ -297,7 +295,7 @@ class TestGear:
             for outcome in (far_assign(state),
                             gear_assign(state, SolverConfig(node_limit=2000))):
                 metrics = compute_slot_metrics(0, state, outcome)
-                assert (instance_of(state).ongrid_power(outcome.assignment)
+                assert (power_of(instance_of(state), outcome.assignment)
                         * state.delay.slot_length == metrics.ongrid_approx_wh)
 
     @pytest.mark.parametrize("strategy", ["far", "gear"])
@@ -320,7 +318,6 @@ class TestGear:
             inst = instance_of(state)
             place = outcome.assignment.cloudlets(state.ids)
             power, units = inst.score(place)
-            assert power == inst.ongrid_power(outcome.assignment)
             assert power == (metrics.ongrid_approx_wh
                              / state.delay.slot_length)
             assert units == _int_objective(place, inst._iw, inst._ig)
@@ -383,7 +380,8 @@ class TestGear:
         first = gear_assign(state)
         second = gear_assign(state)
         assert first.assignment == second.assignment
-        assert first.migrations == second.migrations
+        assert (compute_slot_metrics(0, state, first)
+                == compute_slot_metrics(0, state, second))
 
     def test_feasible_previous_placement_can_win_the_warm_start(
             self, grid_topo, state_factory):
@@ -396,7 +394,23 @@ class TestGear:
         state = state_factory(loads, green, prev=prev)
         gear = gear_assign(state)
         assert gear.assignment.placement == {0: 6}
-        assert gear.migrations == 0
+        assert compute_slot_metrics(0, state, gear).migrations == 0
+
+    def test_static_day_keeps_the_previous_placement(self, bell_trace,
+                                                     monkeypatch):
+        # The traffic the previous-placement warm start serves: with UEs
+        # that never move, it fits every slot, and on this day GEAR returns
+        # it itself, unbeaten by FAR and the solver, at slots 38 and 39.
+        decide, kept = engine.gear_assign, []
+
+        def recorded(state, config=None):
+            outcome = decide(state, config)
+            kept.append(outcome.assignment is state.prev_assignment)
+            return outcome
+        monkeypatch.setattr(engine, "gear_assign", recorded)
+        run(ScenarioConfig(ue_count=200, slot_count=48, rng_seed=1,
+                           speed_range=(0.0, 0.0)), "gear", bell_trace)
+        assert [t for t, k in enumerate(kept) if k] == [38, 39]
 
     def test_infeasible_previous_placement_is_discarded(
             self, grid_topo, state_factory):
@@ -406,7 +420,7 @@ class TestGear:
         state = state_factory(loads, zero_green(grid_topo), prev=prev)
         gear = gear_assign(state)
         assert gear.assignment.placement == {0: 0}
-        assert gear.migrations == 1
+        assert compute_slot_metrics(0, state, gear).migrations == 1
 
     def test_far_failure_warm_starts_from_feasible_previous(
             self, grid_topo, delay):
@@ -425,7 +439,7 @@ class TestGear:
             far_assign(state)
         gear = gear_assign(state)
         assert gear.assignment == prev
-        assert gear.migrations == 0
+        assert compute_slot_metrics(0, state, gear).migrations == 0
 
     def test_far_failure_without_previous_solves_unseeded(
             self, grid_topo, delay):
