@@ -45,7 +45,6 @@ from .model import (
     DelayParams,
     PowerParams,
     avatar_weights,
-    cloudlet_loads,
     cloudlet_power_exact,
     default_delay_params,
     default_power_params,
@@ -110,8 +109,10 @@ class World:
     over every UE's columns, and records the kernel's arrays as they are;
     a recorded slot is read from the record. The record keeps one CPU float
     and one eNB index (one byte on grids of up to 256 sites) per avatar
-    and slot. The world serves every config that differs from its own only
-    in `kappa`, which touches green supply alone.
+    and slot, unchecked: `run` checks each slot's figures when it builds
+    the slot's `SlotState` from them. The world serves every config that
+    differs from its own only in `kappa`, which touches green supply
+    alone.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -149,8 +150,6 @@ class World:
     def _draw_next(self) -> None:
         cpu, enbs = step_mobility(self._ues, self.slot_length * 3600.0,
                                   self.config, self._rng)
-        if cpu and not (0.0 <= min(cpu) and max(cpu) <= 100.0):
-            raise ValueError("total_cpu must be within [0, 100]")
         if not self._keep and self._cpu:
             self._cpu[-1] = self._enb[-1] = None
         self._cpu.append(cpu)
@@ -180,12 +179,15 @@ def compute_slot_metrics(slot: int, state: SlotState,
     cpus = state.cpu
     place = outcome.assignment.cloudlets(state.ids)
     hosted: list[list[float]] = [[] for _ in range(n_cloudlets)]
-    for i, u in zip(place, cpus):
+    approx = [0.0] * n_cloudlets
+    # The weights GEAR's scorer adds, in the same order and left to right:
+    # sum() of floats is compensated from Python 3.12 and would round
+    # differently.
+    for i, u, w in zip(place, cpus, avatar_weights(cpus, power)):
         hosted[i].append(u)
+        approx[i] += w
     power_exact = tuple(cloudlet_power_exact(c, power) for c in hosted)
-    # The weights GEAR's scorer adds, in the same order.
-    power_approx = tuple(cloudlet_loads(zip(place, avatar_weights(cpus, power)),
-                                        n_cloudlets))
+    power_approx = tuple(approx)
     ongrid_exact = sum(
         ongrid_energy(p, g, delay.slot_length)
         for p, g in zip(power_exact, state.green_power)
@@ -225,6 +227,8 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     room for some avatar before the first slot, or tagged with the slot
     index if the strategy cannot place every avatar in some slot. FAR fails
     whenever its greedy does; GEAR only when its solver finds no placement.
+    Raises ValueError, naming the avatar, if the world draws a CPU figure
+    outside [0, 100] (`SlotState`).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

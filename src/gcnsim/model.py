@@ -124,35 +124,21 @@ class CloudletSpec:
             raise ValueError("zone must be 'urban' or 'rural'")
 
 
-class _AvatarLoadFields(NamedTuple):
+class AvatarLoad(NamedTuple):
+    """One avatar's demand for a slot: total CPU (kernel + application)
+    in percent, and the site index of the eNB its UE is attached to.
+
+    A plain record: `SlotState` checks a slot's avatars, and
+    `SlotState.loads` reads its columns back as loads."""
+
     avatar_id: int
     total_cpu: float
     attached_enb: int
 
-
-class AvatarLoad(_AvatarLoadFields):
-    """One avatar's demand for a slot: total CPU (kernel + application)
-    in percent, and the site index of the eNB its UE is attached to.
-
-    A named tuple whose constructor checks the ranges; `from_columns`
-    builds many at once from values already checked."""
-
-    __slots__ = ()
-
-    def __new__(cls, avatar_id: int, total_cpu: float, attached_enb: int):
-        if avatar_id < 0:
-            raise ValueError("avatar_id must be non-negative")
-        if not 0.0 <= total_cpu <= 100.0:
-            raise ValueError("total_cpu must be within [0, 100]")
-        if attached_enb < 0:
-            raise ValueError("attached_enb must be non-negative")
-        return super().__new__(cls, avatar_id, total_cpu, attached_enb)
-
     @classmethod
     def from_columns(cls, ids: Iterable[int], cpu: Iterable[float],
                      enbs: Iterable[int]) -> tuple[AvatarLoad, ...]:
-        """Loads from per-avatar columns, without the range checks: the
-        caller has checked every value. This is what `_make` does per
+        """Loads from per-avatar columns. This is what `_make` does per
         row, without its Python frame."""
         return tuple(map(tuple.__new__, repeat(cls), zip(ids, cpu, enbs)))
 
@@ -224,30 +210,12 @@ def avatar_weights(cpus: Iterable[float], params: PowerParams) -> list[float]:
     linearized model: amortized standby share plus hypervisor overhead plus
     CPU draw.
 
-    The CPU figures are not range-checked here: `AvatarLoad` and the world
-    check them when loads are made.
+    The CPU figures are not range-checked here: `SlotState` checks them
+    when a slot's state is made.
     """
     base = params.standby_power / params.server_capacity + params.avatar_coeff
     coeff = params.cpu_coeff
     return [base + coeff * u for u in cpus]
-
-
-def cloudlet_loads(pairs: Iterable[tuple[int, float]],
-                   n_cloudlets: int) -> list[float]:
-    """Linearized power (W) per cloudlet from (cloudlet, avatar weight)
-    pairs: each cloudlet's weights added left to right in the given order,
-    starting from 0.0.
-
-    This is the accumulation behind the engine's linearized accounting, in
-    ascending avatar id. GEAR's scorer, `MilpInstance.score`, adds the same
-    weights in the same order in its one pass, so the two agree bit for
-    bit. It rounds once per addition on every Python; `sum()` of floats is
-    compensated from 3.12.
-    """
-    load = [0.0] * n_cloudlets
-    for i, w in pairs:
-        load[i] += w
-    return load
 
 
 def propagation_delay(cloudlet: int, enb: int, topo: SiteTopology,

@@ -206,11 +206,12 @@ class MilpInstance:
         fixed-point units.
 
         The float figure adds each cloudlet's weights left to right in
-        ascending avatar id from 0.0, as `cloudlet_loads` adds them for the
-        engine, then sums the cloudlets' excess over green supply in index
-        order. That is the engine's slot accounting term for term, so for a
-        power-of-two slot length (the default 0.25 h) it times the slot
-        length equals `compute_slot_metrics`'s `ongrid_approx_wh`. The
+        ascending avatar id from 0.0, never with `sum()`, as
+        `compute_slot_metrics` adds them, then sums the cloudlets' excess
+        over green supply in index order. That is the engine's slot
+        accounting term for term, so for a power-of-two slot length (the
+        default 0.25 h) it times the slot length equals
+        `compute_slot_metrics`'s `ongrid_approx_wh`. The
         fixed-point figure is the search's exact objective.
         """
         m = self.n_cloudlets
@@ -280,10 +281,10 @@ def build_instance(ids: Sequence[int], cpus: Sequence[float],
 
     Each feasible set is the tables' frozenset for the avatar's eNB, whose
     cloudlets all exist, and each weight is `avatar_weights` of a CPU
-    figure that was range-checked when the world drew it or its
-    `AvatarLoad` was made, so the build skips the constructor's own
-    checks. It raises what `MilpInstance._finish` raises; green power of
-    the wrong length is a per-cloudlet length that disagrees.
+    figure that the slot's `SlotState` range-checked, so the build skips
+    the constructor's own checks. It raises what `MilpInstance._finish`
+    raises; green power of the wrong length is a per-cloudlet length that
+    disagrees.
     """
     inst = MilpInstance.__new__(MilpInstance)  # no per-avatar __post_init__
     inst.weights = tuple(avatar_weights(cpus, tables.power))
@@ -293,24 +294,6 @@ def build_instance(ids: Sequence[int], cpus: Sequence[float],
     inst.avatar_ids = ids if type(ids) is range else tuple(ids)
     inst._finish(dict(zip(tables.reach, tables.reach_ascending)))
     return inst
-
-
-def _int_bound(load: list[int], wrem: int, ig: tuple[int, ...]) -> int:
-    """Admissible bound, exact integer arithmetic.
-
-    Committed deficit can only grow, and the remaining weight must either
-    fit into the cloudlets' residual green slack or come from the grid;
-    dropping the delay and capacity constraints only relaxes the problem.
-    """
-    deficit = 0
-    slack = 0
-    for li, gi in zip(load, ig):
-        if li > gi:
-            deficit += li - gi
-        else:
-            slack += gi - li
-    spill = wrem - slack
-    return deficit + (spill if spill > 0 else 0)
 
 
 def _int_objective(place, iw: tuple[int, ...], ig: tuple[int, ...]) -> int:
@@ -325,10 +308,13 @@ def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
     """Lower bound (W) on the best completion of a partial placement.
 
     `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the
-    aggregate root bound, which the class-flow bound dominates. Computed
-    in exact fixed-point arithmetic by the same routine the search prunes
-    with, so the admissibility relation to `brute_force` optima carries
-    over to the returned floats unchanged.
+    aggregate root bound that `solve` starts from, which the class-flow
+    bound dominates. Committed deficit can only grow, and the remaining
+    weight must either fit into the cloudlets' residual green slack or
+    come from the grid; dropping the delay and capacity constraints only
+    relaxes the problem. Computed in exact fixed-point arithmetic, so the
+    admissibility relation to `brute_force` optima carries over to the
+    returned floats unchanged.
     """
     load = [0] * inst.n_cloudlets
     wrem = placed = 0
@@ -341,7 +327,13 @@ def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
             placed += 1
     if placed != len(fixed):
         raise KeyError("fixed placement names avatars outside the instance")
-    return _to_watts(_int_bound(load, wrem, inst._ig))
+    deficit = slack = 0
+    for li, gi in zip(load, inst._ig):
+        if li > gi:
+            deficit += li - gi
+        else:
+            slack += gi - li
+    return _to_watts(deficit + max(0, wrem - slack))
 
 
 def _take(values: Sequence, positions: Sequence[int]) -> tuple:
@@ -398,7 +390,7 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     cfg = config or SolverConfig()
     iw, ig = inst._iw, inst._ig
     tol = cfg.gap_tolerance
-    root_bound = _int_bound([0] * len(ig), sum(iw), ig)
+    root_bound = max(0, sum(iw) - sum(ig))
 
     seed_place: Sequence[int] | None = None
     best_obj: int | None = None

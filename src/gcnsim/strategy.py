@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -31,8 +31,6 @@ from .model import (
     DelayParams,
     PowerParams,
     RunTables,
-    SiteTopology,
-    run_tables,
 )
 from .solver import (
     Infeasible,
@@ -51,10 +49,12 @@ class SlotState:
     next-slot green supply, the previous placement, and the run's tables.
 
     The engine hands over the world's own record arrays with ids
-    `range(n)`; `from_loads` builds a state from `AvatarLoad`s. Raises
-    ValueError if the columns' lengths disagree, if the ids do not
-    strictly ascend (a repeated id included), or naming the first avatar
-    attached to an eNB that the topology does not have.
+    `range(n)`. Construction is the one check of a slot's avatars, which
+    every layer after it trusts: it raises ValueError if the columns'
+    lengths disagree, if the ids do not strictly ascend (a repeated id
+    included), or naming the first avatar whose CPU figure lies outside
+    [0, 100] (NaN included) or that is attached to an eNB the topology
+    does not have.
     """
 
     ids: Sequence[int]
@@ -68,23 +68,17 @@ class SlotState:
         if not len(self.ids) == len(self.cpu) == len(self.enb):
             raise ValueError("per-avatar column lengths disagree")
         check_ascending_ids(self.ids)
+        # one test per value, which a NaN fails: min() and max() skip it
+        for avatar_id, u in zip(self.ids, self.cpu):
+            if not 0.0 <= u <= 100.0:
+                raise ValueError(f"avatar {avatar_id} has CPU {u}, "
+                                 "outside [0, 100]")
         sites = len(self.tables.reach)
         if not frozenset(range(sites)).issuperset(self.enb):
             for avatar_id, e in zip(self.ids, self.enb):
                 if e not in range(sites):
                     raise ValueError(f"avatar {avatar_id} is attached to eNB "
                                      f"{e}, outside the {sites}-site topology")
-
-    @classmethod
-    def from_loads(cls, loads: Iterable[AvatarLoad],
-                   green_power: Iterable[float], prev_assignment: Assignment,
-                   topo: SiteTopology, specs: Sequence[CloudletSpec],
-                   power: PowerParams, delay: DelayParams) -> SlotState:
-        """A state from loads in any order; tabulates the run's tables."""
-        # AvatarLoad tuples sort by avatar id first
-        ids, cpu, enb = tuple(zip(*sorted(loads))) or ((), (), ())
-        return cls(ids, cpu, enb, tuple(green_power), prev_assignment,
-                   run_tables(topo, specs, power, delay))
 
     @property
     def loads(self) -> tuple[AvatarLoad, ...]:

@@ -15,6 +15,7 @@ from gcnsim import (
     default_delay_params,
     default_power_params,
     init_topology,
+    run_tables,
 )
 from gcnsim.cli import bundled_trace_path
 from gcnsim.scenario import load_solar_trace
@@ -76,8 +77,16 @@ def from_map(placement: dict) -> Assignment:
     return Assignment(tuple(placement), tuple(placement.values()))
 
 
+def state_from_loads(loads, green, prev, topo, specs, power,
+                     delay) -> SlotState:
+    """A state of `AvatarLoad`s in any order: their columns in ascending
+    avatar id (load tuples sort by id first), with the run's tables."""
+    ids, cpu, enb = tuple(zip(*sorted(loads))) or ((), (), ())
+    return SlotState(ids, cpu, enb, tuple(green), prev,
+                     run_tables(topo, specs, power, delay))
+
+
 def instance_from_loads(loads, specs, green, topo, power, delay) -> MilpInstance:
     """`build_instance` for loads in any order, with the run's tables."""
-    s = SlotState.from_loads(loads, green, from_map({}), topo, specs, power,
-                             delay)
+    s = state_from_loads(loads, green, from_map({}), topo, specs, power, delay)
     return build_instance(s.ids, s.cpu, s.enb, s.green_power, s.tables)

@@ -21,9 +21,9 @@ from gcnsim import (
 )
 from gcnsim import engine, model, solver, strategy
 from gcnsim.solver import Infeasible
-from gcnsim.strategy import SlotState, StrategyOutcome, far_assign
+from gcnsim.strategy import StrategyOutcome, far_assign
 
-from conftest import from_map, line_topology
+from conftest import from_map, line_topology, state_from_loads
 
 
 def dark_trace():
@@ -34,9 +34,7 @@ def single_site_state(loads, green, power, delay, server_count=2):
     topo = line_topology(1.0, 1)
     specs = (CloudletSpec(server_count=server_count),)
     prev = from_map({a.avatar_id: 0 for a in loads})
-    return SlotState.from_loads(loads=tuple(loads), green_power=(green,),
-                                prev_assignment=prev, topo=topo, specs=specs,
-                                power=power, delay=delay)
+    return state_from_loads(loads, (green,), prev, topo, specs, power, delay)
 
 
 class TestSlotMetrics:
@@ -68,8 +66,8 @@ class TestSlotMetrics:
         loads = [AvatarLoad(0, 50.0, 5), AvatarLoad(1, 50.0, 6)]
 
         def moved(prev):
-            state = SlotState.from_loads(loads, (0.0,) * 16, prev, grid_topo,
-                                         specs, power, delay)
+            state = state_from_loads(loads, (0.0,) * 16, prev, grid_topo,
+                                     specs, power, delay)
             outcome = far_assign(state)
             assert outcome.assignment.placement == {0: 5, 1: 6}
             return compute_slot_metrics(0, state, outcome).migrations
@@ -253,8 +251,9 @@ class TestWorld:
             cpu[-1] = 100.5
             return cpu, enbs
         monkeypatch.setattr(engine, "step_mobility", overdrawn)
-        with pytest.raises(ValueError, match="total_cpu"):
-            World(ScenarioConfig(ue_count=3, slot_count=2)).columns(0)
+        with pytest.raises(ValueError, match=r"^avatar 2 has CPU 100.5, "
+                           r"outside \[0, 100\]$"):
+            run(ScenarioConfig(ue_count=3, slot_count=2), "far", dark_trace())
 
     def test_slots_drawn_in_order_and_replayed(self):
         world = World(ScenarioConfig(ue_count=5, slot_count=3))

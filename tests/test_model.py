@@ -9,7 +9,6 @@ from gcnsim import (
     CloudletSpec,
     DelayParams,
     PowerParams,
-    SlotState,
     StrategyOutcome,
     active_server_count,
     avatar_weights,
@@ -21,19 +20,18 @@ from gcnsim import (
     propagation_delay,
 )
 
-from conftest import from_map, line_topology
+from conftest import from_map, line_topology, state_from_loads
 
 
 def account(cpus, power, placement=None, n_cloudlets=1):
     """The engine's accounting of avatars 0..n-1 with the given CPU figures,
     all on cloudlet 0 unless `placement` maps them elsewhere."""
     placement = from_map(placement or dict.fromkeys(range(len(cpus)), 0))
-    state = SlotState.from_loads(
-        loads=tuple(AvatarLoad(k, u, 0) for k, u in enumerate(cpus)),
-        green_power=(0.0,) * n_cloudlets, prev_assignment=placement,
-        topo=line_topology(1.0, n_cloudlets),
-        specs=(CloudletSpec(server_count=1),) * n_cloudlets,
-        power=power, delay=default_delay_params())
+    state = state_from_loads(
+        [AvatarLoad(k, u, 0) for k, u in enumerate(cpus)],
+        (0.0,) * n_cloudlets, placement, line_topology(1.0, n_cloudlets),
+        (CloudletSpec(server_count=1),) * n_cloudlets, power,
+        default_delay_params())
     return compute_slot_metrics(0, state, StrategyOutcome(placement))
 
 
@@ -135,27 +133,6 @@ class TestLinearizedCloudletPower:
             split = {k: rng.randrange(4) for k in range(len(group))}
             resummed = sum(account(group, power, split, 4).power_approx)
             assert resummed == pytest.approx(total, rel=1e-9)
-
-
-class TestFromLoads:
-    @staticmethod
-    def columns(loads, power, delay):
-        """The (ids, CPU, eNB) columns of a six-site state of `loads`."""
-        state = SlotState.from_loads(
-            loads, (0.0,) * 6, from_map({}), line_topology(1.0, 6),
-            (CloudletSpec(server_count=1),) * 6, power, delay)
-        return state.ids, state.cpu, state.enb
-
-    def test_columns_ascend_by_avatar_id_whatever_the_load_order(
-            self, power, delay):
-        loads = [AvatarLoad(3, 30.0, 2), AvatarLoad(0, 10.0, 5),
-                 AvatarLoad(7, 70.0, 1), AvatarLoad(1, 15.0, 5)]
-        expected = ((0, 1, 3, 7), (10.0, 15.0, 30.0, 70.0), (5, 5, 2, 1))
-        assert self.columns(loads, power, delay) == expected
-        assert self.columns(sorted(loads), power, delay) == expected
-
-    def test_no_avatars(self, power, delay):
-        assert self.columns((), power, delay) == ((), (), ())
 
 
 class TestAssignment:
@@ -260,15 +237,7 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DelayParams(slot_length=0.0)
 
-    def test_avatar_load_bounds(self):
-        with pytest.raises(ValueError):
-            AvatarLoad(avatar_id=0, total_cpu=101.0, attached_enb=0)
-
-    def test_avatar_load_rejects_a_negative_enb(self):
-        with pytest.raises(ValueError, match="attached_enb"):
-            AvatarLoad(avatar_id=0, total_cpu=50.0, attached_enb=-1)
-
-    def test_avatar_loads_from_columns_match_checked_construction(self):
+    def test_avatar_loads_from_columns_match_the_record_constructor(self):
         cpu, enbs = [10.0, 55.5, 100.0], [0, 7, 3]
         built = AvatarLoad.from_columns(range(3), cpu, enbs)
         assert built == tuple(map(AvatarLoad, range(3), cpu, enbs))

@@ -31,8 +31,8 @@ from gcnsim import (
 )
 from gcnsim.refine import (_state, _widest_chain, descent, flow_bound,
                            transfer_chains)
-from gcnsim.solver import (_int_bound, _int_objective, _search, _take,
-                           _to_units, _to_watts)
+from gcnsim.solver import (_int_objective, _search, _take, _to_units,
+                           _to_watts)
 
 from conftest import (from_map, instance_from_loads, line_topology,
                       random_instance)
@@ -953,8 +953,7 @@ class TestAfterTheDive:
             seed_place = seed_obj = None
             if seed is not None:
                 seed_place, _, seed_obj = inst.evaluate(seed)
-            root = _int_bound([0] * inst.n_cloudlets, sum(inst._iw),
-                              inst._ig)
+            root = max(0, sum(inst._iw) - sum(inst._ig))
             plain = _search(inst, config, root, seed_obj, seed_place)[0]
             assert _to_units(sol.objective) <= plain
             better += _to_units(sol.objective) < plain

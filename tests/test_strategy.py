@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import random
 from dataclasses import replace
@@ -22,7 +23,8 @@ from gcnsim.engine import compute_slot_metrics
 from gcnsim.solver import _int_objective
 from gcnsim.strategy import SlotState, far_assign, far_placement, gear_assign
 
-from conftest import from_map, instance_from_loads, line_topology
+from conftest import (from_map, instance_from_loads, line_topology,
+                      state_from_loads)
 
 
 def make_state(topo, loads, green, prev=None, specs=None, power=None, delay=None,
@@ -33,9 +35,7 @@ def make_state(topo, loads, green, prev=None, specs=None, power=None, delay=None
                            for _ in range(topo.site_count))
     prev = prev if prev is not None else from_map(
         {a.avatar_id: a.attached_enb for a in loads})
-    return SlotState.from_loads(loads=tuple(loads), green_power=tuple(green),
-                                prev_assignment=prev, topo=topo,
-                                specs=tuple(specs), power=power, delay=delay)
+    return state_from_loads(loads, green, prev, topo, specs, power, delay)
 
 
 @pytest.fixture
@@ -83,6 +83,25 @@ class TestSlotState:
                            f"{enb}, outside the 16-site topology$"):
             self.direct_state(grid_topo, power, delay, [50.0] * 3,
                               [3, enb, 17])
+
+    @pytest.mark.parametrize("cpu", [-0.5, 100.5, math.nan])
+    def test_directly_built_state_checks_its_cpu(self, grid_topo, power,
+                                                 delay, cpu):
+        # between two figures in range, where min() and max() miss a NaN
+        with pytest.raises(ValueError, match=f"^avatar 1 has CPU {cpu}, "
+                           r"outside \[0, 100\]$"):
+            self.direct_state(grid_topo, power, delay, [50.0, cpu, 60.0],
+                              [3, 3, 3])
+
+    def test_cpu_rejected_before_an_instance_weighs_it(self, grid_topo,
+                                                       power, delay):
+        # build_instance trusts the state and skips MilpInstance's weight
+        # check, where avatar 0 would weigh -14.7 W.
+        cpu = [-100.0, 50.0, 250.0]
+        assert avatar_weights(cpu, power)[0] == pytest.approx(-14.7)
+        with pytest.raises(ValueError, match=r"^avatar 0 has CPU -100.0, "
+                           r"outside \[0, 100\]$"):
+            self.direct_state(grid_topo, power, delay, cpu, [0, 0, 1])
 
     @pytest.mark.parametrize("ids", [(0, 0), (4, 2)])
     def test_ids_must_strictly_ascend(self, grid_topo, power, delay, ids):
