@@ -21,12 +21,9 @@ from .model import (
 )
 from .solver import (
     Infeasible,
-    InfeasibleAvatar,
-    InsufficientCapacity,
     MilpInstance,
     Solution,
     SolverConfig,
-    TooLarge,
     aggregate_bound,
     brute_force,
     build_instance,
@@ -34,7 +31,6 @@ from .solver import (
 )
 from .strategy import SlotState, StrategyOutcome, far_assign, gear_assign
 from .scenario import (
-    CountError,
     ParseError,
     ScenarioConfig,
     SolarTrace,

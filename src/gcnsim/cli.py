@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .engine import RunResult, SlotMetrics, World, run
-from .scenario import (
-    CountError,
-    ParseError,
-    ScenarioConfig,
-    load_scenario_config,
-    load_solar_trace,
-)
+from .scenario import ScenarioConfig, load_scenario_config, load_solar_trace
 from .solver import Infeasible, SolverConfig
 
 SLOTS_HEADER = ("slot,strategy,total_power_exact_w,total_power_approx_w,"
@@ -38,25 +32,6 @@ SWEEP_HEADER = ("variable,value,strategy,status,total_ongrid_exact_wh,"
 
 DEFAULT_UE_VALUES = tuple(range(600, 1401, 100))
 DEFAULT_KAPPA_VALUES = (0.0, 0.1, 0.2, 0.3)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: the variable and its values."""
-
-    variable: str
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if self.variable not in ("ue_count", "kappa"):
-            raise ValueError("sweep variable must be ue_count or kappa")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if self.variable == "ue_count":
-            if any(int(v) != v or v <= 0 for v in self.values):
-                raise ValueError("ue_count values must be positive integers")
-        elif any(not 0 <= v <= 1 for v in self.values):
-            raise ValueError("kappa values must lie in [0, 1]")
 
 
 def bundled_trace_path() -> str:
@@ -139,13 +114,18 @@ def cmd_sweep(args: argparse.Namespace, variable: str) -> int:
     else:
         values = (DEFAULT_UE_VALUES if variable == "ue_count"
                   else DEFAULT_KAPPA_VALUES)
-    spec = SweepSpec(variable=variable, values=values)
+    # Checked before any point runs, so a bad value costs no simulated day
+    # and leaves no output directory.
+    if variable == "ue_count" and any(v <= 0 for v in values):
+        raise ValueError("ue_count values must be positive integers")
+    if variable == "kappa" and not all(0 <= v <= 1 for v in values):
+        raise ValueError("kappa values must lie in [0, 1]")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
     world = None
-    for value in spec.values:
+    for value in values:
         point = replace(config, **{variable: value})
         fmt = _fmt_value(variable, value)
         if world is None or not world.matches(point):
@@ -223,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, CountError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Infeasible as exc:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from operator import ne
 
 from .model import (
+    SLOT_HOURS,
     Assignment,
     DelayParams,
     PowerParams,
@@ -110,15 +111,13 @@ class World:
     a recorded slot is read from the record. The record keeps one CPU float
     and one eNB index (one byte on grids of up to 256 sites) per avatar
     and slot, unchecked: `run` checks each slot's figures when it builds
-    the slot's `SlotState` from them. The world serves every config that
-    differs from its own only in `kappa`, which touches green supply
-    alone.
+    the slot's `SlotState` from them. Each slot moves the UEs for
+    `SLOT_HOURS`. The world serves every config that differs from its own
+    only in `kappa`, which touches green supply alone.
     """
 
-    def __init__(self, config: ScenarioConfig,
-                 slot_length: float = DelayParams.slot_length):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.slot_length = slot_length
         self._rng: random.Random | None = random.Random(config.rng_seed)
         self.topo, self.specs = init_topology(config, self._rng)
         self._ues = init_ues(config, self.topo, self._rng)
@@ -129,11 +128,9 @@ class World:
         self._enb: list[array | None] = []
         self._keep = True  # False: only the latest slot stays recorded
 
-    def matches(self, config: ScenarioConfig,
-                slot_length: float = DelayParams.slot_length) -> bool:
-        """True if this world is the one `config` and `slot_length` draw."""
-        return (slot_length == self.slot_length
-                and replace(config, kappa=self.config.kappa) == self.config)
+    def matches(self, config: ScenarioConfig) -> bool:
+        """True if this world is the one `config` draws."""
+        return replace(config, kappa=self.config.kappa) == self.config
 
     def columns(self, t: int) -> tuple[array, array]:
         """Slot t's recorded (CPU, eNB) arrays, indexed by avatar id 0..n-1
@@ -148,7 +145,7 @@ class World:
         return cpu, self._enb[t]
 
     def _draw_next(self) -> None:
-        cpu, enbs = step_mobility(self._ues, self.slot_length * 3600.0,
+        cpu, enbs = step_mobility(self._ues, SLOT_HOURS * 3600.0,
                                   self.config, self._rng)
         if not self._keep and self._cpu:
             self._cpu[-1] = self._enb[-1] = None
@@ -189,12 +186,10 @@ def compute_slot_metrics(slot: int, state: SlotState,
     power_exact = tuple(cloudlet_power_exact(c, power) for c in hosted)
     power_approx = tuple(approx)
     ongrid_exact = sum(
-        ongrid_energy(p, g, delay.slot_length)
-        for p, g in zip(power_exact, state.green_power)
+        ongrid_energy(p, g) for p, g in zip(power_exact, state.green_power)
     )
     ongrid_approx = sum(
-        ongrid_energy(p, g, delay.slot_length)
-        for p, g in zip(power_approx, state.green_power)
+        ongrid_energy(p, g) for p, g in zip(power_approx, state.green_power)
     )
     delays = [table[i][e] for i, e in zip(place, state.enb)]
     return SlotMetrics(
@@ -215,13 +210,13 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
         power: PowerParams | None = None,
         delay: DelayParams | None = None,
         world: World | None = None) -> RunResult:
-    """Simulate one full day under the given strategy.
+    """Simulate one day of `config.slot_count` slots, each `SLOT_HOURS`
+    long, under the given strategy.
 
     `world` is the day's drawn world; runs given the same `World` replay
     its record instead of drawing the world again. It must have been made
-    for `config` (up to `kappa`) and `delay.slot_length`, else ValueError.
-    Without one the run draws a fresh world from `config.rng_seed`, which
-    is the same world.
+    for `config` (up to `kappa`), else ValueError. Without one the run
+    draws a fresh world from `config.rng_seed`, which is the same world.
 
     Raises Infeasible, tagged "initial placement" if the greedy finds no
     room for some avatar before the first slot, or tagged with the slot
@@ -236,10 +231,10 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     delay = delay or default_delay_params()
     solver_config = solver_config or SolverConfig()
     if world is None:
-        world = World(config, delay.slot_length)
+        world = World(config)
         world._keep = False  # read once, in order: no replay to record for
-    elif not world.matches(config, delay.slot_length):
-        raise ValueError("the world was drawn for another config or slot length")
+    elif not world.matches(config):
+        raise ValueError("the world was drawn for another config")
 
     tables = run_tables(world.topo, world.specs, power, delay)
     try:
@@ -253,10 +248,8 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     slots: list[SlotMetrics] = []
     for t in range(config.slot_count):
         cpu, enbs = world.columns(t)
-        green = tuple(
-            green_power(trace, t, spec, config.kappa, delay.slot_length)
-            for spec in tables.specs
-        )
+        green = tuple(green_power(trace, t, spec, config.kappa)
+                      for spec in tables.specs)
         state = SlotState(range(len(cpu)), cpu, enbs, green, assignment,
                           tables)
         try:

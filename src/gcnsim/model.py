@@ -46,26 +46,27 @@ class PowerParams:
             raise ValueError("server_capacity must be a positive integer")
 
 
+# Length of one decision slot in hours: placements are decided every 15
+# minutes. A power of two, so scaling a power figure by it is exact.
+SLOT_HOURS = 0.25
+
+
 @dataclass(frozen=True)
 class DelayParams:
-    """Propagation-delay model and slot timing.
+    """Propagation-delay model.
 
     `dist_coeff` maps eNB-to-cloudlet distance (km) to one-way delay (ms);
-    `sla_max_delay` is the delay bound the provider guarantees;
-    `slot_length` is the decision-slot length in hours.
+    `sla_max_delay` is the delay bound the provider guarantees.
     """
 
     dist_coeff: float = 3.33
     sla_max_delay: float = 10.0
-    slot_length: float = 0.25
 
     def __post_init__(self) -> None:
         if self.dist_coeff <= 0:
             raise ValueError("dist_coeff must be positive")
         if self.sla_max_delay < 0:
             raise ValueError("sla_max_delay must be non-negative")
-        if self.slot_length <= 0:
-            raise ValueError("slot_length must be positive")
 
 
 def default_power_params() -> PowerParams:
@@ -284,12 +285,10 @@ def run_tables(topo: SiteTopology, specs: Sequence[CloudletSpec],
     )
 
 
-def ongrid_energy(power_demand: float, green_power: float,
-                  slot_length: float) -> float:
-    """On-grid energy (Wh) drawn over one slot; green surplus is not banked."""
-    if slot_length <= 0:
-        raise ValueError("slot_length must be positive")
+def ongrid_energy(power_demand: float, green_power: float) -> float:
+    """On-grid energy (Wh) drawn over one slot of `SLOT_HOURS`; green
+    surplus is not banked."""
     if power_demand < 0 or green_power < 0:
         raise ValueError("power values must be non-negative")
-    return max(0.0, slot_length * (power_demand - green_power))
+    return max(0.0, SLOT_HOURS * (power_demand - green_power))
 

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
-from .model import CloudletSpec, SiteTopology
+from .model import SLOT_HOURS, CloudletSpec, SiteTopology
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI, which random.Random.gauss reads
 
@@ -34,10 +34,6 @@ class ParseError(ValueError):
         self.path = path
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
-
-
-class CountError(ValueError):
-    """A trace file does not contain exactly one row per hour."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class SolarTrace:
 
     def __post_init__(self) -> None:
         if len(self.hourly_irradiance) != 24:
-            raise CountError(
+            raise ValueError(
                 f"expected 24 hourly values, got {len(self.hourly_irradiance)}")
         if any(v < 0 for v in self.hourly_irradiance):
             raise ValueError("irradiance values must be non-negative")
@@ -254,13 +250,13 @@ def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
 
 
 def green_power(trace: SolarTrace, slot: int, spec: CloudletSpec,
-                kappa: float, slot_length: float = 0.25) -> float:
-    """Green supply (W) of one cloudlet in one slot.
+                kappa: float) -> float:
+    """Green supply (W) of one cloudlet in one slot of `SLOT_HOURS`.
 
     Piecewise-constant within each hour of the trace; urban cloudlets are
     derated by kappa.
     """
-    hour = int(slot * slot_length) % 24
+    hour = int(slot * SLOT_HOURS) % 24
     watts = trace.hourly_irradiance[hour] * spec.panel_area * spec.panel_efficiency
     if spec.zone == "urban":
         watts *= (1.0 - kappa)
@@ -297,7 +293,7 @@ def load_solar_trace(path: str) -> SolarTrace:
             raise ParseError(path, line_no, "irradiance must be non-negative")
         values.append(value)
     if len(values) != 24:
-        raise CountError(f"{path}: expected 24 rows, got {len(values)}")
+        raise ValueError(f"{path}: expected 24 rows, got {len(values)}")
     return SolarTrace(hourly_irradiance=tuple(values))
 
 
@@ -317,7 +313,9 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     """Read a scenario config: `key = value` lines using the ScenarioConfig
     field names, `#` comments, pairs and rectangles comma-separated.
     Each value is read as the type of the field's default. Unspecified
-    fields keep their defaults."""
+    fields keep their defaults. Raises ParseError naming the line that
+    does not parse, and ValueError naming the file when the values fail
+    `ScenarioConfig`'s checks."""
     overrides: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -338,4 +336,4 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     try:
         return ScenarioConfig(**overrides)
     except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+        raise ValueError(f"{path}: {exc}") from None

@@ -49,22 +49,6 @@ class Infeasible(Exception):
     """No complete assignment satisfies the constraints."""
 
 
-class InfeasibleAvatar(Infeasible):
-    """Some avatar has no cloudlet within its delay bound."""
-
-    def __init__(self, avatar_id: int):
-        self.avatar_id = avatar_id
-        super().__init__(f"avatar {avatar_id} has an empty feasible set")
-
-
-class InsufficientCapacity(Infeasible):
-    """Total hosting capacity is smaller than the avatar population."""
-
-
-class TooLarge(Exception):
-    """Instance exceeds the brute-force enumeration guard."""
-
-
 def _to_units(watts: float) -> int:
     return round(watts * _SCALE)
 
@@ -132,9 +116,9 @@ class MilpInstance:
 
         Raises ValueError if the per-avatar or per-cloudlet lengths
         disagree, the ids do not strictly ascend or green power is
-        negative; InfeasibleAvatar naming the first avatar with an empty
-        feasible set; InsufficientCapacity if the avatars cannot all be
-        hosted.
+        negative; Infeasible naming the first avatar with an empty
+        feasible set, or the total capacity if it is below the avatar
+        count.
         """
         n, ids = len(self.weights), self.avatar_ids
         if len(self.feasible_sets) != n or len(ids) != n:
@@ -147,9 +131,10 @@ class MilpInstance:
         if frozenset() in ascending:  # does an avatar have an empty set?
             for avatar_id, fs in zip(ids, self.feasible_sets):
                 if not fs:
-                    raise InfeasibleAvatar(avatar_id)
+                    raise Infeasible(
+                        f"avatar {avatar_id} has an empty feasible set")
         if sum(self.count_capacity) < n:
-            raise InsufficientCapacity(
+            raise Infeasible(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
         self._ascending = ascending
         # _to_units of each value, without a Python frame per value: the
@@ -209,10 +194,10 @@ class MilpInstance:
         ascending avatar id from 0.0, never with `sum()`, as
         `compute_slot_metrics` adds them, then sums the cloudlets' excess
         over green supply in index order. That is the engine's slot
-        accounting term for term, so for a power-of-two slot length (the
-        default 0.25 h) it times the slot length equals
-        `compute_slot_metrics`'s `ongrid_approx_wh`. The
-        fixed-point figure is the search's exact objective.
+        accounting term for term, and `SLOT_HOURS` is a power of two, so
+        the float figure times `SLOT_HOURS` equals `compute_slot_metrics`'s
+        `ongrid_approx_wh` bit for bit. The fixed-point figure is the
+        search's exact objective.
         """
         m = self.n_cloudlets
         load, units = [0.0] * m, [0] * m
@@ -567,14 +552,14 @@ def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solut
     Enumerates the product of the avatars' ascending feasible sets, first
     avatar outermost, skips placements that overfill a cloudlet and keeps
     the first one that attains the minimum; `nodes_explored` counts the
-    placements within capacity. Raises TooLarge when the feasible-set
+    placements within capacity. Raises ValueError when the feasible-set
     product exceeds `enumeration_limit`, Infeasible when nothing fits.
     """
     combos = 1
     for fs in inst.feasible_sets:
         combos *= len(fs)
         if combos > enumeration_limit:
-            raise TooLarge(
+            raise ValueError(
                 f"enumeration would exceed {enumeration_limit} placements")
     iw, ig = inst._iw, inst._ig
     cap = inst.count_capacity

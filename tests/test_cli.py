@@ -5,7 +5,6 @@ import pytest
 from gcnsim.cli import (
     SLOTS_HEADER,
     SWEEP_HEADER,
-    SweepSpec,
     bundled_trace_path,
     main,
 )
@@ -172,15 +171,16 @@ class TestSweeps:
         assert ("10", "far", "ok") in statuses
         assert ("20", "gear", "ok") in statuses
 
-    def test_sweep_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(variable="servers", values=(1,))
-        with pytest.raises(ValueError):
-            SweepSpec(variable="ue_count", values=())
-        with pytest.raises(ValueError):
-            SweepSpec(variable="ue_count", values=(0,))
-        with pytest.raises(ValueError):
-            SweepSpec(variable="kappa", values=(0.5, 1.5))
+    @pytest.mark.parametrize("command, values, message", [
+        ("sweep-ues", "10,0", "ue_count values must be positive integers"),
+        ("sweep-kappa", "0.5,1.5", "kappa values must lie in [0, 1]"),
+    ], ids=["sweep-ues", "sweep-kappa"])
+    def test_sweep_values_checked_before_any_point_runs(
+            self, tmp_path, capsys, command, values, message):
+        out = tmp_path / "never"
+        assert main([command, "--values", values, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestBundledTrace:

@@ -7,7 +7,6 @@ import pytest
 from gcnsim import (
     AvatarLoad,
     CloudletSpec,
-    DelayParams,
     ScenarioConfig,
     SolarTrace,
     SolverConfig,
@@ -209,12 +208,6 @@ class TestWorld:
         cfg = ScenarioConfig(ue_count=60, slot_count=48)
         with pytest.raises(ValueError, match="world"):
             run(replace(cfg, **change), "far", bell_trace, world=World(cfg))
-
-    def test_world_of_another_slot_length_rejected(self, bell_trace):
-        cfg = ScenarioConfig(ue_count=10, slot_count=4)
-        with pytest.raises(ValueError, match="world"):
-            run(cfg, "far", bell_trace, delay=DelayParams(slot_length=0.5),
-                world=World(cfg))
 
     def test_each_slot_drawn_once(self, bell_trace, kernel_calls):
         cfg = ScenarioConfig(ue_count=30, slot_count=7)

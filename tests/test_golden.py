@@ -154,10 +154,10 @@ def test_default_day_solver_evidence_matches_golden(tmp_path, monkeypatch):
     assert digest(repr(evidence).encode()) == DEFAULT_DAY_EVIDENCE
 
 
-def world_stream_digest(config, slot_length=0.25) -> str:
+def world_stream_digest(config) -> str:
     """sha256 of a world's initial eNBs and every slot's (avatar id, CPU,
     eNB) triples, in order."""
-    world = gcnsim.World(config, slot_length)
+    world = gcnsim.World(config)
     h = hashlib.sha256(repr(world.initial_enbs).encode())
     for t in range(config.slot_count):
         h.update(repr([(k, cpu, enb) for k, (cpu, enb)
@@ -167,26 +167,24 @@ def world_stream_digest(config, slot_length=0.25) -> str:
 
 # The world stream alone, drawn with configs that reach every branch of the
 # draw: UEs that arrive and redraw their waypoint almost every slot, UEs that
-# never move, a longer slot, more sites than one byte can index, and cells
-# whose edges are not exact binary fractions.
+# never move, more sites than one byte can index, and cells whose edges are
+# not exact binary fractions.
 WORLD_STREAM = {
-    "default": ({}, 0.25,
+    "default": ({},
                 "2f7b8ba19bea754d5d8ae653b84e6e74c56d97fd6d29cd818f134215bad27093"),
-    "fast": ({"speed_range": (10.0, 10.0)}, 0.25,
+    "fast": ({"speed_range": (10.0, 10.0)},
              "51938839129f224477a0d571aeb569ad8eaba7eb407d93f78cfd99de467cdacb"),
-    "still": ({"speed_range": (0.0, 0.0)}, 0.25,
+    "still": ({"speed_range": (0.0, 0.0)},
               "e58d8297b60d5dfeed1c44e55eceac8ce467c9fa80486794112b13524c98c443"),
-    "half-hour": ({}, 0.5,
-                  "c7f8de37921c77a13044de62c8e35e41612babbc58acab198ac122fe262f1a4c"),
-    "289-sites": ({"grid_dim": 17}, 0.25,
+    "289-sites": ({"grid_dim": 17},
                   "18509813eb21b7e4fd38265680618ced79610857fb3a7510484351062280cdb4"),
-    "uneven-cells": ({"grid_dim": 3, "area_side": 7.0}, 0.25,
+    "uneven-cells": ({"grid_dim": 3, "area_side": 7.0},
                      "d742db162550c51fb1b758cbbed5ffe71ab7b69cad6e7ad90391f9ce9b573a7d"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORLD_STREAM))
 def test_world_stream_matches_golden(name):
-    overrides, slot_length, expected = WORLD_STREAM[name]
+    overrides, expected = WORLD_STREAM[name]
     config = gcnsim.ScenarioConfig(rng_seed=3, **overrides)
-    assert world_stream_digest(config, slot_length) == expected
+    assert world_stream_digest(config) == expected

@@ -205,18 +205,18 @@ class TestFeasibleSet:
 
 class TestOngridEnergy:
     def test_green_surplus_draws_nothing(self):
-        assert ongrid_energy(100.0, 120.0, 0.25) == 0.0
+        assert ongrid_energy(100.0, 120.0) == 0.0
 
     def test_partial_gap(self):
-        assert ongrid_energy(120.0, 100.0, 0.25) == pytest.approx(5.0, rel=1e-12)
+        assert ongrid_energy(120.0, 100.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_no_green(self):
-        assert ongrid_energy(100.0, 0.0, 0.25) == pytest.approx(25.0, rel=1e-12)
+        assert ongrid_energy(100.0, 0.0) == pytest.approx(25.0, rel=1e-12)
 
     def test_nonnegative_and_convex_in_demand(self):
-        green, slot = 50.0, 0.25
+        green = 50.0
         xs = [0.0, 25.0, 50.0, 75.0, 100.0]
-        ys = [ongrid_energy(x, green, slot) for x in xs]
+        ys = [ongrid_energy(x, green) for x in xs]
         assert all(y >= 0 for y in ys)
         for a, b, c in zip(ys, ys[1:], ys[2:]):
             assert c - b >= b - a - 1e-12
@@ -234,8 +234,6 @@ class TestParamValidation:
             DelayParams(dist_coeff=0.0)
         with pytest.raises(ValueError):
             DelayParams(sla_max_delay=-1.0)
-        with pytest.raises(ValueError):
-            DelayParams(slot_length=0.0)
 
     def test_avatar_loads_from_columns_match_the_record_constructor(self):
         cpu, enbs = [10.0, 55.5, 100.0], [0, 7, 3]

@@ -17,7 +17,7 @@ from gcnsim import (
     run_tables,
     step_mobility,
 )
-from gcnsim.scenario import CountError, ParseError, _draw_destination
+from gcnsim.scenario import ParseError, _draw_destination
 from gcnsim.model import CloudletSpec
 from gcnsim.strategy import far_placement
 
@@ -340,7 +340,7 @@ class TestTraceIO:
         p = tmp_path / "short.csv"
         p.write_text("hour,irradiance_w_per_m2\n"
                      + "".join(f"{h},1.0\n" for h in range(23)))
-        with pytest.raises(CountError):
+        with pytest.raises(ValueError, match="expected 24 rows, got 23"):
             load_solar_trace(str(p))
 
     def test_bad_header_is_parse_error(self, tmp_path):
@@ -423,8 +423,9 @@ class TestConfigFile:
     def test_invalid_combination_rejected(self, tmp_path):
         p = tmp_path / "bad3.cfg"
         p.write_text("kappa = 1.5\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError) as err:
             load_scenario_config(str(p))
+        assert str(err.value) == f"{p}: kappa must be in [0, 1]"
 
 
 class TestConfigValidation:

@@ -11,12 +11,9 @@ from gcnsim import (
     AvatarLoad,
     CloudletSpec,
     Infeasible,
-    InfeasibleAvatar,
-    InsufficientCapacity,
     MilpInstance,
     ScenarioConfig,
     SolverConfig,
-    TooLarge,
     World,
     aggregate_bound,
     avatar_weights,
@@ -157,16 +154,15 @@ class TestTableBuild:
                       reach_ascending=(tables.reach_ascending[0], ()))
         built, made = self.errors((3, 5, 8, 9), [50.0] * 4, [0, 1, 0, 1],
                                   [0.0, 0.0], cut)
-        assert type(built) is type(made) is InfeasibleAvatar
-        assert built.avatar_id == made.avatar_id == 5
-        assert str(built) == str(made)
+        assert type(built) is type(made) is Infeasible
+        assert str(built) == str(made) == "avatar 5 has an empty feasible set"
 
     def test_capacity_shortfall(self, power, delay):
         tables = self.tables(power, delay)  # 2 cloudlets of 16 avatars
         ids = range(33)
         built, made = self.errors(ids, [50.0] * 33, [0] * 33, [0.0, 0.0],
                                   tables)
-        assert type(built) is type(made) is InsufficientCapacity
+        assert type(built) is type(made) is Infeasible
         assert str(built) == str(made) == "capacity 32 < 33 avatars"
 
     @pytest.mark.parametrize("ids", [(3, 3), (4, 2), range(2, 0, -1)])
@@ -1053,7 +1049,7 @@ class TestBruteForce:
 
     def test_guard_rejects_huge_enumerations(self):
         inst = full_instance([10.0] * 30, [0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="enumeration would exceed"):
             brute_force(inst)
 
     def test_optimum_never_below_aggregate_conservation(self):

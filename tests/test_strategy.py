@@ -20,6 +20,7 @@ from gcnsim import (
 )
 from gcnsim import ScenarioConfig, engine, run
 from gcnsim.engine import compute_slot_metrics
+from gcnsim.model import SLOT_HOURS
 from gcnsim.solver import _int_objective
 from gcnsim.strategy import SlotState, far_assign, far_placement, gear_assign
 
@@ -315,7 +316,7 @@ class TestGear:
                             gear_assign(state, SolverConfig(node_limit=2000))):
                 metrics = compute_slot_metrics(0, state, outcome)
                 assert (power_of(instance_of(state), outcome.assignment)
-                        * state.delay.slot_length == metrics.ongrid_approx_wh)
+                        * SLOT_HOURS == metrics.ongrid_approx_wh)
 
     @pytest.mark.parametrize("strategy", ["far", "gear"])
     def test_one_pass_score_is_the_accounting_on_every_slot_of_a_day(
@@ -337,8 +338,7 @@ class TestGear:
             inst = instance_of(state)
             place = outcome.assignment.cloudlets(state.ids)
             power, units = inst.score(place)
-            assert power == (metrics.ongrid_approx_wh
-                             / state.delay.slot_length)
+            assert power == metrics.ongrid_approx_wh / SLOT_HOURS
             assert units == _int_objective(place, inst._iw, inst._ig)
         assert any(sum(metrics.green) > 0 for _, _, metrics in days)
 
