@@ -109,8 +109,15 @@ def _fmt_value(variable: str, value) -> str:
 def cmd_sweep(args: argparse.Namespace, variable: str) -> int:
     config, trace, solver_config = _load_common(args)
     if args.values:
-        cast = int if variable == "ue_count" else float
-        values = tuple(cast(v) for v in args.values.split(","))
+        cast, kind = ((int, "integers") if variable == "ue_count"
+                      else (float, "numbers"))
+        values = []
+        for v in args.values.split(","):
+            try:
+                values.append(cast(v))
+            except ValueError:
+                raise ValueError(f"{variable} values must be {kind}, "
+                                 f"got {v!r}") from None
     else:
         values = (DEFAULT_UE_VALUES if variable == "ue_count"
                   else DEFAULT_KAPPA_VALUES)

@@ -11,8 +11,9 @@ call per slot (`scenario.step_mobility`), and recorded compactly. The
 kernel draws each waypoint as one inline Box-Muller pair, exact because
 waypoints always take their `gauss` deviates in pairs; a stream with a
 deviate pending, or whose class overrides `gauss`, is drawn through
-`gauss`. A world that `run` draws for itself is read once, in order, and
-keeps only the slot being read.
+`gauss`. A run given no `World` replays the last world such a run drew
+in full, if its config matches (up to `kappa`), and draws a fresh one
+otherwise; that one remembered world is the module's only state.
 
 A strategy pass (`run`) reads the world slot by slot. Before the first
 slot it tabulates what no slot changes (`run_tables`: reach, capacities,
@@ -113,7 +114,9 @@ class World:
     and slot, unchecked: `run` checks each slot's figures when it builds
     the slot's `SlotState` from them. Each slot moves the UEs for
     `SLOT_HOURS`. The world serves every config that differs from its own
-    only in `kappa`, which touches green supply alone.
+    only in `kappa`, which touches green supply alone. A fully drawn world
+    is only read, so threads may share it; `run` keeps the last one it drew
+    for itself in the module, its one side effect.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -124,9 +127,8 @@ class World:
         self.initial_enbs = tuple(enb_indices(self._ues.x, self._ues.y,
                                               config.grid_dim,
                                               config.area_side))
-        self._cpu: list[array | None] = []
-        self._enb: list[array | None] = []
-        self._keep = True  # False: only the latest slot stays recorded
+        self._cpu: list[array] = []
+        self._enb: list[array] = []
 
     def matches(self, config: ScenarioConfig) -> bool:
         """True if this world is the one `config` draws."""
@@ -137,22 +139,23 @@ class World:
         as `init_ues` numbers them. Callers must not modify them."""
         if t == len(self._cpu) < self.config.slot_count:
             self._draw_next()
-        cpu = self._cpu[t] if 0 <= t < len(self._cpu) else None
-        if cpu is None:
+        if not 0 <= t < len(self._cpu):
             raise IndexError(f"slot {t} is neither recorded nor next "
                              f"({len(self._cpu)} of {self.config.slot_count} "
                              "drawn)")
-        return cpu, self._enb[t]
+        return self._cpu[t], self._enb[t]
 
     def _draw_next(self) -> None:
         cpu, enbs = step_mobility(self._ues, SLOT_HOURS * 3600.0,
                                   self.config, self._rng)
-        if not self._keep and self._cpu:
-            self._cpu[-1] = self._enb[-1] = None
         self._cpu.append(cpu)
         self._enb.append(enbs)
         if len(self._cpu) == self.config.slot_count:
             self._ues = self._rng = None  # fully drawn; only the record is read
+
+
+# The last world a `run` without one drew, kept once that run completed.
+_last_world: World | None = None
 
 
 def _count_migrations(place: Sequence[int], prev: Assignment,
@@ -216,7 +219,13 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     `world` is the day's drawn world; runs given the same `World` replay
     its record instead of drawing the world again. It must have been made
     for `config` (up to `kappa`), else ValueError. Without one the run
-    draws a fresh world from `config.rng_seed`, which is the same world.
+    uses the world `config.rng_seed` draws, which is the same world: the
+    module remembers the last world such a run drew, once that run has
+    returned, and replays it to the next run without a `World` whose config
+    it matches, so FAR then GEAR, or a kappa sweep, draws it once. A run of
+    another config forgets it before drawing its own, and a run that raises
+    leaves nothing remembered. A run given a `World` neither reads nor
+    replaces the remembered one.
 
     Raises Infeasible, tagged "initial placement" if the greedy finds no
     room for some avatar before the first slot, or tagged with the slot
@@ -230,9 +239,13 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     power = power or default_power_params()
     delay = delay or default_delay_params()
     solver_config = solver_config or SolverConfig()
-    if world is None:
-        world = World(config)
-        world._keep = False  # read once, in order: no replay to record for
+    global _last_world
+    private = world is None
+    if private:
+        world = _last_world
+        if world is None or not world.matches(config):
+            _last_world = None  # never hold two worlds at once
+            world = World(config)
     elif not world.matches(config):
         raise ValueError("the world was drawn for another config")
 
@@ -261,6 +274,8 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
             raise Infeasible(f"slot {t}: {exc}") from exc
         slots.append(compute_slot_metrics(t, state, outcome))
         assignment = outcome.assignment
+    if private:
+        _last_world = world  # every slot drawn: complete and read-only
 
     return RunResult(
         strategy=strategy,

@@ -17,8 +17,17 @@ from gcnsim import (
     init_topology,
     run_tables,
 )
+from gcnsim import engine
 from gcnsim.cli import bundled_trace_path
 from gcnsim.scenario import load_solar_trace
+
+
+@pytest.fixture(autouse=True)
+def forget_the_remembered_world():
+    """Start every test with no world remembered by `engine.run`, so no
+    test is served a world an earlier test drew, perhaps through a patched
+    kernel."""
+    engine._last_world = None
 
 
 @pytest.fixture(scope="session")

@@ -174,7 +174,11 @@ class TestSweeps:
     @pytest.mark.parametrize("command, values, message", [
         ("sweep-ues", "10,0", "ue_count values must be positive integers"),
         ("sweep-kappa", "0.5,1.5", "kappa values must lie in [0, 1]"),
-    ], ids=["sweep-ues", "sweep-kappa"])
+        ("sweep-ues", "10,10.5", "ue_count values must be integers, "
+                                 "got '10.5'"),
+        ("sweep-kappa", "0.5,x", "kappa values must be numbers, got 'x'"),
+    ], ids=["sweep-ues", "sweep-kappa", "sweep-ues-not-integer",
+            "sweep-kappa-not-number"])
     def test_sweep_values_checked_before_any_point_runs(
             self, tmp_path, capsys, command, values, message):
         out = tmp_path / "never"

@@ -1,6 +1,7 @@
 import importlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -218,7 +219,7 @@ class TestWorld:
         run(cfg, "gear", bell_trace, world=world)
         assert kernel_calls[0] == 7
 
-    def test_private_world_keeps_only_the_slot_being_read(
+    def test_private_world_kept_whole_once_the_run_returns(
             self, bell_trace, monkeypatch):
         made = []
 
@@ -232,9 +233,69 @@ class TestWorld:
         assert run(cfg, "far", bell_trace) == run(cfg, "far", bell_trace,
                                                   world=shared)
         private, = made
-        assert private.columns(3) == shared.columns(3)
-        with pytest.raises(IndexError):
-            private.columns(2)  # read once, in order: slot 2 was not kept
+        assert engine._last_world is private
+        for t in range(cfg.slot_count):  # every slot replays, in any order
+            assert private.columns(3 - t) == shared.columns(3 - t)
+
+    def test_far_then_gear_at_any_kappa_draw_the_world_once(
+            self, bell_trace, kernel_calls):
+        cfg = ScenarioConfig(ue_count=30, slot_count=7)
+        derated = replace(cfg, kappa=0.3)
+        runs = [(cfg, "far"), (cfg, "gear"), (derated, "gear")]
+        results = [run(c, strategy, bell_trace) for c, strategy in runs]
+        assert kernel_calls[0] == cfg.slot_count
+        assert results == [run(c, strategy, bell_trace, world=World(c))
+                           for c, strategy in runs]
+
+    def test_another_config_drops_the_remembered_world(self, bell_trace,
+                                                        kernel_calls):
+        a = ScenarioConfig(ue_count=30, slot_count=7)
+        b = replace(a, rng_seed=2)
+        first = run(a, "far", bell_trace)
+        run(b, "far", bell_trace)
+        assert run(a, "far", bell_trace) == first
+        assert kernel_calls[0] == 3 * a.slot_count  # a is drawn twice
+
+    def test_run_that_raises_remembers_nothing(self, bell_trace, monkeypatch,
+                                               kernel_calls):
+        cfg = ScenarioConfig(ue_count=3, slot_count=4)
+        counted = engine.step_mobility
+
+        def overdrawn_last_slot(*args):
+            cpu, enbs = counted(*args)
+            if kernel_calls[0] == cfg.slot_count:
+                cpu[-1] = 100.5
+            return cpu, enbs
+        monkeypatch.setattr(engine, "step_mobility", overdrawn_last_slot)
+        with pytest.raises(ValueError, match="avatar 2 has CPU 100.5"):
+            run(cfg, "far", bell_trace)  # fails with the world fully drawn
+        monkeypatch.setattr(engine, "step_mobility", counted)
+        assert (run(cfg, "far", bell_trace)
+                == run(cfg, "far", bell_trace, world=World(cfg)))
+        assert kernel_calls[0] == 3 * cfg.slot_count  # the run redrew
+
+    def test_given_world_neither_reads_nor_fills_the_remembered_one(
+            self, bell_trace, kernel_calls):
+        cfg = ScenarioConfig(ue_count=30, slot_count=7)
+        run(cfg, "far", bell_trace, world=World(cfg))
+        run(cfg, "far", bell_trace)
+        assert kernel_calls[0] == 2 * cfg.slot_count  # not filled
+        run(cfg, "gear", bell_trace, world=World(cfg))
+        assert kernel_calls[0] == 3 * cfg.slot_count  # not read
+        run(cfg, "gear", bell_trace)
+        assert kernel_calls[0] == 3 * cfg.slot_count  # nor dropped
+
+    def test_readme_library_example_draws_its_world_once(self, capsys,
+                                                         kernel_calls):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        saved, unit = capsys.readouterr().out.split(maxsplit=1)
+        assert unit == "Wh saved\n"
+        assert float(saved) > 0
+        assert kernel_calls[0] == ScenarioConfig().slot_count  # 96
 
     def test_drawn_cpu_out_of_range_rejected(self, monkeypatch):
         step = engine.step_mobility
