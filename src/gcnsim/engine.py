@@ -15,17 +15,25 @@ deviate pending, or whose class overrides `gauss`, is drawn through
 in full, if its config matches (up to `kappa`), and draws a fresh one
 otherwise; that one remembered world is the module's only state.
 
+The world also keeps, for one (power, delay) pair at a time, each slot's
+`FarRecord`: FAR's placement of the slot and its per-cloudlet tally,
+neither of which depends on kappa. Each part is worked out by the first
+run that reads it, inside that run's own decision or accounting, and
+every later run on the world reads it: FAR's decision, GEAR's warm start
+and the accounting of a slot placed as FAR places it. So FAR then GEAR,
+or every point of a kappa sweep, runs FAR's greedy once per slot.
+
 A strategy pass (`run`) reads the world slot by slot. Before the first
 slot it tabulates what no slot changes (`run_tables`: reach, capacities,
 delays) and parks every avatar with FAR's nearest-with-room greedy
 (`far_placement`), so both strategies start from the same placement. Each
-slot it takes the world's recorded CPU and eNB arrays as they are,
-computes each cloudlet's green supply, hands the resulting columnar state
-to the chosen strategy, and accounts energy under
-both power models (exact server-counting and the linearized per-avatar
-form the optimizer uses), so the cost of the linearization stays visible
-in the output. The accounting also counts the slot's migrations against
-the previous placement; strategies only place.
+slot it takes the world's recorded CPU and eNB arrays as they are and
+the slot's record, computes each cloudlet's green supply, hands the
+resulting columnar state to the chosen strategy, and accounts energy
+under both power models (exact server-counting and the linearized
+per-avatar form the optimizer uses), so the cost of the linearization
+stays visible in the output. The accounting also counts the slot's
+migrations against the previous placement; strategies only place.
 
 Strategies see the exact next-slot loads and green supply rather than
 forecasts. This is deliberate: it isolates the quality of the migration
@@ -50,6 +58,7 @@ from .model import (
     cloudlet_power_exact,
     default_delay_params,
     default_power_params,
+    fold_loads,
     ongrid_energy,
     run_tables,
 )
@@ -62,8 +71,9 @@ from .scenario import (
     init_ues,
     step_mobility,
 )
-from .solver import Infeasible, SolverConfig
+from .solver import Infeasible, SolverConfig, fixed_point
 from .strategy import (
+    FarRecord,
     SlotState,
     StrategyOutcome,
     far_assign,
@@ -114,9 +124,18 @@ class World:
     and slot, unchecked: `run` checks each slot's figures when it builds
     the slot's `SlotState` from them. Each slot moves the UEs for
     `SLOT_HOURS`. The world serves every config that differs from its own
-    only in `kappa`, which touches green supply alone. A fully drawn world
-    is only read, so threads may share it; `run` keeps the last one it drew
-    for itself in the module, its one side effect.
+    only in `kappa`, which touches green supply alone.
+
+    `far_records` keeps one `FarRecord` per slot for one (power, delay)
+    pair at a time: FAR's placement as an array of one byte per avatar on
+    grids of up to 256 sites, and a few numbers per cloudlet for its
+    counts and tally, about 3.5 KB per slot at 1000 avatars on the 16-site
+    grid (the drawn columns take 9 KB). It holds no `Assignment`, no
+    placement map and nothing that depends on kappa. Runs fill the records
+    as they read them; each fill is one store of a value that depends only
+    on the slot and the parameters, so it is idempotent, and a fully drawn
+    world may still be shared by threads. `run` keeps the last world it
+    drew for itself in the module, its one side effect.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -129,6 +148,8 @@ class World:
                                               config.area_side))
         self._cpu: list[array] = []
         self._enb: list[array] = []
+        # (power, delay) and one FarRecord per slot for runs with them
+        self._far: tuple = (None, [])
 
     def matches(self, config: ScenarioConfig) -> bool:
         """True if this world is the one `config` draws."""
@@ -144,6 +165,17 @@ class World:
                              f"({len(self._cpu)} of {self.config.slot_count} "
                              "drawn)")
         return self._cpu[t], self._enb[t]
+
+    def far_records(self, power: PowerParams,
+                    delay: DelayParams) -> list[FarRecord]:
+        """One `FarRecord` per slot, for runs with this `power` and
+        `delay`: the records of the last such call, or new empty ones if
+        that call had other parameters, which this one drops."""
+        key, records = self._far
+        if key != (power, delay):
+            records = [FarRecord() for _ in range(self.config.slot_count)]
+            self._far = ((power, delay), records)  # one store: thread-safe
+        return records
 
     def _draw_next(self) -> None:
         cpu, enbs = step_mobility(self._ues, SLOT_HOURS * 3600.0,
@@ -169,42 +201,54 @@ def _count_migrations(place: Sequence[int], prev: Assignment,
     return sum(map(ne, place, before))
 
 
+def _exact_tally(place: Sequence[int], state: SlotState
+                 ) -> tuple[tuple[float, ...], float, int]:
+    """A placement's exact power per cloudlet, from `sum()` of its hosted
+    CPU figures in ascending avatar id, its maximum delay and its SLA
+    violations."""
+    power, table = state.power, state.tables.delay_ms
+    hosted: list[list[float]] = [[] for _ in table]
+    for i, u in zip(place, state.cpu):
+        hosted[i].append(u)
+    delays = [table[i][e] for i, e in zip(place, state.enb)]
+    worst, sla = max(delays, default=0.0), state.delay.sla_max_delay
+    return (tuple(cloudlet_power_exact(c, power) for c in hosted), worst,
+            sum(1 for d in delays if d > sla) if worst > sla else 0)
+
+
 def compute_slot_metrics(slot: int, state: SlotState,
                          outcome: StrategyOutcome) -> SlotMetrics:
-    """Account one slot's assignment under both power models, in one pass
-    over the slot's columns in ascending avatar id, and count the avatars
-    it moves from the state's previous placement."""
-    power, delay, table = state.power, state.delay, state.tables.delay_ms
-    n_cloudlets = len(table)
-    cpus = state.cpu
+    """Account one slot's assignment under both power models, and count
+    the avatars it moves from the state's previous placement.
+
+    The placement's per-cloudlet tally (`FarRecord.loads` and `exact`) is
+    read from the slot's record when the placement is FAR's recorded one,
+    each part worked out here if no reader has yet; any other placement is
+    tallied by the same code and kept nowhere. Green supply, on-grid
+    energy and migrations are worked out on every call."""
     place = outcome.assignment.cloudlets(state.ids)
-    hosted: list[list[float]] = [[] for _ in range(n_cloudlets)]
-    approx = [0.0] * n_cloudlets
-    # The weights GEAR's scorer adds, in the same order and left to right:
-    # sum() of floats is compensated from Python 3.12 and would round
-    # differently.
-    for i, u, w in zip(place, cpus, avatar_weights(cpus, power)):
-        hosted[i].append(u)
-        approx[i] += w
-    power_exact = tuple(cloudlet_power_exact(c, power) for c in hosted)
-    power_approx = tuple(approx)
-    ongrid_exact = sum(
-        ongrid_energy(p, g) for p, g in zip(power_exact, state.green_power)
-    )
-    ongrid_approx = sum(
-        ongrid_energy(p, g) for p, g in zip(power_approx, state.green_power)
-    )
-    delays = [table[i][e] for i, e in zip(place, state.enb)]
+    far = state.far
+    if not far.holds(place):
+        far = FarRecord()  # another placement: tallied alike, kept nowhere
+    if far.loads is None:
+        weights = avatar_weights(state.cpu, state.power)
+        far.loads = fold_loads(place, weights, fixed_point(weights),
+                               len(state.specs))
+    if far.exact is None:
+        far.exact = _exact_tally(place, state)
+    power_approx = far.loads[0]
+    power_exact, max_delay, violations = far.exact
+    green = state.green_power
     return SlotMetrics(
         slot=slot,
         power_exact=power_exact,
         power_approx=power_approx,
-        green=tuple(state.green_power),
-        ongrid_exact_wh=ongrid_exact,
-        ongrid_approx_wh=ongrid_approx,
+        green=tuple(green),
+        ongrid_exact_wh=sum(map(ongrid_energy, power_exact, green)),
+        ongrid_approx_wh=sum(map(ongrid_energy, power_approx, green)),
         migrations=_count_migrations(place, state.prev_assignment, state.ids),
-        max_delay_ms=max(delays, default=0.0),
-        sla_violations=sum(1 for d in delays if d > delay.sla_max_delay),
+        max_delay_ms=max_delay,
+        sla_violations=violations,
     )
 
 
@@ -226,6 +270,12 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     another config forgets it before drawing its own, and a run that raises
     leaves nothing remembered. A run given a `World` neither reads nor
     replaces the remembered one.
+
+    Every slot reads and fills the world's `FarRecord` for the run's
+    (power, delay) pair (`World.far_records`), so runs on one world run
+    FAR's greedy and tally its placement once per slot; a run with another
+    pair drops the world's records and starts new ones. The results are
+    those of runs on fresh worlds, whatever the order of the runs.
 
     Raises Infeasible, tagged "initial placement" if the greedy finds no
     room for some avatar before the first slot, or tagged with the slot
@@ -250,21 +300,23 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
         raise ValueError("the world was drawn for another config")
 
     tables = run_tables(world.topo, world.specs, power, delay)
+    ids = range(len(world.initial_enbs))
     try:
         # Called directly rather than through far_assign: the initial
         # placement is not a slot decision of either strategy.
-        assignment = far_placement(range(len(world.initial_enbs)),
-                                   world.initial_enbs, tables)
+        assignment = Assignment(ids, far_placement(ids, world.initial_enbs,
+                                                   tables)[0])
     except Infeasible as exc:
         raise Infeasible(f"initial placement: {exc}") from exc
+    records = world.far_records(power, delay)
 
     slots: list[SlotMetrics] = []
     for t in range(config.slot_count):
         cpu, enbs = world.columns(t)
         green = tuple(green_power(trace, t, spec, config.kappa)
                       for spec in tables.specs)
-        state = SlotState(range(len(cpu)), cpu, enbs, green, assignment,
-                          tables)
+        state = SlotState(ids, cpu, enbs, green, assignment, tables,
+                          records[t])
         try:
             if strategy == "gear":
                 outcome = gear_assign(state, solver_config)

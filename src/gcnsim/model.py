@@ -17,6 +17,7 @@ is tabulated once per run by `run_tables`.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,6 +205,35 @@ def cloudlet_power_exact(cpus: Sequence[float], params: PowerParams) -> float:
             * params.standby_power
             + params.avatar_coeff * len(cpus)
             + params.cpu_coeff * sum(cpus))
+
+
+def fold_loads(place: Iterable[int], weights: Iterable[float],
+               units: Iterable[int], n_cloudlets: int
+               ) -> tuple[tuple[float, ...], array]:
+    """Each cloudlet's linearized load (W) and fixed-point load under a
+    placement: `place[k]` is the cloudlet of the avatar whose weight is
+    `weights[k]` and whose fixed-point weight is `units[k]`, in ascending
+    avatar id.
+
+    Each cloudlet's figures are added left to right from 0.0 and 0, never
+    with `sum()`: that is compensated for floats from Python 3.12 and would
+    round differently. GEAR's scorer and the slot accounting both take
+    their loads from this one fold, so they agree bit for bit. The
+    fixed-point loads come as a compact array of 64-bit integers, since a
+    world keeps them per slot; a cloudlet load above 2**63 units (some
+    8.8e12 W) raises OverflowError.
+    """
+    load, fixed = [0.0] * n_cloudlets, [0] * n_cloudlets
+    for i, w, u in zip(place, weights, units):
+        load[i] += w
+        fixed[i] += u
+    return tuple(load), array("q", fixed)
+
+
+def index_typecode(count: int) -> str:
+    """The smallest unsigned `array` type code that holds every index below
+    `count`: one byte per index on grids of up to 256 sites."""
+    return "B" if count <= 1 << 8 else "H" if count <= 1 << 16 else "L"
 
 
 def avatar_weights(cpus: Iterable[float], params: PowerParams) -> list[float]:

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
-from .model import SLOT_HOURS, CloudletSpec, SiteTopology
+from .model import SLOT_HOURS, CloudletSpec, SiteTopology, index_typecode
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI, which random.Random.gauss reads
 
@@ -68,6 +68,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be ordered low..high")
         if self.capacity_range[0] < 1:
             raise ValueError("capacity_range must start at >= 1 server")
+        if self.speed_range[0] < 0:
+            raise ValueError("speed_range must start at >= 0 m/s")
+        if not 0 <= self.dest_mean <= self.area_side:
+            raise ValueError("dest_mean must lie within [0, area_side]")
+        if self.dest_stddev < 0:
+            raise ValueError("dest_stddev must be non-negative")
         if not 0 <= self.kappa <= 1:
             raise ValueError("kappa must be in [0, 1]")
         if not (0 <= self.cpu_range[0] and self.cpu_range[1] <= 100):
@@ -217,9 +223,7 @@ def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
     cell, last = side / g, g - 1
     n = len(xs)
     cpu = array("d", [0.0]) * n
-    sites = g * g
-    enbs = array("B" if sites <= 1 << 8 else "H" if sites <= 1 << 16 else "L",
-                 [0]) * n
+    enbs = array(index_typecode(g * g), [0]) * n
     for k in range(n):  # the draw order is part of the World contract
         speed = speed_lo + speed_span * random_()
         px, py = xs[k], ys[k]

@@ -30,12 +30,12 @@ converted back to float watts.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, product, repeat
 from operator import ge, itemgetter, mul
 
-from .model import Assignment, RunTables, avatar_weights
+from .model import Assignment, RunTables, avatar_weights, fold_loads
 from .refine import descent, flow_bound, transfer_chains
 
 # Fixed-point scale for watt values inside the search (about 1e-6 W).
@@ -55,6 +55,13 @@ def _to_units(watts: float) -> int:
 
 def _to_watts(units: int) -> float:
     return units / _SCALE
+
+
+def fixed_point(watts: Iterable[float]) -> tuple[int, ...]:
+    """`_to_units` of each float, without a Python frame per value:
+    float.__round__ is what round calls on a float, and a float scale
+    (2**20 exactly) multiplies without converting."""
+    return tuple(map(float.__round__, map(mul, watts, repeat(float(_SCALE)))))
 
 
 def check_ascending_ids(ids: Sequence[int]) -> None:
@@ -137,14 +144,8 @@ class MilpInstance:
             raise Infeasible(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
         self._ascending = ascending
-        # _to_units of each value, without a Python frame per value: the
-        # values are floats by now, so float.__round__ is what round calls,
-        # and a float scale (2**20 exactly) multiplies without converting
-        scale = float(_SCALE)
-        self._iw = tuple(map(float.__round__,
-                             map(mul, self.weights, repeat(scale))))
-        self._ig = tuple(map(float.__round__,
-                             map(mul, self.green_power, repeat(scale))))
+        self._iw = fixed_point(self.weights)  # floats by now
+        self._ig = fixed_point(self.green_power)
         # id(assignment) -> (assignment, place, power, units); holding the
         # assignment keeps its id from being reused while the entry lives
         self._evaluated: dict[int, tuple] = {}
@@ -157,10 +158,14 @@ class MilpInstance:
     def n_cloudlets(self) -> int:
         return len(self.green_power)
 
-    def check_assignment(self, assignment: Assignment) -> Sequence[int]:
+    def check_assignment(self, assignment: Assignment,
+                         counts: Sequence[int] | None = None
+                         ) -> Sequence[int]:
         """Check a complete assignment against the instance and return its
         cloudlet per instance position: its `place`, when it was made for
-        these avatar ids, else a list read from its map.
+        these avatar ids, else a list read from its map. `counts`, the
+        avatars per cloudlet of that `place` if the caller has them, is
+        what the capacity check reads instead of counting them.
 
         Raises ValueError if it misses an avatar or places one outside the
         instance, outside its feasible set, or on a cloudlet over capacity.
@@ -179,39 +184,46 @@ class MilpInstance:
                 if i not in fs:
                     raise ValueError(f"avatar {a} placed outside its "
                                      "feasible set")
-        used = Counter(place)
+        used = Counter(place) if counts is None else counts
         for i, cap in enumerate(self.count_capacity):
             if used[i] > cap:
                 raise ValueError(f"cloudlet {i} over capacity in assignment")
         return place
 
-    def score(self, place: Sequence[int]) -> tuple[float, int]:
-        """On-grid power of an index-form placement (a cloudlet per
-        instance position) from one pass over it, in float watts and in
-        fixed-point units.
+    def loads(self, place: Sequence[int]
+              ) -> tuple[tuple[float, ...], Sequence[int]]:
+        """Each cloudlet's linearized and fixed-point load under an
+        index-form placement (a cloudlet per instance position), from one
+        pass over it (`fold_loads`)."""
+        return fold_loads(place, self.weights, self._iw, self.n_cloudlets)
 
-        The float figure adds each cloudlet's weights left to right in
-        ascending avatar id from 0.0, never with `sum()`, as
-        `compute_slot_metrics` adds them, then sums the cloudlets' excess
-        over green supply in index order. That is the engine's slot
-        accounting term for term, and `SLOT_HOURS` is a power of two, so
-        the float figure times `SLOT_HOURS` equals `compute_slot_metrics`'s
-        `ongrid_approx_wh` bit for bit. The fixed-point figure is the
-        search's exact objective.
+    def score(self, place: Sequence[int],
+              loads: tuple[Sequence[float], Sequence[int]] | None = None
+              ) -> tuple[float, int]:
+        """On-grid power of an index-form placement, in float watts and in
+        fixed-point units, from its `loads(place)`; `loads` given by the
+        caller stands in for that pass.
+
+        The float figure sums the cloudlets' excess over green supply in
+        index order, from loads `fold_loads` adds as `compute_slot_metrics`
+        takes them. That is the engine's slot accounting term for term,
+        and `SLOT_HOURS` is a power of two, so the float figure times
+        `SLOT_HOURS` equals `compute_slot_metrics`'s `ongrid_approx_wh` bit
+        for bit. The fixed-point figure is the search's exact objective.
         """
-        m = self.n_cloudlets
-        load, units = [0.0] * m, [0] * m
-        for i, w, u in zip(place, self.weights, self._iw):
-            load[i] += w
-            units[i] += u
+        load, units = self.loads(place) if loads is None else loads
         return (sum(max(0.0, p - g) for p, g in zip(load, self.green_power)),
                 sum(u - g for u, g in zip(units, self._ig) if u > g))
 
-    def evaluate(self, assignment: Assignment
+    def evaluate(self, assignment: Assignment,
+                 tally: tuple[Sequence[int], tuple] | None = None
                  ) -> tuple[Sequence[int], float, int]:
         """`check_assignment` and then `score` of a complete assignment:
         (cloudlet per instance position, float power, fixed-point
         objective), worked out once per assignment object and instance.
+        `tally`, the (avatars per cloudlet, `loads`) of the assignment's
+        `place` if the caller has them, is what the capacity check and the
+        score read; the coverage and feasible-set checks run either way.
 
         GEAR evaluates each of its warm starts with it, and `solve` takes
         its seed's entry from here, so a warm start is checked and scored
@@ -220,8 +232,9 @@ class MilpInstance:
         """
         entry = self._evaluated.get(id(assignment))
         if entry is None:
-            place = self.check_assignment(assignment)
-            entry = (assignment, place, *self.score(place))
+            counts, loads = tally or (None, None)
+            place = self.check_assignment(assignment, counts)
+            entry = (assignment, place, *self.score(place, loads))
             self._evaluated[id(assignment)] = entry
         return entry[1:]
 

@@ -14,15 +14,19 @@ Both strategies map one slot's state to a complete assignment:
 
 Strategies are deterministic functions of their inputs; they draw no
 randomness and keep no state between slots. They only place: the engine's
-accounting counts the migrations a placement makes.
+accounting counts the migrations a placement makes. FAR's placement of a
+slot and its tally are worked out once per slot record (`FarRecord`), by
+whichever reader comes first, and read by every later one.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
+from operator import sub
 
 from .model import (
     Assignment,
@@ -31,6 +35,7 @@ from .model import (
     DelayParams,
     PowerParams,
     RunTables,
+    index_typecode,
 )
 from .solver import (
     Infeasible,
@@ -42,19 +47,57 @@ from .solver import (
 )
 
 
+class FarRecord:
+    """FAR's placement of one slot and its per-cloudlet tally, each part
+    worked out by its first reader and only read after that.
+
+    * `greedy`: (place, counts) from `far_placement`, the cloudlet of each
+      avatar in ascending id as an `array` of `index_typecode` and the
+      avatars per cloudlet; or (None, message) if the greedy failed, with
+      the message of its Infeasible. `far_assign` fills it.
+    * `loads`: the placement's linearized and fixed-point load per cloudlet
+      (`model.fold_loads`), filled by GEAR's warm-start check or by the
+      slot accounting.
+    * `exact`: its exact power per cloudlet, from `sum()` of the hosted CPU
+      figures, its maximum delay and its SLA violations, filled by the
+      slot accounting.
+
+    None of them depends on green supply, so every kappa reads one record.
+    A part is filled by one attribute store of a value that depends only
+    on the slot's columns and the run's tables, so the fill is idempotent
+    and threads may share a record. It keeps one byte per avatar on grids
+    of up to 256 sites, and a few numbers per cloudlet.
+    """
+
+    __slots__ = ("greedy", "loads", "exact")
+
+    def __init__(self) -> None:
+        self.greedy = self.loads = self.exact = None
+
+    def holds(self, place: Sequence[int]) -> bool:
+        """True if `place` is the recorded placement object itself."""
+        greedy = self.greedy
+        return greedy is not None and greedy[0] is place
+
+
 @dataclass(frozen=True)
 class SlotState:
     """Everything a strategy may look at for one slot: the avatars as
     columns in ascending avatar id (`ids`, CPU figures `cpu`, eNBs `enb`),
     next-slot green supply, the previous placement, and the run's tables.
 
-    The engine hands over the world's own record arrays with ids
-    `range(n)`. Construction is the one check of a slot's avatars, which
-    every layer after it trusts: it raises ValueError if the columns'
-    lengths disagree, if the ids do not strictly ascend (a repeated id
-    included), or naming the first avatar whose CPU figure lies outside
-    [0, 100] (NaN included) or that is attached to an eNB the topology
-    does not have.
+    `far` is the slot's `FarRecord`: the one passed as `record`, which
+    must have been made for these columns and for tables equal to these,
+    else a new one. The engine hands over the world's own record arrays
+    with ids `range(n)` and the world's record for the slot, so every run
+    on a world reads FAR's placement and tally from one record. A state
+    made by `dataclasses.replace` gets a new record.
+
+    Construction is the one check of a slot's avatars, which every layer
+    after it trusts: it raises ValueError if the columns' lengths
+    disagree, if the ids do not strictly ascend (a repeated id included),
+    or naming the first avatar whose CPU figure lies outside [0, 100] (NaN
+    included) or that is attached to an eNB the topology does not have.
     """
 
     ids: Sequence[int]
@@ -63,8 +106,12 @@ class SlotState:
     green_power: tuple[float, ...]
     prev_assignment: Assignment
     tables: RunTables
+    record: InitVar[FarRecord | None] = None
+    far: FarRecord = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, record: FarRecord | None) -> None:
+        object.__setattr__(self, "far",
+                           FarRecord() if record is None else record)
         if not len(self.ids) == len(self.cpu) == len(self.enb):
             raise ValueError("per-avatar column lengths disagree")
         check_ascending_ids(self.ids)
@@ -107,17 +154,20 @@ class StrategyOutcome:
 
 
 def far_placement(ids: Sequence[int], enbs: Sequence[int],
-                  tables: RunTables) -> Assignment:
+                  tables: RunTables) -> tuple[array, list[int]]:
     """Nearest-with-room greedy: place avatar `ids[k]`, attached to eNB
     `enbs[k]`, in the given order at the nearest in-range cloudlet that
-    still has room. The placement is made over `ids`.
+    still has room. Returns (place, counts): `place[k]`, the cloudlet of
+    avatar `ids[k]`, in an `array` of `index_typecode`, and the number of
+    avatars per cloudlet.
 
     When the nearest cloudlet is full the avatar overflows to the
     next-nearest with room, still within the delay bound. Raises Infeasible
     if every in-range cloudlet is full; that proves only that the greedy
     failed, not that no placement exists, and the message says so.
     """
-    order = tables.reach_order
+    order, capacity = tables.reach_order, tables.capacity
+    code = index_typecode(len(capacity))
     # When no cloudlet is the nearest of more avatars than it can host, no
     # nearest cloudlet ever runs out of room, and the greedy places every
     # avatar there, whatever their order.
@@ -125,9 +175,9 @@ def far_placement(ids: Sequence[int], enbs: Sequence[int],
     first = list(map(nearest.__getitem__, enbs))
     demand = Counter(first)
     if -1 not in demand and all(
-            c <= tables.capacity[i] for i, c in demand.items()):
-        return Assignment(ids, first)
-    room = list(tables.capacity)
+            c <= capacity[i] for i, c in demand.items()):
+        return array(code, first), [demand[i] for i in range(len(capacity))]
+    room = list(capacity)
     place: list[int] = []
     for avatar_id, enb in zip(ids, enbs):
         for i in order[enb]:
@@ -141,15 +191,27 @@ def far_placement(ids: Sequence[int], enbs: Sequence[int],
                 f"{avatar_id} at eNB {enb}, whose in-range cloudlets (nearest "
                 f"first) {', '.join(map(str, order[enb]))} are all full; this "
                 "does not prove that no placement exists")
-    return Assignment(ids, place)
+    return array(code, place), list(map(sub, capacity, room))
 
 
 def far_assign(state: SlotState) -> StrategyOutcome:
     """FAR: the nearest-with-room greedy over avatars in ascending id.
 
-    Its placement is made over the state's ids, so GEAR's checks and the
-    accounting read its `place` as it is."""
-    return StrategyOutcome(far_placement(state.ids, state.enb, state.tables))
+    The greedy runs once per slot record (`state.far`), on the first call;
+    every call returns a new `Assignment` over the recorded placement,
+    made over the state's ids, so GEAR's checks and the accounting read
+    its `place` as it is and know it for the record's. If the greedy
+    failed, every call raises Infeasible with its message."""
+    far = state.far
+    if far.greedy is None:
+        try:
+            far.greedy = far_placement(state.ids, state.enb, state.tables)
+        except Infeasible as exc:
+            far.greedy = (None, str(exc))
+    place, counts = far.greedy
+    if place is None:
+        raise Infeasible(counts)  # the failure's message
+    return StrategyOutcome(Assignment(state.ids, place))
 
 
 def gear_assign(state: SlotState, config: SolverConfig | None = None) -> StrategyOutcome:
@@ -166,10 +228,13 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
 
     Each warm start is checked and scored once, by `MilpInstance.evaluate`
     in index form; `solve` reuses that check and that fixed-point score for
-    its seed. FAR's placement is checked like any other, although the
-    greedy built it within reach and capacity. The solver's own placement
-    is feasible by construction, is made over the instance's ids, and is
-    only scored, on its `place`.
+    its seed. FAR's placement is checked for coverage and reach like any
+    other, although the greedy built it within reach and capacity; its
+    capacity check reads the counts the slot's `FarRecord` holds, and its
+    score comes from the record's per-cloudlet loads, which GEAR fills from
+    its instance if no reader has yet. The solver's own placement is
+    feasible by construction, is made over the instance's ids, and is only
+    scored, on its `place`.
 
     When FAR's greedy finds no room for some avatar, a still-feasible
     previous placement is the warm start; failing that the solver runs
@@ -179,11 +244,20 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     cfg = config or SolverConfig()
     inst = build_instance(state.ids, state.cpu, state.enb, state.green_power,
                           state.tables)
+    far = state.far
     try:
         warm = far_assign(state).assignment
     except Infeasible:
         warm = None  # the greedy can fail where a placement exists
-    warm_power = math.inf if warm is None else inst.evaluate(warm)[1]
+    if warm is None:
+        warm_power = math.inf
+    else:
+        tally = None
+        if far.holds(warm.place):  # as it is unless far_assign is replaced
+            if far.loads is None:
+                far.loads = inst.loads(warm.place)
+            tally = far.greedy[1], far.loads
+        warm_power = inst.evaluate(warm, tally)[1]
     prev = state.prev_assignment
     try:
         prev_power = inst.evaluate(prev)[1]

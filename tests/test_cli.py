@@ -44,6 +44,22 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("line, message", [
+        # UEs walked out of the area and the eNB array overflowed
+        ("speed_range = -10.0,-5.0", "speed_range must start at >= 0 m/s"),
+        # the waypoint draw never landed inside the area
+        ("dest_mean = 100.0", "dest_mean must lie within [0, area_side]"),
+        # mirrored waypoints
+        ("dest_stddev = -1.4", "dest_stddev must be non-negative"),
+    ])
+    def test_config_the_world_cannot_draw_exits_one(self, tmp_path, capsys,
+                                                    line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\nue_count = 50\nslot_count = 10\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
     def test_infeasible_scenario_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "full.cfg"
         cfg.write_text("ue_count = 5000\ncapacity_range = 1,1\nslot_count = 4\n")

@@ -1,5 +1,7 @@
 import importlib
 import random
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,8 @@ from gcnsim import (
     SolverConfig,
     World,
     compute_slot_metrics,
+    default_delay_params,
+    default_power_params,
     enb_indices,
     init_topology,
     init_ues,
@@ -337,6 +341,134 @@ class TestWorld:
                                               cfg.area_side)
 
 
+@pytest.fixture
+def greedy_calls(monkeypatch):
+    """Count runs of FAR's greedy for a slot (the initial placement,
+    called from the engine, is not counted)."""
+    calls = [0]
+    greedy = strategy.far_placement
+
+    def counted(*args):
+        calls[0] += 1
+        return greedy(*args)
+    monkeypatch.setattr(strategy, "far_placement", counted)
+    return calls
+
+
+class TestFarRecord:
+    """FAR's placement and tally are worked out once per world slot and
+    (power, delay) pair, and every run on the world reads them."""
+
+    def test_far_first_and_gear_first_days_agree(self, bell_trace):
+        cfg = ScenarioConfig(ue_count=60, slot_count=48, rng_seed=3)
+        far_first, gear_first = World(cfg), World(cfg)
+        far = run(cfg, "far", bell_trace, world=far_first)
+        gear = run(cfg, "gear", bell_trace, world=far_first)
+        assert run(cfg, "gear", bell_trace, world=gear_first) == gear
+        assert run(cfg, "far", bell_trace, world=gear_first) == far
+        # GEAR moves away from FAR on some slots and keeps it on others
+        moved = [f != g for f, g in zip(far.slots, gear.slots)]
+        assert True in moved and False in moved
+
+    def test_kappa_sweep_runs_the_greedy_once_per_slot(self, bell_trace,
+                                                        greedy_calls):
+        cfg = ScenarioConfig(ue_count=30, slot_count=7)
+        derated = replace(cfg, kappa=0.3)
+        runs = [(cfg, "far"), (cfg, "gear"), (derated, "gear")]
+        results = [run(c, name, bell_trace) for c, name in runs]
+        assert greedy_calls[0] == cfg.slot_count
+        assert results == [run(c, name, bell_trace, world=World(c))
+                           for c, name in runs]
+
+    def test_another_delay_recomputes_the_record(self, bell_trace,
+                                                 greedy_calls):
+        cfg = ScenarioConfig(ue_count=60, slot_count=12)
+        world = World(cfg)
+        tight = replace(default_delay_params(), sla_max_delay=7.0)
+        first = run(cfg, "far", bell_trace, world=world)
+        assert greedy_calls[0] == cfg.slot_count
+        assert (run(cfg, "far", bell_trace, delay=tight, world=world)
+                == run(cfg, "far", bell_trace, delay=tight, world=World(cfg)))
+        assert greedy_calls[0] == 3 * cfg.slot_count
+        # the world keeps one pair's records: the first pair's are gone
+        assert run(cfg, "far", bell_trace, world=world) == first
+        assert greedy_calls[0] == 4 * cfg.slot_count
+
+    def test_far_failure_recorded_with_its_message(self, bell_trace,
+                                                   greedy_calls):
+        # FAR's greedy runs out of room at slot 23, but a placement exists
+        cfg = ScenarioConfig(capacity_range=(1, 2), ue_count=300,
+                             slot_count=24, rng_seed=1)
+        world = World(cfg)
+        with pytest.raises(Infeasible, match="^slot 23: FAR's "
+                           "nearest-with-room greedy failed") as first:
+            run(cfg, "far", bell_trace, world=world)
+        gear = run(cfg, "gear", bell_trace, world=world)  # falls back
+        with pytest.raises(Infeasible) as again:
+            run(cfg, "far", bell_trace, world=world)
+        assert str(again.value) == str(first.value)
+        assert greedy_calls[0] == cfg.slot_count
+        # GEAR first: the same fallback, and FAR then fails alike
+        gear_first = World(cfg)
+        assert run(cfg, "gear", bell_trace, world=gear_first) == gear
+        with pytest.raises(Infeasible) as after_gear:
+            run(cfg, "far", bell_trace, world=gear_first)
+        assert str(after_gear.value) == str(first.value)
+
+    def test_world_keeps_no_assignment_or_placement_map(self, bell_trace):
+        cfg = ScenarioConfig(ue_count=50, slot_count=12)
+        world = World(cfg)
+        for name in ("far", "gear"):
+            run(cfg, name, bell_trace, world=world)
+        kept = list(vars(world).values())
+        while kept:
+            value = kept.pop()
+            assert not isinstance(value, (model.Assignment, dict))
+            if isinstance(value, (list, tuple)):
+                kept.extend(value)
+            elif isinstance(value, strategy.FarRecord):
+                kept.extend([value.greedy, value.loads, value.exact])
+        records = world.far_records(default_power_params(),
+                                    default_delay_params())
+        assert len(records) == cfg.slot_count
+        for record in records:
+            place, counts = record.greedy
+            # one byte per avatar, and a few numbers per cloudlet
+            assert place.typecode == "B" and len(place) == cfg.ue_count
+            assert len(counts) == len(record.loads[0]) == 16
+
+    def test_threads_sharing_a_world_agree(self, bell_trace):
+        cfg = ScenarioConfig(ue_count=40, slot_count=12)
+        world = World(cfg)
+        for t in range(cfg.slot_count):
+            world.columns(t)  # a fully drawn world is only read
+        expected = [run(cfg, name, bell_trace, world=World(cfg))
+                    for name in ("far", "gear")]
+        results, errors = [], []
+
+        def day(order):
+            try:
+                got = {name: run(cfg, name, bell_trace, world=world)
+                       for name in order}
+                results.append([got["far"], got["gear"]])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=day, args=(order,))
+                       for order in [("far", "gear"), ("gear", "far")] * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * len(threads)
+
+
 class TestOncePerRun:
     """What no slot changes is computed once per run, and the engine hands
     the world's columns to the strategies without per-avatar objects."""
@@ -397,7 +529,9 @@ class TestOncePerRun:
 
 class TestOncePerDecision:
     """One GEAR decision at 1000 avatars weighs the slot once, builds no
-    placement map, and checks and scores each warm start at most once."""
+    placement map, and checks and scores each warm start at most once; FAR's
+    placement, counts and loads come from the slot's record, worked out at
+    most once per record."""
 
     @pytest.fixture(scope="class")
     def states(self, bell_trace):
@@ -432,7 +566,8 @@ class TestOncePerDecision:
         assert prev.cloudlets(ids) is prev.place
 
     @pytest.mark.parametrize("kind", ["root stop", "dive"])
-    def test_each_fact_established_once(self, states, kind, monkeypatch):
+    def test_each_fact_established_once(self, states, kind, monkeypatch,
+                                        greedy_calls):
         state = states[kind]
         weighed = TestOncePerRun.count_calls(monkeypatch, "avatar_weights")
         made = []
@@ -449,21 +584,31 @@ class TestOncePerDecision:
             fars.append(far_assign(state))
             return fars[-1]
         monkeypatch.setattr(strategy, "far_assign", far)
-        checked, scored = [], []
+        checked, scored, folded = [], [], []
         check = solver.MilpInstance.check_assignment
         score = solver.MilpInstance.score
+        fold = solver.MilpInstance.loads
 
-        def counted_check(inst, assignment):
-            checked.append([assignment])
-            checked[-1].append(check(inst, assignment))  # its index form
-            return checked[-1][1]
+        def counted_check(inst, assignment, counts=None):
+            checked.append([assignment, counts])
+            checked[-1].append(check(inst, assignment, counts))  # index form
+            return checked[-1][2]
 
-        def counted_score(inst, place):
-            scored.append(place)
-            return score(inst, place)
+        def counted_score(inst, place, loads=None):
+            scored.append((place, loads))
+            return score(inst, place, loads)
+
+        def counted_fold(inst, place):
+            folded.append(place)
+            return fold(inst, place)
         monkeypatch.setattr(solver.MilpInstance, "check_assignment",
                             counted_check)
         monkeypatch.setattr(solver.MilpInstance, "score", counted_score)
+        monkeypatch.setattr(solver.MilpInstance, "loads", counted_fold)
+        # the run that captured the root stop filled its record; the dive's
+        # state, made by replace, has a record of its own, still empty
+        filled = state.far.greedy is not None
+        assert filled is (kind == "root stop")
 
         outcome = strategy.gear_assign(state)
 
@@ -476,11 +621,20 @@ class TestOncePerDecision:
         assert len(made) == 1 + improved
         assert made[0] is far_made and made[-1] is sol.assignment
         assert not any("placement" in vars(a) for a in made)
-        # each check is [assignment] plus, if it passed, the index form
+        # each check is [assignment, counts] plus, if it passed, the index
+        # form
         far_checks = [c for c in checked if c[0] is far_made]
         assert len(far_checks) == 1
-        assert sum(p is far_checks[0][1] for p in scored) == 1
+        far_place = far_checks[0][2]
+        assert far_place is far_made.place
+        # FAR's capacity check reads the record's counts and its score the
+        # record's loads, folded only if no reader had filled them
+        assert far_checks[0][1] is state.far.greedy[1]
+        assert [loads for p, loads in scored if p is far_place] == [
+            state.far.loads]
+        assert sum(p is far_place for p in folded) == (not filled)
+        assert greedy_calls[0] == (not filled)
         prev_checks = [c for c in checked if c[0] is state.prev_assignment]
         assert len(prev_checks) <= 1
-        assert sum(p is c[1] for p in scored for c in prev_checks
-                   if len(c) == 2) <= 1
+        assert sum(p is c[2] for p, _ in scored for c in prev_checks
+                   if len(c) == 3) <= 1

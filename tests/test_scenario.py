@@ -18,7 +18,7 @@ from gcnsim import (
     step_mobility,
 )
 from gcnsim.scenario import ParseError, _draw_destination
-from gcnsim.model import CloudletSpec
+from gcnsim.model import Assignment, CloudletSpec
 from gcnsim.strategy import far_placement
 
 
@@ -56,8 +56,10 @@ class TestTopology:
 def initial_placement(ues, cfg, topo, specs, power, delay):
     """The engine's initial placement: the shared greedy in avatar order."""
     enbs = enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side)
-    return far_placement(range(len(enbs)), enbs,
-                         run_tables(topo, specs, power, delay))
+    ids = range(len(enbs))
+    return Assignment(ids, far_placement(ids, enbs,
+                                         run_tables(topo, specs, power,
+                                                    delay))[0])
 
 
 class TestInitUes:
@@ -437,6 +439,10 @@ class TestConfigValidation:
         {"cpu_range": (5.0, 120.0)},
         {"area_side": 0.0},
         {"urban_region": (5.0, 0.0, 1.0, 8.0)},
+        {"speed_range": (-10.0, -5.0)},
+        {"dest_mean": 100.0},
+        {"dest_mean": -0.5},
+        {"dest_stddev": -1.4},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):

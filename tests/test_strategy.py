@@ -193,10 +193,10 @@ class TestFar:
             state = make_state(grid_topo, shuffled, zero_green(grid_topo),
                                specs=specs, power=tiny, default_delay=delay)
             assert far_assign(state).assignment.placement == reference
-            greedy_in_given_order = far_placement(
-                [a.avatar_id for a in shuffled],
-                [a.attached_enb for a in shuffled],
-                run_tables(grid_topo, specs, tiny, delay)).placement
+            ids = [a.avatar_id for a in shuffled]
+            place, _ = far_placement(ids, [a.attached_enb for a in shuffled],
+                                     run_tables(grid_topo, specs, tiny, delay))
+            greedy_in_given_order = dict(zip(ids, place))
             reordered.add(greedy_in_given_order != reference)
         assert True in reordered  # capacity binds: order matters to the greedy
 
@@ -243,8 +243,10 @@ class TestFar:
                     far_placement(ids, enbs, tables)
                 continue
             kinds.add("overflow" if overflow else "all nearest")
-            got = far_placement(ids, enbs, tables).placement
-            assert list(got.items()) == list(expected.items())
+            place, counts = far_placement(ids, enbs, tables)
+            assert list(zip(ids, place)) == list(expected.items())
+            assert counts == [list(place).count(i)
+                              for i in range(len(tables.capacity))]
         assert kinds == {"greedy fails", "overflow", "all nearest"}
 
     def test_empty_reach_fails_with_the_greedys_message(self, grid_topo,
