@@ -224,12 +224,14 @@ def compute_slot_metrics(slot: int, state: SlotState,
     The placement's per-cloudlet tally (`FarRecord.loads` and `exact`) is
     read from the slot's record when the placement is FAR's recorded one,
     each part worked out here if no reader has yet; any other placement is
-    tallied by the same code and kept nowhere. Green supply, on-grid
-    energy and migrations are worked out on every call."""
+    tallied by the same code and kept nowhere, its loads taken from the
+    outcome when the strategy folded them (`StrategyOutcome.loads`). Green
+    supply, on-grid energy and migrations are worked out on every call."""
     place = outcome.assignment.cloudlets(state.ids)
     far = state.far
     if not far.holds(place):
         far = FarRecord()  # another placement: tallied alike, kept nowhere
+        far.loads = outcome.loads
     if far.loads is None:
         weights = avatar_weights(state.cpu, state.power)
         far.loads = fold_loads(place, weights, fixed_point(weights),

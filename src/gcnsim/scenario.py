@@ -19,7 +19,7 @@ import math
 import random
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
 from .model import SLOT_HOURS, CloudletSpec, SiteTopology, index_typecode
@@ -38,13 +38,16 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's parameters. `dest_mean` left as None becomes
+    `area_side / 2`, the middle of the area."""
+
     grid_dim: int = 4
     area_side: float = 8.0
     ue_count: int = 200
     slot_count: int = 96
     capacity_range: tuple[int, int] = (10, 30)
     speed_range: tuple[float, float] = (0.0, 10.0)
-    dest_mean: float = 4.0
+    dest_mean: float | None = None
     dest_stddev: float = 1.4
     cpu_range: tuple[float, float] = (10.0, 100.0)
     panel_area: float = 5.0
@@ -58,6 +61,8 @@ class ScenarioConfig:
             raise ValueError("grid_dim must be >= 1")
         if self.area_side <= 0:
             raise ValueError("area_side must be positive")
+        if self.dest_mean is None:
+            object.__setattr__(self, "dest_mean", self.area_side / 2)
         if self.ue_count < 0:
             raise ValueError("ue_count must be non-negative")
         if self.slot_count < 0:
@@ -301,9 +306,9 @@ def load_solar_trace(path: str) -> SolarTrace:
     return SolarTrace(hourly_irradiance=tuple(values))
 
 
-# Each config key parses like its ScenarioConfig default: an int, a float,
-# or a comma-separated tuple of the default's length and element type.
-_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+# Each config key parses like its value in the default ScenarioConfig: an
+# int, a float, or a comma-separated tuple of its length and element type.
+_DEFAULTS = dict(vars(ScenarioConfig()))
 
 
 def _parse_like(default, value: str):
@@ -316,10 +321,10 @@ def _parse_like(default, value: str):
 def load_scenario_config(path: str) -> ScenarioConfig:
     """Read a scenario config: `key = value` lines using the ScenarioConfig
     field names, `#` comments, pairs and rectangles comma-separated.
-    Each value is read as the type of the field's default. Unspecified
-    fields keep their defaults. Raises ParseError naming the line that
-    does not parse, and ValueError naming the file when the values fail
-    `ScenarioConfig`'s checks."""
+    Each value is read as the type of the field in the default config.
+    Unspecified fields keep their defaults. Raises ParseError naming the
+    line that does not parse, and ValueError naming the file when the
+    values fail `ScenarioConfig`'s checks."""
     overrides: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()

@@ -85,6 +85,14 @@ class MilpInstance:
     The constructor converts every field and checks what `build_instance`
     takes from the run's tables as given (weights and capacities not
     negative, every feasible cloudlet known); both then run `_finish`.
+
+    The per-avatar weights are worked out on first read, at most once per
+    instance: `weights`, which `build_instance` leaves to be taken from the
+    slot's CPU figures, and the fixed-point weights the search reads. Their
+    readers are the search and its pause, the score of a placement that
+    comes without its loads, and `brute_force`; a seed that meets the root
+    bound needs neither, since `solve` takes its total weight from the
+    seed's tally.
     """
 
     weights: tuple[float, ...]
@@ -112,14 +120,30 @@ class MilpInstance:
             if any(i < 0 or i >= m for i in fs):
                 raise ValueError("feasible set references unknown cloudlet")
             ascending[fs] = tuple(sorted(fs))
-        self._finish(ascending)
+        self._finish(ascending, len(self.weights))
 
-    def _finish(self, ascending: dict[frozenset[int], tuple[int, ...]]
-                ) -> None:
+    def __getattr__(self, name: str):
+        """`weights` (from the CPU figures `build_instance` keeps) or the
+        fixed-point weights `_iw`, worked out on the first read of either,
+        which is the only one that finds the attribute unset. The value is
+        kept by one attribute store, so a race computes it twice at most."""
+        if name == "weights":
+            value = tuple(avatar_weights(self._cpu, self._power))
+        elif name == "_iw":
+            value = fixed_point(self.weights)  # floats by now
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        setattr(self, name, value)
+        return value
+
+    def _finish(self, ascending: dict[frozenset[int], tuple[int, ...]],
+                weighed: int) -> None:
         """Check the fields, with no per-avatar Python loop unless some
         feasible set is empty, then set what the search reads: `ascending`
         maps each feasible set to its cloudlets in ascending index, plus
-        the fixed-point weights and green supply.
+        the fixed-point green supply. `weighed` is the length of the
+        per-avatar column the weights come from.
 
         Raises ValueError if the per-avatar or per-cloudlet lengths
         disagree, the ids do not strictly ascend or green power is
@@ -127,8 +151,8 @@ class MilpInstance:
         feasible set, or the total capacity if it is below the avatar
         count.
         """
-        n, ids = len(self.weights), self.avatar_ids
-        if len(self.feasible_sets) != n or len(ids) != n:
+        n, ids = len(self.feasible_sets), self.avatar_ids
+        if weighed != n or len(ids) != n:
             raise ValueError("per-avatar field lengths disagree")
         check_ascending_ids(ids)
         if len(self.count_capacity) != len(self.green_power):
@@ -144,15 +168,14 @@ class MilpInstance:
             raise Infeasible(
                 f"capacity {sum(self.count_capacity)} < {n} avatars")
         self._ascending = ascending
-        self._iw = fixed_point(self.weights)  # floats by now
         self._ig = fixed_point(self.green_power)
-        # id(assignment) -> (assignment, place, power, units); holding the
-        # assignment keeps its id from being reused while the entry lives
+        # id(assignment) -> (assignment, place, power, units, loads); holding
+        # the assignment keeps its id from being reused while the entry lives
         self._evaluated: dict[int, tuple] = {}
 
     @property
     def n_avatars(self) -> int:
-        return len(self.weights)
+        return len(self.feasible_sets)
 
     @property
     def n_cloudlets(self) -> int:
@@ -217,13 +240,16 @@ class MilpInstance:
 
     def evaluate(self, assignment: Assignment,
                  tally: tuple[Sequence[int], tuple] | None = None
-                 ) -> tuple[Sequence[int], float, int]:
+                 ) -> tuple[Sequence[int], float, int, tuple]:
         """`check_assignment` and then `score` of a complete assignment:
         (cloudlet per instance position, float power, fixed-point
-        objective), worked out once per assignment object and instance.
-        `tally`, the (avatars per cloudlet, `loads`) of the assignment's
-        `place` if the caller has them, is what the capacity check and the
-        score read; the coverage and feasible-set checks run either way.
+        objective, `loads`), worked out once per assignment object and
+        instance. `tally`, the (avatars per cloudlet, `loads`) of the
+        assignment's `place` if the caller has them, is what the capacity
+        check and the score read, and the loads returned are those given;
+        the coverage and feasible-set checks run either way. A checked
+        assignment places every avatar exactly once, so its fixed-point
+        loads sum to the total fixed-point weight exactly.
 
         GEAR evaluates each of its warm starts with it, and `solve` takes
         its seed's entry from here, so a warm start is checked and scored
@@ -234,7 +260,9 @@ class MilpInstance:
         if entry is None:
             counts, loads = tally or (None, None)
             place = self.check_assignment(assignment, counts)
-            entry = (assignment, place, *self.score(place, loads))
+            if loads is None:
+                loads = self.loads(place)
+            entry = (assignment, place, *self.score(place, loads), loads)
             self._evaluated[id(assignment)] = entry
         return entry[1:]
 
@@ -280,17 +308,19 @@ def build_instance(ids: Sequence[int], cpus: Sequence[float],
     Each feasible set is the tables' frozenset for the avatar's eNB, whose
     cloudlets all exist, and each weight is `avatar_weights` of a CPU
     figure that the slot's `SlotState` range-checked, so the build skips
-    the constructor's own checks. It raises what `MilpInstance._finish`
-    raises; green power of the wrong length is a per-cloudlet length that
-    disagrees.
+    the constructor's own checks. The build keeps `cpus` and works out no
+    weight: `weights`, and the fixed-point weights from them, are computed
+    on first read (`MilpInstance`), and a decision that stops at its seed
+    reads neither. It raises what `MilpInstance._finish` raises; green
+    power of the wrong length is a per-cloudlet length that disagrees.
     """
     inst = MilpInstance.__new__(MilpInstance)  # no per-avatar __post_init__
-    inst.weights = tuple(avatar_weights(cpus, tables.power))
+    inst._cpu, inst._power = cpus, tables.power  # `weights` on first read
     inst.feasible_sets = _take(tables.reach, enbs)
     inst.green_power = tuple(map(float, green))
     inst.count_capacity = tables.capacity
     inst.avatar_ids = ids if type(ids) is range else tuple(ids)
-    inst._finish(dict(zip(tables.reach, tables.reach_ascending)))
+    inst._finish(dict(zip(tables.reach, tables.reach_ascending)), len(cpus))
     return inst
 
 
@@ -348,9 +378,13 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     Seed ("seed"): a `seed_assignment` is the initial incumbent, checked
     and scored through `MilpInstance.evaluate` (ValueError if it does not
     fit), so a seed GEAR has evaluated is not checked or scored again. If
-    nothing beats it, the returned assignment is the seed object itself. A
-    seed within the gap tolerance of the root bound, max(0, total weight -
-    total green), is returned after one node, before any search set-up.
+    nothing beats it, the returned assignment is the seed object itself.
+    The root bound is max(0, total weight - total green), in fixed point.
+    With a seed, the total weight is the sum of the seed's per-cloudlet
+    fixed-point loads from that evaluation, which equals the sum of the
+    avatars' fixed-point weights exactly; without one it is that sum. A
+    seed within the gap tolerance of the root bound is returned after one
+    node, before any search set-up and without reading a weight.
 
     Dive ("dive"): a depth-first walk (`_search`) under `node_limit`
     nodes. It branches on the heaviest unplaced avatar; children are its
@@ -386,14 +420,16 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
     ties break toward the lowest index, so runs are bit-reproducible.
     """
     cfg = config or SolverConfig()
-    iw, ig = inst._iw, inst._ig
     tol = cfg.gap_tolerance
-    root_bound = max(0, sum(iw) - sum(ig))
 
     seed_place: Sequence[int] | None = None
     best_obj: int | None = None
-    if cfg.seed_assignment is not None:
-        seed_place, _, best_obj = inst.evaluate(cfg.seed_assignment)
+    if cfg.seed_assignment is None:
+        total = sum(inst._iw)
+    else:
+        seed_place, _, best_obj, loads = inst.evaluate(cfg.seed_assignment)
+        total = sum(loads[1])  # each avatar's fixed-point weight, once
+    root_bound = max(0, total - sum(inst._ig))
 
     stage = "dive"
 
@@ -401,6 +437,7 @@ def solve(inst: MilpInstance, config: SolverConfig | None = None) -> Solution:
         """Steps 1 and 2, once the walk has paused; returns the root bound,
         objective and placement it goes on with."""
         nonlocal root_bound, stage
+        iw, ig = inst._iw, inst._ig
         root_bound = flow_bound(inst.feasible_sets, iw, ig, inst._ascending)
         fields = (inst.feasible_sets, iw, ig, inst.count_capacity,
                   inst._ascending)

@@ -147,10 +147,14 @@ class SlotState:
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    """A strategy's decision for one slot."""
+    """A strategy's decision for one slot. `loads`, when the strategy has
+    folded them, are the linearized and fixed-point load per cloudlet of
+    `assignment` (`MilpInstance.loads`), which the slot accounting then
+    reads instead of folding the placement again."""
 
     assignment: Assignment
     solver_stats: Solution | None = None
+    loads: tuple | None = None
 
 
 def far_placement(ids: Sequence[int], enbs: Sequence[int],
@@ -234,7 +238,11 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     score comes from the record's per-cloudlet loads, which GEAR fills from
     its instance if no reader has yet. The solver's own placement is
     feasible by construction, is made over the instance's ids, and is only
-    scored, on its `place`.
+    scored, on its `place`. The outcome carries the loads its placement was
+    scored from, so the accounting does not fold them again. The avatars'
+    weights are worked out only if some step reads them (`MilpInstance`):
+    a decision whose warm start is FAR's recorded placement and meets the
+    root bound, with no previous placement that fits, weighs no avatar.
 
     When FAR's greedy finds no room for some avatar, a still-feasible
     previous placement is the warm start; failing that the solver runs
@@ -250,28 +258,29 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     except Infeasible:
         warm = None  # the greedy can fail where a placement exists
     if warm is None:
-        warm_power = math.inf
+        warm_power, warm_loads = math.inf, None
     else:
         tally = None
         if far.holds(warm.place):  # as it is unless far_assign is replaced
             if far.loads is None:
                 far.loads = inst.loads(warm.place)
             tally = far.greedy[1], far.loads
-        warm_power = inst.evaluate(warm, tally)[1]
+        _, warm_power, _, warm_loads = inst.evaluate(warm, tally)
     prev = state.prev_assignment
     try:
-        prev_power = inst.evaluate(prev)[1]
+        _, prev_power, _, prev_loads = inst.evaluate(prev)
     except ValueError:
         pass  # the previous placement does not fit this slot
     else:
         if prev_power < warm_power:
-            warm, warm_power = prev, prev_power
+            warm, warm_power, warm_loads = prev, prev_power, prev_loads
 
     sol = solve(inst, replace(cfg, seed_assignment=warm))
 
-    chosen = warm
+    chosen, loads = warm, warm_loads
     # the solver returns the seed object itself when nothing beat it
-    if (sol.assignment is not warm
-            and inst.score(sol.assignment.place)[0] < warm_power):
-        chosen = sol.assignment
-    return StrategyOutcome(chosen, sol)
+    if sol.assignment is not warm:
+        sol_loads = inst.loads(sol.assignment.place)
+        if inst.score(sol.assignment.place, sol_loads)[0] < warm_power:
+            chosen, loads = sol.assignment, sol_loads
+    return StrategyOutcome(chosen, sol, loads)

@@ -10,6 +10,7 @@ from gcnsim import (
     ScenarioConfig,
     SiteTopology,
     SlotState,
+    World,
     avatar_weights,
     build_instance,
     default_delay_params,
@@ -50,6 +51,26 @@ def grid_topo():
 @pytest.fixture(scope="session")
 def bell_trace():
     return load_solar_trace(bundled_trace_path())
+
+
+@pytest.fixture(scope="session")
+def gear_day_1000(bell_trace):
+    """A GEAR-first day at 1000 UEs on a fresh `World` (seed 1): the world,
+    the run's result and the `SlotState` of each GEAR decision, whose FAR
+    records the run has filled."""
+    cfg = ScenarioConfig(ue_count=1000)
+    world, states = World(cfg), []
+    gear = engine.gear_assign
+
+    def capture(state, *args):
+        states.append(state)
+        return gear(state, *args)
+    engine.gear_assign = capture
+    try:
+        result = engine.run(cfg, "gear", bell_trace, world=world)
+    finally:
+        engine.gear_assign = gear
+    return world, result, states
 
 
 def line_topology(spacing_km: float, count: int) -> SiteTopology:

@@ -370,6 +370,18 @@ class TestFarRecord:
         moved = [f != g for f, g in zip(far.slots, gear.slots)]
         assert True in moved and False in moved
 
+    def test_far_first_and_gear_first_agree_at_1000_ues(self, bell_trace,
+                                                        gear_day_1000):
+        # GEAR-first fills each record's loads from its instance, and its
+        # accounting reads the loads its decisions folded
+        gear_first, gear, _ = gear_day_1000
+        cfg = gear_first.config
+        far_first = World(cfg)
+        far = run(cfg, "far", bell_trace, world=far_first)
+        assert run(cfg, "gear", bell_trace, world=far_first) == gear
+        assert run(cfg, "far", bell_trace, world=gear_first) == far
+        assert gear.total_ongrid_approx_wh < far.total_ongrid_approx_wh
+
     def test_kappa_sweep_runs_the_greedy_once_per_slot(self, bell_trace,
                                                         greedy_calls):
         cfg = ScenarioConfig(ue_count=30, slot_count=7)
@@ -528,10 +540,28 @@ class TestOncePerRun:
 
 
 class TestOncePerDecision:
-    """One GEAR decision at 1000 avatars weighs the slot once, builds no
-    placement map, and checks and scores each warm start at most once; FAR's
-    placement, counts and loads come from the slot's record, worked out at
-    most once per record."""
+    """One GEAR decision at 1000 avatars weighs the slot at most once, and
+    not at all when it stops at FAR's placement, builds no placement map,
+    and checks and scores each warm start at most once; FAR's placement,
+    counts and loads come from the slot's record, worked out at most once
+    per record."""
+
+    @staticmethod
+    def count_weighing(monkeypatch, avatars: int) -> list[int]:
+        """Count the slot's weighings through every binding: calls of
+        `avatar_weights`, and of `fixed_point` on `avatars` values (green
+        supply, one value per cloudlet, is converted in every decision)."""
+        weighed = TestOncePerRun.count_calls(monkeypatch, "avatar_weights")
+        converted = [0]
+        fixed_point = solver.fixed_point
+
+        def counted(watts):
+            watts = tuple(watts)
+            converted[0] += len(watts) == avatars
+            return fixed_point(watts)
+        for module in (solver, engine):
+            monkeypatch.setattr(module, "fixed_point", counted)
+        return [weighed, converted]
 
     @pytest.fixture(scope="class")
     def states(self, bell_trace):
@@ -569,7 +599,7 @@ class TestOncePerDecision:
     def test_each_fact_established_once(self, states, kind, monkeypatch,
                                         greedy_calls):
         state = states[kind]
-        weighed = TestOncePerRun.count_calls(monkeypatch, "avatar_weights")
+        weighed, converted = self.count_weighing(monkeypatch, len(state.cpu))
         made = []
         init = model.Assignment.__init__
 
@@ -616,7 +646,10 @@ class TestOncePerDecision:
         improved = sol.assignment is not far_made
         assert (sol.nodes_explored > 1) is improved is (kind == "dive")
         assert outcome.assignment is (sol.assignment if improved else far_made)
-        assert weighed[0] == 1
+        # the root stop reads FAR's loads from the record and its total
+        # weight from them; the dive weighs the slot to fold FAR's loads
+        # and to search
+        assert weighed[0] == converted[0] == (kind == "dive")
         # FAR's placement, and the solver's when it improved on FAR
         assert len(made) == 1 + improved
         assert made[0] is far_made and made[-1] is sol.assignment
@@ -638,3 +671,22 @@ class TestOncePerDecision:
         assert len(prev_checks) <= 1
         assert sum(p is c[2] for p, _ in scored for c in prev_checks
                    if len(c) == 3) <= 1
+
+    def test_a_root_stop_weighs_no_avatar(self, gear_day_1000, monkeypatch):
+        # every decision of the day that stops at FAR's recorded placement,
+        # where the previous placement does not fit, weighs nothing
+        stops = 0
+        for state in gear_day_1000[2]:
+            with monkeypatch.context() as m:
+                weighed, converted = self.count_weighing(m, len(state.cpu))
+                sol = strategy.gear_assign(state).solver_stats
+            inst = solver.build_instance(state.ids, state.cpu, state.enb,
+                                         state.green_power, state.tables)
+            with pytest.raises(ValueError):
+                inst.check_assignment(state.prev_assignment)
+            if sol.stage == "seed":
+                stops += 1
+                assert weighed[0] == converted[0] == 0
+            else:
+                assert weighed[0] == converted[0] == 1
+        assert stops == 64

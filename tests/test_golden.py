@@ -178,7 +178,8 @@ WORLD_STREAM = {
               "e58d8297b60d5dfeed1c44e55eceac8ce467c9fa80486794112b13524c98c443"),
     "289-sites": ({"grid_dim": 17},
                   "18509813eb21b7e4fd38265680618ced79610857fb3a7510484351062280cdb4"),
-    "uneven-cells": ({"grid_dim": 3, "area_side": 7.0},
+    # pinned with the waypoint mean at 4.0, off the middle of this area
+    "uneven-cells": ({"grid_dim": 3, "area_side": 7.0, "dest_mean": 4.0},
                      "d742db162550c51fb1b758cbbed5ffe71ab7b69cad6e7ad90391f9ce9b573a7d"),
 }
 

@@ -409,6 +409,13 @@ class TestConfigFile:
         p.write_text("\n# nothing here\n")
         assert load_scenario_config(str(p)) == ScenarioConfig()
 
+    def test_area_alone_centres_the_waypoints(self, tmp_path):
+        p = tmp_path / "small.cfg"
+        p.write_text("area_side = 2.0\n")
+        cfg = load_scenario_config(str(p))
+        assert cfg == ScenarioConfig(area_side=2.0, dest_mean=1.0)
+        assert type(cfg.dest_mean) is float
+
     def test_unknown_key_rejected_with_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("ue_count = 10\nwibble = 3\n")
@@ -431,6 +438,12 @@ class TestConfigFile:
 
 
 class TestConfigValidation:
+    def test_waypoint_mean_defaults_to_the_middle_of_the_area(self):
+        assert ScenarioConfig().dest_mean == 4.0  # the pinned streams' mean
+        assert ScenarioConfig() == ScenarioConfig(dest_mean=4.0)
+        assert ScenarioConfig(area_side=2.0).dest_mean == 1.0
+        assert ScenarioConfig(area_side=2.0, dest_mean=0.5).dest_mean == 0.5
+
     @pytest.mark.parametrize("kwargs", [
         {"grid_dim": 0},
         {"ue_count": -1},

@@ -2,7 +2,8 @@ import gc
 import hashlib
 import random
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from gcnsim import (
     Infeasible,
     MilpInstance,
     ScenarioConfig,
+    Solution,
     SolverConfig,
     World,
     aggregate_bound,
@@ -141,11 +143,27 @@ class TestTableBuild:
         enbs = [rng.randrange(3) for _ in ids]
         slot = (ids, cpus, enbs, (0.0, 40.0, 250.0), tables)
         built, made = build_instance(*slot), self.construct(*slot)
+        # the build leaves the weights to their first read, here
+        assert not {"weights", "_iw"} & vars(built).keys()
+        for field in fields(MilpInstance):
+            assert getattr(built, field.name) == getattr(made, field.name)
         assert built == made
         assert (built._iw, built._ig) == (made._iw, made._ig)
         assert ([built._ascending[fs] for fs in built.feasible_sets]
                 == [made._ascending[fs] for fs in made.feasible_sets])
         assert solve(built) == solve(made)
+
+    def test_same_solution_as_the_constructor_on_a_day(self, gear_day_1000):
+        # every GEAR slot of a 1000-UE day, seeded with FAR's placement
+        for state in gear_day_1000[2]:
+            slot = (state.ids, state.cpu, state.enb, state.green_power,
+                    state.tables)
+            seeded = SolverConfig(
+                seed_assignment=strategy.far_assign(state).assignment)
+            built, made = (solve(make(*slot), seeded)
+                           for make in (build_instance, self.construct))
+            for field in fields(Solution):
+                assert getattr(built, field.name) == getattr(made, field.name)
 
     def test_first_avatar_on_an_enb_without_reach_named(self, power, delay):
         tables = self.tables(power, delay)
@@ -522,6 +540,64 @@ class TestSolve:
         for k in range(inst.n_avatars):
             load[assignment.placement[inst.avatar_ids[k]]] += inst.weights[k]
         return sum(max(0.0, l - g) for l, g in zip(load, inst.green_power))
+
+
+class TestRootBound:
+    """`solve` takes the total weight of its root bound from the seed's
+    tally; it is the bound the avatars' own weights give, exactly."""
+
+    @staticmethod
+    def derived(monkeypatch, decide) -> tuple[int, str]:
+        """The root bound in fixed point that `solve` derives when
+        `decide()` calls it, with the stage it returns from: the bound it
+        hands its walk, or for a seed stop the lower bound it reports,
+        which is that root bound."""
+        handed = []
+
+        def walk(inst, cfg, root_bound, *args):
+            handed.append(root_bound)
+            return _search(inst, cfg, root_bound, *args)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_search", walk)
+            sol = decide()
+        assert bool(handed) is (sol.stage != "seed")
+        return (handed[0] if handed else _to_units(sol.lower_bound)), sol.stage
+
+    @staticmethod
+    def expected(inst) -> int:
+        return max(0, sum(inst._iw) - sum(inst._ig))
+
+    def test_random_instances(self, monkeypatch):
+        rng = random.Random(31)
+        stages = []
+        for _ in range(400):
+            inst = random_instance(rng)
+            try:  # the optimum seeds a stop wherever it meets the bound
+                seed = (brute_force(inst).assignment if rng.random() < 0.5
+                        else TestSolve._greedy_seed(inst, rng))
+            except Infeasible:
+                continue
+            if seed is None:
+                continue
+            bound, stage = self.derived(monkeypatch, lambda: solve(
+                inst, SolverConfig(seed_assignment=seed)))
+            assert bound == self.expected(inst)
+            stages.append(stage)
+        assert stages.count("seed") > 50
+        assert len(stages) - stages.count("seed") > 50
+
+    def test_a_day_at_1000_ues(self, gear_day_1000, monkeypatch):
+        # each decision as GEAR makes it: the seed's tally is the FAR
+        # record's loads
+        stages = []
+        for state in gear_day_1000[2]:
+            bound, stage = self.derived(
+                monkeypatch, lambda: strategy.gear_assign(state).solver_stats)
+            inst = build_instance(state.ids, state.cpu, state.enb,
+                                  state.green_power, state.tables)
+            assert bound == self.expected(inst)
+            stages.append(stage)
+        assert Counter(stages) == {"seed": 64, "dive": 32}
 
 
 class TestVisitOrder:
@@ -948,7 +1024,7 @@ class TestAfterTheDive:
             checked += 1
             seed_place = seed_obj = None
             if seed is not None:
-                seed_place, _, seed_obj = inst.evaluate(seed)
+                seed_place, _, seed_obj, _ = inst.evaluate(seed)
             root = max(0, sum(inst._iw) - sum(inst._ig))
             plain = _search(inst, config, root, seed_obj, seed_place)[0]
             assert _to_units(sol.objective) <= plain
