@@ -6,6 +6,10 @@ All work in the solver's fixed-point integer watts on plain sequences:
 weight, `green` each cloudlet's green supply, `capacity` the avatars each
 cloudlet hosts, and `reach` maps each feasible set to its cloudlets in
 ascending index.
+
+The flow routes weight directly before it searches for augmenting paths,
+and the descent scans only avatars whose feasible set reaches a cloudlet
+that could take them.
 """
 
 from __future__ import annotations
@@ -28,23 +32,36 @@ def flow_bound(sets: Sequence[frozenset[int]], weights: Sequence[int],
     over class sets S of weight(S) - green(cloudlets S reaches) (Gale's
     supply-demand theorem). Capacities in avatars are ignored.
 
-    The maximum flow is found by shortest augmenting paths: from a class
-    with weight left, forward to a cloudlet it reaches, back from a
-    cloudlet to a class routing weight to it, and so on until a cloudlet
-    with green left.
+    The flow first routes each class's weight straight to the cloudlets it
+    reaches, classes in order and cloudlets in ascending index, each up to
+    its green left. Shortest augmenting paths then raise it to a maximum:
+    from a class with weight left, forward to a cloudlet it reaches, back
+    from a cloudlet to a class routing weight to it, and so on until a
+    cloudlet with green left. The maximum's value does not depend on the
+    flow it starts from, so neither does the bound. `into` keeps, per
+    cloudlet, the classes routing weight to it and how much; with `left`
+    and `green` it is the residual graph, and the classes that the last
+    search, which finds no path, reaches form a set S attaining the
+    maximum above.
     """
-    weight: dict[frozenset[int], int] = {}
+    weight = dict.fromkeys(sets, 0)
     for fs, w in zip(sets, weights):
-        weight[fs] = weight.get(fs, 0) + w
+        weight[fs] += w
     to = [reach[fs] for fs in weight]  # each class's cloudlets, ascending
     left = list(weight.values())       # class weight not yet routed
     green = list(green)                # cloudlet green supply not yet used
-    classes = range(len(left))
-    flow = [[0] * len(green) for _ in classes]
+    into: list[dict[int, int]] = [{} for _ in green]
+    for k, cloudlets in enumerate(to):
+        for i in cloudlets:
+            amount = min(left[k], green[i])
+            if amount:
+                into[i][k] = amount
+                left[k] -= amount
+                green[i] -= amount
     while True:
         # breadth first; from_class[i] is the class a path reached cloudlet
         # i from, from_cloudlet[k] the cloudlet (-1: none) it reached class k
-        queue = [k for k in classes if left[k]]
+        queue = [k for k, w in enumerate(left) if w]
         from_cloudlet = dict.fromkeys(queue, -1)
         from_class: dict[int, int] = {}
         end = -1
@@ -56,8 +73,8 @@ def flow_bound(sets: Sequence[frozenset[int]], weights: Sequence[int],
                 if green[i]:
                     end = i
                     break
-                for back in classes:
-                    if flow[back][i] and back not in from_cloudlet:
+                for back in into[i]:
+                    if back not in from_cloudlet:
                         from_cloudlet[back] = i
                         queue.append(back)
             if end >= 0:
@@ -71,17 +88,20 @@ def flow_bound(sets: Sequence[frozenset[int]], weights: Sequence[int],
             if i < 0:
                 amount = min(amount, left[k])
                 break
-            amount = min(amount, flow[k][i])
+            amount = min(amount, into[i][k])
         green[end] -= amount
         i = end
         while True:
             k = from_class[i]
-            flow[k][i] += amount
+            into[i][k] = into[i].get(k, 0) + amount
             i = from_cloudlet[k]
             if i < 0:
                 left[k] -= amount
                 break
-            flow[k][i] -= amount
+            if into[i][k] == amount:
+                del into[i][k]
+            else:
+                into[i][k] -= amount
 
 
 def _state(place: Sequence[int], weights: Sequence[int],
@@ -120,23 +140,41 @@ def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
     Moving weight t > 0 from cloudlet a to cloudlet b, with e = load -
     green, lowers the objective only if e_a > 0 > e_b, and then by
     min(t, e_a) - max(0, e_b + t), which is positive iff t < e_a - e_b.
+    So a pass of moves skips an avatar whose feasible set reaches no
+    cloudlet with e < 0 and room, and a pass of swaps one whose set reaches
+    no cloudlet with e < 0: the skipped scans would find nothing. Bit i of
+    `takes` and of `unused` says whether cloudlet i is such a cloudlet, as
+    each move or swap leaves it, and `bits` holds each set's cloudlets.
     """
     place = list(start)
     ex, room, on = _state(place, weights, green, capacity)
-    to = list(map(reach.__getitem__, sets))
+    bits = {fs: sum(1 << i for i in cloudlets)
+            for fs, cloudlets in reach.items()}
+    takes = unused = 0
+
+    def mark(*changed: int) -> None:
+        """Set the changed cloudlets' bits in `takes` and `unused`."""
+        nonlocal takes, unused
+        for i in changed:
+            bit = 1 << i
+            takes = takes | bit if ex[i] < 0 and room[i] else takes & ~bit
+            unused = unused | bit if ex[i] < 0 else unused & ~bit
+
+    mark(*range(len(ex)))
     moved = True
     while moved:
         moved = False
         for k, a in enumerate(place):
-            if ex[a] <= 0:
+            if ex[a] <= 0 or not bits[sets[k]] & takes:
                 continue
             w = weights[k]
-            for b in to[k]:
+            for b in reach[sets[k]]:
                 if ex[b] < 0 and room[b] and 0 < w < ex[a] - ex[b]:
                     ex[a] -= w
                     ex[b] += w
                     room[a] += 1
                     room[b] -= 1
+                    mark(a, b)
                     place[k] = b
                     on[a].remove(k)
                     insort(on[b], k)
@@ -145,10 +183,10 @@ def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
         if moved:
             continue
         for k, a in enumerate(place):
-            if ex[a] <= 0:
+            if ex[a] <= 0 or not bits[sets[k]] & unused:
                 continue
             w = weights[k]
-            for b in to[k]:
+            for b in reach[sets[k]]:
                 if ex[b] >= 0:
                     continue
                 for j in on[b]:
@@ -156,6 +194,7 @@ def descent(start: Sequence[int], sets: Sequence[frozenset[int]],
                     if 0 < t < ex[a] - ex[b] and a in sets[j]:
                         ex[a] -= t
                         ex[b] += t
+                        mark(a, b)
                         place[k], place[j] = b, a
                         on[a].remove(k)
                         insort(on[a], j)

@@ -102,6 +102,26 @@ def random_instance(rng: random.Random, max_avatars: int = 8,
                         green_power=green, count_capacity=caps)
 
 
+def class_instance(rng: random.Random, power: PowerParams,
+                   equal_green: bool = False) -> MilpInstance:
+    """Up to 7 avatars in at most 3 classes (avatars sharing a feasible
+    set) on up to 4 cloudlets, with capacities that often bind; with
+    `equal_green`, every cloudlet has the same green supply."""
+    n, m = rng.randint(1, 7), rng.randint(1, 4)
+    sets = [frozenset(i for i in range(m) if rng.random() < 0.5)
+            or frozenset({rng.randrange(m)}) for _ in range(3)]
+    caps = [0] * m
+    for _ in range(n + rng.randint(0, 2)):
+        caps[rng.randrange(m)] += 1
+    weights = tuple(avatar_weights([rng.uniform(10.0, 100.0)
+                                    for _ in range(n)], power))
+    fsets = tuple(rng.choice(sets) for _ in range(n))
+    green = ((rng.uniform(0.0, 80.0),) * m if equal_green
+             else tuple(rng.uniform(0.0, 80.0) for _ in range(m)))
+    return MilpInstance(weights=weights, feasible_sets=fsets,
+                        green_power=green, count_capacity=tuple(caps))
+
+
 def from_map(placement: dict) -> Assignment:
     """The assignment that puts avatar a on cloudlet placement[a]."""
     return Assignment(tuple(placement), tuple(placement.values()))

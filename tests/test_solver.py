@@ -2,7 +2,9 @@ import gc
 import hashlib
 import random
 import sys
+from bisect import insort
 from collections import Counter
+from itertools import combinations
 from dataclasses import fields, replace
 
 import pytest
@@ -33,8 +35,8 @@ from gcnsim.refine import (_state, _widest_chain, descent, flow_bound,
 from gcnsim.solver import (_int_objective, _search, _take, _to_units,
                            _to_watts)
 
-from conftest import (from_map, instance_from_loads, line_topology,
-                      random_instance)
+from conftest import (class_instance, from_map, instance_from_loads,
+                      line_topology, random_instance)
 
 
 def full_instance(weights, green, cap_each=100):
@@ -731,35 +733,90 @@ def _descent(inst, start):
                    inst.count_capacity, inst._ascending)
 
 
+def _scan_all_descent(start, sets, weights, green, capacity, reach):
+    """`refine.descent` without its skip rule: every pass scans every
+    avatar over its green. The reference the skip must agree with."""
+    place = list(start)
+    ex, room, on = _state(place, weights, green, capacity)
+    to = list(map(reach.__getitem__, sets))
+    moved = True
+    while moved:
+        moved = False
+        for k, a in enumerate(place):
+            if ex[a] <= 0:
+                continue
+            w = weights[k]
+            for b in to[k]:
+                if ex[b] < 0 and room[b] and 0 < w < ex[a] - ex[b]:
+                    ex[a] -= w
+                    ex[b] += w
+                    room[a] += 1
+                    room[b] -= 1
+                    place[k] = b
+                    on[a].remove(k)
+                    insort(on[b], k)
+                    moved = True
+                    break
+        if moved:
+            continue
+        for k, a in enumerate(place):
+            if ex[a] <= 0:
+                continue
+            w = weights[k]
+            for b in to[k]:
+                if ex[b] >= 0:
+                    continue
+                for j in on[b]:
+                    t = w - weights[j]
+                    if 0 < t < ex[a] - ex[b] and a in sets[j]:
+                        ex[a] -= t
+                        ex[b] += t
+                        place[k], place[j] = b, a
+                        on[a].remove(k)
+                        insort(on[a], j)
+                        on[b].remove(j)
+                        insort(on[b], k)
+                        moved = True
+                        break
+                if place[k] != a:
+                    break
+    return place, sum(e for e in ex if e > 0)
+
+
+def _scan_all_chains(start, sets, weights, green, capacity, reach):
+    """`refine.transfer_chains` alternated with `_scan_all_descent`."""
+    place = list(start)
+    to = list(map(reach.__getitem__, sets))
+    while True:
+        ex, room, on = _state(place, weights, green, capacity)
+        chain = _widest_chain(ex, room, on, weights, to)
+        if chain is None:
+            return place, sum(e for e in ex if e > 0)
+        for k, b in chain:
+            place[k] = b
+        place, _ = _scan_all_descent(place, sets, weights, green, capacity,
+                                     reach)
+
+
+def _assert_descents_match(start, *fields):
+    """`descent` and `transfer_chains` from `start` give the scan-all
+    reference's (placement, objective); returns whether the descent moved."""
+    place, obj = descent(start, *fields)
+    assert (place, obj) == _scan_all_descent(start, *fields)
+    assert transfer_chains(start, *fields) == _scan_all_chains(start, *fields)
+    return place != list(start)
+
+
 class TestAfterTheDive:
     """The steps `solve` takes only when its walk is still unproven after
     the first n + 1 nodes: the class-flow bound, the descent and the rest
     of the walk."""
 
-    @staticmethod
-    def _class_instance(rng, power, equal_green=False):
-        """Up to 7 avatars in at most 3 classes (avatars sharing a feasible
-        set) on up to 4 cloudlets, with capacities that often bind; with
-        `equal_green`, every cloudlet has the same green supply."""
-        n, m = rng.randint(1, 7), rng.randint(1, 4)
-        sets = [frozenset(i for i in range(m) if rng.random() < 0.5)
-                or frozenset({rng.randrange(m)}) for _ in range(3)]
-        caps = [0] * m
-        for _ in range(n + rng.randint(0, 2)):
-            caps[rng.randrange(m)] += 1
-        weights = tuple(avatar_weights([rng.uniform(10.0, 100.0)
-                                        for _ in range(n)], power))
-        fsets = tuple(rng.choice(sets) for _ in range(n))
-        green = ((rng.uniform(0.0, 80.0),) * m if equal_green
-                 else tuple(rng.uniform(0.0, 80.0) for _ in range(m)))
-        return MilpInstance(weights=weights, feasible_sets=fsets,
-                            green_power=green, count_capacity=tuple(caps))
-
     def test_flow_bound_between_aggregate_bound_and_optimum(self, power):
         rng = random.Random(61)
         checked = above = 0
         while checked < 300:
-            inst = self._class_instance(rng, power)
+            inst = class_instance(rng, power)
             try:
                 optimum = brute_force(inst).objective
             except Infeasible:
@@ -771,11 +828,90 @@ class TestAfterTheDive:
             above += flow > aggregate
         assert above > 30  # reach binds often enough for the test to bite
 
+    @staticmethod
+    def _gale(inst):
+        """max(0, max over class sets S of weight(S) - green(N(S))) in
+        fixed point, from the instance's avatars alone."""
+        weight = {}
+        for fs, w in zip(inst.feasible_sets, inst._iw):
+            weight[fs] = weight.get(fs, 0) + w
+        best = 0
+        for size in range(1, len(weight) + 1):
+            for chosen in combinations(weight, size):
+                reached = frozenset().union(*chosen)
+                best = max(best, sum(map(weight.get, chosen))
+                           - sum(inst._ig[i] for i in reached))
+        return best
+
+    @staticmethod
+    def _left_by_direct_routing(inst):
+        """Weight that routing each class straight to its cloudlets, in
+        ascending index and first-seen class order, leaves unplaced."""
+        weight = {}
+        for fs, w in zip(inst.feasible_sets, inst._iw):
+            weight[fs] = weight.get(fs, 0) + w
+        green, left = list(inst._ig), 0
+        for fs, w in weight.items():
+            for i in sorted(fs):
+                amount = min(w, green[i])
+                w -= amount
+                green[i] -= amount
+            left += w
+        return left
+
+    def test_flow_bound_equals_gales_formula(self, power):
+        # 600 instances of at most 3 classes on up to 4 cloudlets, then 600
+        # of up to 10 avatars, each with its own random set, on up to 5.
+        # In some the direct routing strands weight that only a path back
+        # through an already routed class can place.
+        rng = random.Random(89)
+        rerouted = 0
+        for case in range(1200):
+            inst = (class_instance(rng, power) if case < 600
+                    else random_instance(rng, max_avatars=10,
+                                         max_cloudlets=5))
+            assert len(set(inst.feasible_sets)) <= 10
+            bound = _flow_bound(inst)
+            assert bound == self._gale(inst)
+            rerouted += self._left_by_direct_routing(inst) > bound
+        assert rerouted > 100
+
+    def test_descent_skip_changes_nothing(self, power, bell_trace,
+                                          monkeypatch):
+        # From dive incumbents and from random seeds on the random and the
+        # class-structured corpora, and from every start `solve` descends
+        # from on the 7 ms-SLA searching day, the descent and the chains
+        # give what the reference that scans every avatar gives.
+        rng = random.Random(97)
+        starts = []
+        for case in range(600):
+            inst = (random_instance(rng, max_avatars=10, max_cloudlets=5)
+                    if case < 300 else class_instance(rng, power))
+            seed = TestSolve._greedy_seed(inst, rng)
+            if seed is None:
+                continue
+            dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1,
+                                            seed_assignment=seed))
+            fields = (inst.feasible_sets, inst._iw, inst._ig,
+                      inst.count_capacity, inst._ascending)
+            for start in (dive.assignment, seed):
+                starts.append((inst.check_assignment(start), *fields))
+        random_starts = len(starts)
+        monkeypatch.setattr(solver, "descent",
+                            lambda *args: starts.append(args)
+                            or descent(*args))
+        delay = replace(default_delay_params(), sla_max_delay=7.0)
+        run(ScenarioConfig(ue_count=300, slot_count=48, rng_seed=1), "gear",
+            bell_trace, SolverConfig(node_limit=2000), delay=delay)
+        moved = sum(_assert_descents_match(*args) for args in starts)
+        assert random_starts > 900 and moved > 150
+        assert len(starts) - random_starts == 4  # test_golden.py's 4
+
     def test_descent_fits_and_never_scores_above_its_start(self, power):
         rng = random.Random(67)
         improved = 0
         for _ in range(300):
-            inst = self._class_instance(rng, power)
+            inst = class_instance(rng, power)
             seed = TestSolve._greedy_seed(inst, rng)
             if seed is None:
                 continue
@@ -1009,7 +1145,7 @@ class TestAfterTheDive:
         rng = random.Random(79)
         checked = better = 0
         while checked < 800:
-            inst = self._class_instance(rng, power, equal_green=checked >= 400)
+            inst = class_instance(rng, power, equal_green=checked >= 400)
             seed = (TestSolve._greedy_seed(inst, rng) if rng.random() < 0.5
                     else None)
             config = SolverConfig(node_limit=rng.choice([10, 20, 100_000]),
