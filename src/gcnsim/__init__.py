@@ -24,7 +24,6 @@ from .solver import (
     MilpInstance,
     Solution,
     SolverConfig,
-    aggregate_bound,
     brute_force,
     build_instance,
     solve,

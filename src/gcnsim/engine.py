@@ -16,12 +16,13 @@ in full, if its config matches (up to `kappa`), and draws a fresh one
 otherwise; that one remembered world is the module's only state.
 
 The world also keeps, for one (power, delay) pair at a time, each slot's
-`FarRecord`: FAR's placement of the slot and its per-cloudlet tally,
-neither of which depends on kappa. Each part is worked out by the first
-run that reads it, inside that run's own decision or accounting, and
-every later run on the world reads it: FAR's decision, GEAR's warm start
-and the accounting of a slot placed as FAR places it. So FAR then GEAR,
-or every point of a kappa sweep, runs FAR's greedy once per slot.
+record of FAR's placement: a `Tally` holding the placement and its
+per-cloudlet tally, neither of which depends on kappa. Each part is worked
+out by the first run that reads it, inside that run's own decision or
+accounting, and every later run on the world reads it: FAR's decision,
+GEAR's warm start and the accounting of a slot placed as FAR places it.
+So FAR then GEAR, or every point of a kappa sweep, runs FAR's greedy once
+per slot.
 
 A strategy pass (`run`) reads the world slot by slot. Before the first
 slot it tabulates what no slot changes (`run_tables`: reach, capacities,
@@ -30,9 +31,10 @@ delays) and parks every avatar with FAR's nearest-with-room greedy
 slot it takes the world's recorded CPU and eNB arrays as they are and
 the slot's record, computes each cloudlet's green supply, hands the
 resulting columnar state to the chosen strategy, and accounts energy
-under both power models (exact server-counting and the linearized
-per-avatar form the optimizer uses), so the cost of the linearization
-stays visible in the output. The accounting also counts the slot's
+from the tally the strategy hands over with its placement, under both
+power models (exact server-counting and the linearized per-avatar form
+the optimizer uses), so the cost of the linearization stays visible in
+the output. The accounting also counts the slot's
 migrations against the previous placement; strategies only place.
 
 Strategies see the exact next-slot loads and green supply rather than
@@ -73,9 +75,9 @@ from .scenario import (
 )
 from .solver import Infeasible, SolverConfig, fixed_point
 from .strategy import (
-    FarRecord,
     SlotState,
     StrategyOutcome,
+    Tally,
     far_assign,
     far_placement,
     gear_assign,
@@ -126,16 +128,15 @@ class World:
     `SLOT_HOURS`. The world serves every config that differs from its own
     only in `kappa`, which touches green supply alone.
 
-    `far_records` keeps one `FarRecord` per slot for one (power, delay)
-    pair at a time: FAR's placement as an array of one byte per avatar on
-    grids of up to 256 sites, and a few numbers per cloudlet for its
-    counts and tally, about 3.5 KB per slot at 1000 avatars on the 16-site
-    grid (the drawn columns take 9 KB). It holds no `Assignment`, no
-    placement map and nothing that depends on kappa. Runs fill the records
-    as they read them; each fill is one store of a value that depends only
-    on the slot and the parameters, so it is idempotent, and a fully drawn
-    world may still be shared by threads. `run` keeps the last world it
-    drew for itself in the module, its one side effect.
+    `far_records` keeps one `Tally` per slot, its record of FAR's
+    placement, for one (power, delay) pair at a time: the placement as an
+    array of one byte per avatar on grids of up to 256 sites, and a few
+    numbers per cloudlet for its counts and tally. It holds no
+    `Assignment`, no placement map and nothing that depends on kappa. Runs
+    fill the records as they read them; each fill is one store of a value
+    that depends only on the slot and the parameters, so it is idempotent,
+    and a fully drawn world may still be shared by threads. `run` keeps the
+    last world it drew for itself in the module, its one side effect.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -148,7 +149,7 @@ class World:
                                               config.area_side))
         self._cpu: list[array] = []
         self._enb: list[array] = []
-        # (power, delay) and one FarRecord per slot for runs with them
+        # (power, delay) and one FAR record per slot for runs with them
         self._far: tuple = (None, [])
 
     def matches(self, config: ScenarioConfig) -> bool:
@@ -167,13 +168,14 @@ class World:
         return self._cpu[t], self._enb[t]
 
     def far_records(self, power: PowerParams,
-                    delay: DelayParams) -> list[FarRecord]:
-        """One `FarRecord` per slot, for runs with this `power` and
-        `delay`: the records of the last such call, or new empty ones if
-        that call had other parameters, which this one drops."""
+                    delay: DelayParams) -> list[Tally]:
+        """One record of FAR's placement (`Tally`) per slot, for runs with
+        this `power` and `delay`: the records of the last such call, or new
+        empty ones if that call had other parameters, which this one
+        drops."""
         key, records = self._far
         if key != (power, delay):
-            records = [FarRecord() for _ in range(self.config.slot_count)]
+            records = [Tally() for _ in range(self.config.slot_count)]
             self._far = ((power, delay), records)  # one store: thread-safe
         return records
 
@@ -221,25 +223,21 @@ def compute_slot_metrics(slot: int, state: SlotState,
     """Account one slot's assignment under both power models, and count
     the avatars it moves from the state's previous placement.
 
-    The placement's per-cloudlet tally (`FarRecord.loads` and `exact`) is
-    read from the slot's record when the placement is FAR's recorded one,
-    each part worked out here if no reader has yet; any other placement is
-    tallied by the same code and kept nowhere, its loads taken from the
-    outcome when the strategy folded them (`StrategyOutcome.loads`). Green
-    supply, on-grid energy and migrations are worked out on every call."""
+    The per-cloudlet figures are read from the tally the strategy handed
+    over (`StrategyOutcome.tally`), which must be the assignment's own:
+    each part it lacks is worked out here and stored in it. An outcome
+    without a tally gets a new one, kept nowhere. Green supply, on-grid
+    energy and migrations are worked out on every call."""
     place = outcome.assignment.cloudlets(state.ids)
-    far = state.far
-    if not far.holds(place):
-        far = FarRecord()  # another placement: tallied alike, kept nowhere
-        far.loads = outcome.loads
-    if far.loads is None:
+    tally = outcome.tally or Tally()
+    if tally.loads is None:
         weights = avatar_weights(state.cpu, state.power)
-        far.loads = fold_loads(place, weights, fixed_point(weights),
-                               len(state.specs))
-    if far.exact is None:
-        far.exact = _exact_tally(place, state)
-    power_approx = far.loads[0]
-    power_exact, max_delay, violations = far.exact
+        tally.loads = fold_loads(place, weights, fixed_point(weights),
+                                 len(state.specs))
+    if tally.exact is None:
+        tally.exact = _exact_tally(place, state)
+    power_approx = tally.loads[0]
+    power_exact, max_delay, violations = tally.exact
     green = state.green_power
     return SlotMetrics(
         slot=slot,
@@ -273,11 +271,12 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     leaves nothing remembered. A run given a `World` neither reads nor
     replaces the remembered one.
 
-    Every slot reads and fills the world's `FarRecord` for the run's
-    (power, delay) pair (`World.far_records`), so runs on one world run
-    FAR's greedy and tally its placement once per slot; a run with another
-    pair drops the world's records and starts new ones. The results are
-    those of runs on fresh worlds, whatever the order of the runs.
+    Every slot reads and fills the world's record of FAR's placement for
+    the run's (power, delay) pair (`World.far_records`), so runs on one
+    world run FAR's greedy and tally its placement once per slot; a run
+    with another pair drops the world's records and starts new ones. The
+    results are those of runs on fresh worlds, whatever the order of the
+    runs.
 
     Raises Infeasible, tagged "initial placement" if the greedy finds no
     room for some avatar before the first slot, or tagged with the slot

@@ -26,6 +26,10 @@ from .model import SLOT_HOURS, CloudletSpec, SiteTopology, index_typecode
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI, which random.Random.gauss reads
 
+# The least chance a waypoint draw may have of landing inside the area, so
+# a waypoint takes at most 100 draws on average.
+_WAYPOINT_CHANCE_FLOOR = 0.01
+
 
 class ParseError(ValueError):
     """A config or trace file line failed to parse."""
@@ -39,7 +43,13 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario's parameters. `dest_mean` left as None becomes
-    `area_side / 2`, the middle of the area."""
+    `area_side / 2`, the middle of the area.
+
+    Construction raises ValueError, naming the key, for a value the world
+    cannot be drawn from: a non-finite float anywhere, tuples included, a
+    value out of its range, or waypoint draws (`dest_mean`, `dest_stddev`)
+    that land inside the area with a chance under 1%.
+    """
 
     grid_dim: int = 4
     area_side: float = 8.0
@@ -57,6 +67,10 @@ class ScenarioConfig:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite")
         if self.grid_dim < 1:
             raise ValueError("grid_dim must be >= 1")
         if self.area_side <= 0:
@@ -79,6 +93,16 @@ class ScenarioConfig:
             raise ValueError("dest_mean must lie within [0, area_side]")
         if self.dest_stddev < 0:
             raise ValueError("dest_stddev must be non-negative")
+        if self.dest_stddev > 0:
+            # each coordinate is a normal draw, and both must land inside
+            scale = self.dest_stddev * math.sqrt(2.0)
+            inside = (math.erf((self.area_side - self.dest_mean) / scale)
+                      + math.erf(self.dest_mean / scale)) / 2
+            if inside * inside < _WAYPOINT_CHANCE_FLOOR:
+                raise ValueError(
+                    "dest_stddev is too wide for area_side: a waypoint lands "
+                    f"inside the area with chance {inside * inside:.2g}, "
+                    f"under {_WAYPOINT_CHANCE_FLOOR}")
         if not 0 <= self.kappa <= 1:
             raise ValueError("kappa must be in [0, 1]")
         if not (0 <= self.cpu_range[0] and self.cpu_range[1] <= 100):

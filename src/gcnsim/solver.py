@@ -332,38 +332,6 @@ def _int_objective(place, iw: tuple[int, ...], ig: tuple[int, ...]) -> int:
     return sum(li - gi for li, gi in zip(load, ig) if li > gi)
 
 
-def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
-    """Lower bound (W) on the best completion of a partial placement.
-
-    `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the
-    aggregate root bound that `solve` starts from, which the class-flow
-    bound dominates. Committed deficit can only grow, and the remaining
-    weight must either fit into the cloudlets' residual green slack or
-    come from the grid; dropping the delay and capacity constraints only
-    relaxes the problem. Computed in exact fixed-point arithmetic, so the
-    admissibility relation to `brute_force` optima carries over to the
-    returned floats unchanged.
-    """
-    load = [0] * inst.n_cloudlets
-    wrem = placed = 0
-    for k, avatar_id in enumerate(inst.avatar_ids):
-        i = fixed.get(avatar_id)
-        if i is None:
-            wrem += inst._iw[k]
-        else:
-            load[i] += inst._iw[k]
-            placed += 1
-    if placed != len(fixed):
-        raise KeyError("fixed placement names avatars outside the instance")
-    deficit = slack = 0
-    for li, gi in zip(load, inst._ig):
-        if li > gi:
-            deficit += li - gi
-        else:
-            slack += gi - li
-    return _to_watts(deficit + max(0, wrem - slack))
-
-
 def _take(values: Sequence, positions: Sequence[int]) -> tuple:
     """values[k] for each k of positions, as a tuple, in one C-level call."""
     if len(positions) > 1:

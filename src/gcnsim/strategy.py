@@ -14,9 +14,11 @@ Both strategies map one slot's state to a complete assignment:
 
 Strategies are deterministic functions of their inputs; they draw no
 randomness and keep no state between slots. They only place: the engine's
-accounting counts the migrations a placement makes. FAR's placement of a
-slot and its tally are worked out once per slot record (`FarRecord`), by
-whichever reader comes first, and read by every later one.
+accounting counts the migrations a placement makes. Each hands over the
+per-cloudlet tally (`Tally`) of the placement it returns, as far as it has
+worked it out, and the accounting completes it. FAR's placement of a slot
+and its tally are one record per slot (`SlotState.far`), filled by
+whichever reader comes first and read by every later one.
 """
 
 from __future__ import annotations
@@ -47,37 +49,31 @@ from .solver import (
 )
 
 
-class FarRecord:
-    """FAR's placement of one slot and its per-cloudlet tally, each part
-    worked out by its first reader and only read after that.
+class Tally:
+    """A placement's per-cloudlet tally, each part worked out by its first
+    reader and only read after that.
 
-    * `greedy`: (place, counts) from `far_placement`, the cloudlet of each
-      avatar in ascending id as an `array` of `index_typecode` and the
-      avatars per cloudlet; or (None, message) if the greedy failed, with
-      the message of its Infeasible. `far_assign` fills it.
     * `loads`: the placement's linearized and fixed-point load per cloudlet
-      (`model.fold_loads`), filled by GEAR's warm-start check or by the
-      slot accounting.
+      (`model.fold_loads`), given to the constructor if the caller has them.
     * `exact`: its exact power per cloudlet, from `sum()` of the hosted CPU
-      figures, its maximum delay and its SLA violations, filled by the
-      slot accounting.
+      figures, its maximum delay and its SLA violations.
+    * `greedy`: only on a slot's record of FAR's placement (`SlotState.far`),
+      which `far_assign` fills: (place, counts) from `far_placement`, the
+      cloudlet of each avatar in ascending id as an `array` of
+      `index_typecode` and the avatars per cloudlet; or (None, message) if
+      the greedy failed, with the message of its Infeasible.
 
-    None of them depends on green supply, so every kappa reads one record.
-    A part is filled by one attribute store of a value that depends only
-    on the slot's columns and the run's tables, so the fill is idempotent
-    and threads may share a record. It keeps one byte per avatar on grids
-    of up to 256 sites, and a few numbers per cloudlet.
+    None of the parts depends on green supply, so every kappa reads one
+    record. A part is filled by one attribute store of a value that depends
+    only on the slot's columns, the placement and the run's tables, so the
+    fill is idempotent and threads may share a tally.
     """
 
     __slots__ = ("greedy", "loads", "exact")
 
-    def __init__(self) -> None:
-        self.greedy = self.loads = self.exact = None
-
-    def holds(self, place: Sequence[int]) -> bool:
-        """True if `place` is the recorded placement object itself."""
-        greedy = self.greedy
-        return greedy is not None and greedy[0] is place
+    def __init__(self, loads: tuple | None = None) -> None:
+        self.loads = loads
+        self.greedy = self.exact = None
 
 
 @dataclass(frozen=True)
@@ -86,12 +82,13 @@ class SlotState:
     columns in ascending avatar id (`ids`, CPU figures `cpu`, eNBs `enb`),
     next-slot green supply, the previous placement, and the run's tables.
 
-    `far` is the slot's `FarRecord`: the one passed as `record`, which
-    must have been made for these columns and for tables equal to these,
-    else a new one. The engine hands over the world's own record arrays
-    with ids `range(n)` and the world's record for the slot, so every run
-    on a world reads FAR's placement and tally from one record. A state
-    made by `dataclasses.replace` gets a new record.
+    `far` is the slot's record of FAR's placement, a `Tally`: the one
+    passed as `record`, which must have been made for these columns and
+    for tables equal to these, else a new one. The engine hands over the
+    world's own record arrays with ids `range(n)` and the world's record
+    for the slot, so every run on a world reads FAR's placement and tally
+    from one record. A state made by `dataclasses.replace` gets a new
+    record.
 
     Construction is the one check of a slot's avatars, which every layer
     after it trusts: it raises ValueError if the columns' lengths
@@ -106,12 +103,11 @@ class SlotState:
     green_power: tuple[float, ...]
     prev_assignment: Assignment
     tables: RunTables
-    record: InitVar[FarRecord | None] = None
-    far: FarRecord = field(init=False, repr=False, compare=False)
+    record: InitVar[Tally | None] = None
+    far: Tally = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, record: FarRecord | None) -> None:
-        object.__setattr__(self, "far",
-                           FarRecord() if record is None else record)
+    def __post_init__(self, record: Tally | None) -> None:
+        object.__setattr__(self, "far", Tally() if record is None else record)
         if not len(self.ids) == len(self.cpu) == len(self.enb):
             raise ValueError("per-avatar column lengths disagree")
         check_ascending_ids(self.ids)
@@ -147,14 +143,13 @@ class SlotState:
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    """A strategy's decision for one slot. `loads`, when the strategy has
-    folded them, are the linearized and fixed-point load per cloudlet of
-    `assignment` (`MilpInstance.loads`), which the slot accounting then
-    reads instead of folding the placement again."""
+    """A strategy's decision for one slot. `tally`, if the strategy hands
+    one over, is `assignment`'s own `Tally`, whose parts the slot
+    accounting reads, filling in only those still missing."""
 
     assignment: Assignment
     solver_stats: Solution | None = None
-    loads: tuple | None = None
+    tally: Tally | None = None
 
 
 def far_placement(ids: Sequence[int], enbs: Sequence[int],
@@ -203,9 +198,9 @@ def far_assign(state: SlotState) -> StrategyOutcome:
 
     The greedy runs once per slot record (`state.far`), on the first call;
     every call returns a new `Assignment` over the recorded placement,
-    made over the state's ids, so GEAR's checks and the accounting read
-    its `place` as it is and know it for the record's. If the greedy
-    failed, every call raises Infeasible with its message."""
+    made over the state's ids so that its `place` is read as it is, and
+    hands over the record as its tally. If the greedy failed, every call
+    raises Infeasible with its message."""
     far = state.far
     if far.greedy is None:
         try:
@@ -215,7 +210,7 @@ def far_assign(state: SlotState) -> StrategyOutcome:
     place, counts = far.greedy
     if place is None:
         raise Infeasible(counts)  # the failure's message
-    return StrategyOutcome(Assignment(state.ids, place))
+    return StrategyOutcome(Assignment(state.ids, place), tally=far)
 
 
 def gear_assign(state: SlotState, config: SolverConfig | None = None) -> StrategyOutcome:
@@ -234,15 +229,17 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     in index form; `solve` reuses that check and that fixed-point score for
     its seed. FAR's placement is checked for coverage and reach like any
     other, although the greedy built it within reach and capacity; its
-    capacity check reads the counts the slot's `FarRecord` holds, and its
-    score comes from the record's per-cloudlet loads, which GEAR fills from
-    its instance if no reader has yet. The solver's own placement is
-    feasible by construction, is made over the instance's ids, and is only
-    scored, on its `place`. The outcome carries the loads its placement was
-    scored from, so the accounting does not fold them again. The avatars'
-    weights are worked out only if some step reads them (`MilpInstance`):
-    a decision whose warm start is FAR's recorded placement and meets the
-    root bound, with no previous placement that fits, weighs no avatar.
+    capacity check reads the counts of the tally `far_assign` hands over,
+    and its score that tally's per-cloudlet loads, which the evaluation
+    fills from the instance if no reader has yet. The solver's own
+    placement is feasible by construction, is made over the instance's
+    ids, and is only scored, on its `place`. The outcome hands over the
+    tally of the placement it returns: FAR's when FAR's placement stays,
+    else a new `Tally` holding the loads the placement was scored by. The
+    avatars' weights are worked out only if some step reads them
+    (`MilpInstance`): a decision whose warm start is FAR's recorded
+    placement and meets the root bound, with no previous placement that
+    fits, weighs no avatar.
 
     When FAR's greedy finds no room for some avatar, a still-feasible
     previous placement is the warm start; failing that the solver runs
@@ -252,20 +249,15 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
     cfg = config or SolverConfig()
     inst = build_instance(state.ids, state.cpu, state.enb, state.green_power,
                           state.tables)
-    far = state.far
     try:
-        warm = far_assign(state).assignment
-    except Infeasible:
-        warm = None  # the greedy can fail where a placement exists
-    if warm is None:
-        warm_power, warm_loads = math.inf, None
+        far = far_assign(state)
+    except Infeasible:  # the greedy can fail where a placement exists
+        warm, warm_power, tally = None, math.inf, None
     else:
-        tally = None
-        if far.holds(warm.place):  # as it is unless far_assign is replaced
-            if far.loads is None:
-                far.loads = inst.loads(warm.place)
-            tally = far.greedy[1], far.loads
-        _, warm_power, _, warm_loads = inst.evaluate(warm, tally)
+        warm, tally = far.assignment, far.tally
+        # the evaluation returns the tally's loads, folded if it had none
+        _, warm_power, _, tally.loads = inst.evaluate(
+            warm, (tally.greedy[1], tally.loads))
     prev = state.prev_assignment
     try:
         _, prev_power, _, prev_loads = inst.evaluate(prev)
@@ -273,14 +265,14 @@ def gear_assign(state: SlotState, config: SolverConfig | None = None) -> Strateg
         pass  # the previous placement does not fit this slot
     else:
         if prev_power < warm_power:
-            warm, warm_power, warm_loads = prev, prev_power, prev_loads
+            warm, warm_power, tally = prev, prev_power, Tally(prev_loads)
 
     sol = solve(inst, replace(cfg, seed_assignment=warm))
 
-    chosen, loads = warm, warm_loads
+    chosen = warm
     # the solver returns the seed object itself when nothing beat it
     if sol.assignment is not warm:
-        sol_loads = inst.loads(sol.assignment.place)
-        if inst.score(sol.assignment.place, sol_loads)[0] < warm_power:
-            chosen, loads = sol.assignment, sol_loads
-    return StrategyOutcome(chosen, sol, loads)
+        loads = inst.loads(sol.assignment.place)
+        if inst.score(sol.assignment.place, loads)[0] < warm_power:
+            chosen, tally = sol.assignment, Tally(loads)
+    return StrategyOutcome(chosen, sol, tally)

@@ -20,6 +20,7 @@ from gcnsim import (
 )
 from gcnsim import engine
 from gcnsim.cli import bundled_trace_path
+from gcnsim.solver import _to_watts
 from gcnsim.scenario import load_solar_trace
 
 
@@ -140,3 +141,37 @@ def instance_from_loads(loads, specs, green, topo, power, delay) -> MilpInstance
     """`build_instance` for loads in any order, with the run's tables."""
     s = state_from_loads(loads, green, from_map({}), topo, specs, power, delay)
     return build_instance(s.ids, s.cpu, s.enb, s.green_power, s.tables)
+
+
+# The reference formula for the search's per-node bound: criterion 2 and
+# the flow-bound tests check the search's bounds against it.
+def aggregate_bound(inst: MilpInstance, fixed: dict[int, int]) -> float:
+    """Lower bound (W) on the best completion of a partial placement.
+
+    `fixed` maps already-placed avatar ids to cloudlets; `{}` gives the
+    aggregate root bound that `solve` starts from, which the class-flow
+    bound dominates. Committed deficit can only grow, and the remaining
+    weight must either fit into the cloudlets' residual green slack or
+    come from the grid; dropping the delay and capacity constraints only
+    relaxes the problem. Computed in exact fixed-point arithmetic, so the
+    admissibility relation to `brute_force` optima carries over to the
+    returned floats unchanged.
+    """
+    load = [0] * inst.n_cloudlets
+    wrem = placed = 0
+    for k, avatar_id in enumerate(inst.avatar_ids):
+        i = fixed.get(avatar_id)
+        if i is None:
+            wrem += inst._iw[k]
+        else:
+            load[i] += inst._iw[k]
+            placed += 1
+    if placed != len(fixed):
+        raise KeyError("fixed placement names avatars outside the instance")
+    deficit = slack = 0
+    for li, gi in zip(load, inst._ig):
+        if li > gi:
+            deficit += li - gi
+        else:
+            slack += gi - li
+    return _to_watts(deficit + max(0, wrem - slack))

@@ -16,13 +16,14 @@ from gcnsim import (
     ScenarioConfig,
     SolarTrace,
     SolverConfig,
-    aggregate_bound,
     brute_force,
     solve,
 )
 from gcnsim.cli import main
 from gcnsim.solver import Infeasible, _SCALE, _to_units
 from gcnsim.engine import run
+
+from conftest import aggregate_bound
 
 DAY_CONFIG = ScenarioConfig()          # 4x4 grid, 200 UEs, 96 slots, seed 1
 DAY_SOLVER = SolverConfig(node_limit=100_000, gap_tolerance=0.0)

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gcnsim
 from gcnsim.cli import (
     SLOTS_HEADER,
     SWEEP_HEADER,
@@ -51,14 +56,29 @@ class TestRunCommand:
         ("dest_mean = 100.0", "dest_mean must lie within [0, area_side]"),
         # mirrored waypoints
         ("dest_stddev = -1.4", "dest_stddev must be non-negative"),
+        # the waypoint draw never landed inside the area
+        ("dest_stddev = inf", "dest_stddev must be finite"),
+        ("dest_stddev = 1e300", "dest_stddev is too wide for area_side: a "
+         "waypoint lands inside the area with chance 0, under 0.01"),
+        # accepted, or refused in the name of another key
+        ("urban_region = nan,0,1,1", "urban_region must be finite"),
+        ("panel_area = nan", "panel_area must be finite"),
+        ("area_side = nan", "area_side must be finite"),
     ])
-    def test_config_the_world_cannot_draw_exits_one(self, tmp_path, capsys,
-                                                    line, message):
+    def test_config_the_world_cannot_draw_exits_one(self, tmp_path, line,
+                                                    message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{line}\nue_count = 50\nslot_count = 10\n")
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        # in a process of its own, so that a world that never finishes
+        # drawing fails the time bound instead of hanging the suite
+        src = Path(gcnsim.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "gcnsim.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert (done.returncode, done.stderr) == (1,
+                                                  f"error: {cfg}: {message}\n")
 
     def test_infeasible_scenario_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "full.cfg"

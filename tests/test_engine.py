@@ -438,7 +438,7 @@ class TestFarRecord:
             assert not isinstance(value, (model.Assignment, dict))
             if isinstance(value, (list, tuple)):
                 kept.extend(value)
-            elif isinstance(value, strategy.FarRecord):
+            elif isinstance(value, strategy.Tally):
                 kept.extend([value.greedy, value.loads, value.exact])
         records = world.far_records(default_power_params(),
                                     default_delay_params())
@@ -479,6 +479,52 @@ class TestFarRecord:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [expected] * len(threads)
+
+
+class TestTally:
+    """A tally a strategy hands over is its assignment's tally: the slot
+    accounting reads the figures a fresh tally of the placement gives."""
+
+    DAY = ScenarioConfig(ue_count=60, slot_count=48, rng_seed=3)
+    DAYS = {
+        # UEs that never move: GEAR keeps the previous placement at slots
+        # 38 and 39 (test_strategy's static day)
+        "static": (ScenarioConfig(ue_count=200, slot_count=48, rng_seed=1,
+                                  speed_range=(0.0, 0.0)), ("gear",)),
+        "far-first": (DAY, ("far", "gear")),
+        "gear-first": (DAY, ("gear", "far")),
+        # FAR's greedy fails at slot 23, where GEAR falls back
+        "far-fails": (ScenarioConfig(capacity_range=(1, 2), ue_count=300,
+                                     slot_count=24, rng_seed=1),
+                      ("gear", "far")),
+    }
+
+    @pytest.mark.parametrize("kind", DAYS)
+    def test_handed_over_tally_accounts_as_a_fresh_one(self, kind,
+                                                       bell_trace,
+                                                       monkeypatch):
+        account, handed = engine.compute_slot_metrics, []
+
+        def compared(t, state, outcome):
+            metrics = account(t, state, outcome)
+            fresh = account(t, state, StrategyOutcome(outcome.assignment))
+            assert metrics == fresh, f"slot {t}"
+            handed.append(("record" if outcome.tally is state.far else
+                           "previous" if outcome.assignment
+                           is state.prev_assignment else "other"))
+            return metrics
+        monkeypatch.setattr(engine, "compute_slot_metrics", compared)
+        cfg, order = self.DAYS[kind]
+        world = World(cfg)
+        for name in order:
+            if (kind, name) == ("far-fails", "far"):
+                with pytest.raises(Infeasible, match="^slot 23: "):
+                    run(cfg, name, bell_trace, world=world)
+            else:
+                run(cfg, name, bell_trace, world=world)
+        assert {"record", "other"} <= set(handed)
+        if kind == "static":
+            assert "previous" in handed
 
 
 class TestOncePerRun:

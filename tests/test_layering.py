@@ -62,11 +62,6 @@ def test_package_imports_only_the_standard_library():
     assert sorted(imported - set(sys.stdlib_module_names)) == []
 
 
-# Acceptance criterion 2 checks bound admissibility against it; whether it
-# stays public is ROADMAP item 6's open decision.
-UNGUARDED_EXPORTS = {"aggregate_bound"}
-
-
 def exported_names(source: str) -> list[str]:
     """Names a package `__init__` imports from its modules."""
     return [alias.asname or alias.name
@@ -115,5 +110,4 @@ def test_every_export_is_used_outside_the_tests():
              for path in [*sorted((root / "perfbench").glob("*.py")),
                           root / "README.md"]]
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
-    assert sorted(set(unreferenced_exports(init, modules, texts))
-                  - UNGUARDED_EXPORTS) == []
+    assert unreferenced_exports(init, modules, texts) == []

@@ -456,7 +456,14 @@ class TestConfigValidation:
         {"dest_mean": 100.0},
         {"dest_mean": -0.5},
         {"dest_stddev": -1.4},
+        {"dest_stddev": math.inf},
+        {"dest_stddev": 1e300},
+        {"urban_region": (math.nan, 0.0, 1.0, 1.0)},
+        {"panel_area": math.nan},
+        {"area_side": math.nan},
+        {"dest_stddev": 40.0},
     ])
     def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the first key given
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):
             ScenarioConfig(**kwargs)

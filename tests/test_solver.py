@@ -19,7 +19,6 @@ from gcnsim import (
     Solution,
     SolverConfig,
     World,
-    aggregate_bound,
     avatar_weights,
     brute_force,
     build_instance,
@@ -35,8 +34,8 @@ from gcnsim.refine import (_state, _widest_chain, descent, flow_bound,
 from gcnsim.solver import (_int_objective, _search, _take, _to_units,
                            _to_watts)
 
-from conftest import (class_instance, from_map, instance_from_loads,
-                      line_topology, random_instance)
+from conftest import (aggregate_bound, class_instance, from_map,
+                      instance_from_loads, line_topology, random_instance)
 
 
 def full_instance(weights, green, cap_each=100):
