@@ -127,13 +127,13 @@ def cmd_sweep(args: argparse.Namespace, variable: str) -> int:
         raise ValueError("ue_count values must be positive integers")
     if variable == "kappa" and not all(0 <= v <= 1 for v in values):
         raise ValueError("kappa values must lie in [0, 1]")
+    points = [replace(config, **{variable: value}) for value in values]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
     world = None
-    for value in values:
-        point = replace(config, **{variable: value})
+    for value, point in zip(values, points):
         fmt = _fmt_value(variable, value)
         if world is None or not world.matches(point):
             world = World(point)  # kappa points share one world

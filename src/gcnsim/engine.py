@@ -1,22 +1,20 @@
 """Slot-by-slot simulation of one day in the cloudlet network.
 
 A day has two parts. The world (`World`) is everything no strategy can
-influence: the topology, each UE's movement and eNB, and each avatar's CPU
-demand per slot. It consumes one RNG stream in a fixed order and never
-depends on a placement decision, so it is drawn once and replayed: `run`
-with the same `World` gives FAR, GEAR and every kappa point the identical
-world (common random numbers by construction). The world is drawn lazily,
-one slot at a time as the first run reaches it, by one columnar kernel
-call per slot (`scenario.step_mobility`), and recorded compactly. The
-kernel draws each waypoint as one inline Box-Muller pair, exact because
-waypoints always take their `gauss` deviates in pairs; a stream with a
-deviate pending, or whose class overrides `gauss`, is drawn through
-`gauss`. A run given no `World` replays the last world such a run drew
-in full, if its config matches (up to `kappa`), and draws a fresh one
-otherwise; that one remembered world is the module's only state.
+influence: the topology, each UE's movement and eNB, and each avatar's
+CPU demand per slot. It consumes one RNG stream in a fixed order and
+never depends on a placement decision, so it is drawn once and replayed:
+`run` with the same `World` gives FAR, GEAR and every kappa point the
+identical world (common random numbers by construction). The world is
+drawn lazily, one slot at a time as the first run reaches it, by one
+columnar kernel call per slot (`scenario.step_mobility`), and recorded
+compactly; every draw for a UE reads the stream's `random()` alone. A
+run given no `World` replays the last world such a run drew in full, if
+its config matches (up to `kappa`), and draws a fresh one otherwise;
+that one remembered world is the module's only state.
 
-The world also keeps, for one (power, delay) pair at a time, each slot's
-record of FAR's placement: a `Tally` holding the placement and its
+The world also keeps, for one delay model at a time, each slot's record
+of FAR's placement: a `Tally` holding the placement and its
 per-cloudlet tally, neither of which depends on kappa. Each part is worked
 out by the first run that reads it, inside that run's own decision or
 accounting, and every later run on the world reads it: FAR's decision,
@@ -32,10 +30,11 @@ slot it takes the world's recorded CPU and eNB arrays as they are and
 the slot's record, computes each cloudlet's green supply, hands the
 resulting columnar state to the chosen strategy, and accounts energy
 from the tally the strategy hands over with its placement, under both
-power models (exact server-counting and the linearized per-avatar form
-the optimizer uses), so the cost of the linearization stays visible in
-the output. The accounting also counts the slot's
-migrations against the previous placement; strategies only place.
+forms of the one server power model, `default_power_params()`: exact
+server-counting and the linearized per-avatar form the optimizer uses,
+so the cost of the linearization stays visible in the output. The
+accounting also counts the slot's migrations against the previous
+placement; strategies only place.
 
 Strategies see the exact next-slot loads and green supply rather than
 forecasts. This is deliberate: it isolates the quality of the migration
@@ -52,10 +51,8 @@ from dataclasses import dataclass, replace
 from operator import ne
 
 from .model import (
-    SLOT_HOURS,
     Assignment,
     DelayParams,
-    PowerParams,
     avatar_weights,
     cloudlet_power_exact,
     default_delay_params,
@@ -118,18 +115,19 @@ class World:
     """The strategy-independent part of one day, drawn once and replayed.
 
     Construction draws the topology and the initial UEs from
-    `random.Random(config.rng_seed)` and nothing else. `columns(t)` draws
-    slot t when it is the next undrawn slot, with one `step_mobility` call
-    over every UE's columns, and records the kernel's arrays as they are;
-    a recorded slot is read from the record. The record keeps one CPU float
-    and one eNB index (one byte on grids of up to 256 sites) per avatar
-    and slot, unchecked: `run` checks each slot's figures when it builds
-    the slot's `SlotState` from them. Each slot moves the UEs for
-    `SLOT_HOURS`. The world serves every config that differs from its own
-    only in `kappa`, which touches green supply alone.
+    `random.Random(config.rng_seed)` and nothing else; every draw for a UE
+    reads its `random()` alone. `columns(t)` draws slot t when it is the
+    next undrawn slot, with one `step_mobility` call over every UE's
+    columns, and records the kernel's arrays as they are; a recorded slot
+    is read from the record. The record keeps one CPU float and one eNB
+    index (one byte on grids of up to 256 sites) per avatar and slot,
+    unchecked: `run` checks each slot's figures when it builds the slot's
+    `SlotState` from them. Each slot moves the UEs for `SLOT_HOURS`. The
+    world serves every config that differs from its own only in `kappa`,
+    which touches green supply alone.
 
     `far_records` keeps one `Tally` per slot, its record of FAR's
-    placement, for one (power, delay) pair at a time: the placement as an
+    placement, for one delay model at a time: the placement as an
     array of one byte per avatar on grids of up to 256 sites, and a few
     numbers per cloudlet for its counts and tally. It holds no
     `Assignment`, no placement map and nothing that depends on kappa. Runs
@@ -143,13 +141,13 @@ class World:
         self.config = config
         self._rng: random.Random | None = random.Random(config.rng_seed)
         self.topo, self.specs = init_topology(config, self._rng)
-        self._ues = init_ues(config, self.topo, self._rng)
+        self._ues = init_ues(config, self._rng)
         self.initial_enbs = tuple(enb_indices(self._ues.x, self._ues.y,
                                               config.grid_dim,
                                               config.area_side))
         self._cpu: list[array] = []
         self._enb: list[array] = []
-        # (power, delay) and one FAR record per slot for runs with them
+        # the delay model and one FAR record per slot for runs with it
         self._far: tuple = (None, [])
 
     def matches(self, config: ScenarioConfig) -> bool:
@@ -167,21 +165,18 @@ class World:
                              "drawn)")
         return self._cpu[t], self._enb[t]
 
-    def far_records(self, power: PowerParams,
-                    delay: DelayParams) -> list[Tally]:
+    def far_records(self, delay: DelayParams) -> list[Tally]:
         """One record of FAR's placement (`Tally`) per slot, for runs with
-        this `power` and `delay`: the records of the last such call, or new
-        empty ones if that call had other parameters, which this one
-        drops."""
+        this `delay`: the records of the last such call, or new empty ones
+        if that call had another delay model, which this one drops."""
         key, records = self._far
-        if key != (power, delay):
+        if key != delay:
             records = [Tally() for _ in range(self.config.slot_count)]
-            self._far = ((power, delay), records)  # one store: thread-safe
+            self._far = (delay, records)  # one store: thread-safe
         return records
 
     def _draw_next(self) -> None:
-        cpu, enbs = step_mobility(self._ues, SLOT_HOURS * 3600.0,
-                                  self.config, self._rng)
+        cpu, enbs = step_mobility(self._ues, self.config, self._rng)
         self._cpu.append(cpu)
         self._enb.append(enbs)
         if len(self._cpu) == self.config.slot_count:
@@ -254,11 +249,12 @@ def compute_slot_metrics(slot: int, state: SlotState,
 
 def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
         solver_config: SolverConfig | None = None,
-        power: PowerParams | None = None,
         delay: DelayParams | None = None,
         world: World | None = None) -> RunResult:
     """Simulate one day of `config.slot_count` slots, each `SLOT_HOURS`
-    long, under the given strategy.
+    long, under the given strategy, with the server power model
+    `default_power_params()` and `delay` (default
+    `default_delay_params()`).
 
     `world` is the day's drawn world; runs given the same `World` replay
     its record instead of drawing the world again. It must have been made
@@ -272,9 +268,9 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     replaces the remembered one.
 
     Every slot reads and fills the world's record of FAR's placement for
-    the run's (power, delay) pair (`World.far_records`), so runs on one
-    world run FAR's greedy and tally its placement once per slot; a run
-    with another pair drops the world's records and starts new ones. The
+    the run's `delay` (`World.far_records`), so runs on one world run
+    FAR's greedy and tally its placement once per slot; a run with another
+    delay model drops the world's records and starts new ones. The
     results are those of runs on fresh worlds, whatever the order of the
     runs.
 
@@ -287,7 +283,6 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    power = power or default_power_params()
     delay = delay or default_delay_params()
     solver_config = solver_config or SolverConfig()
     global _last_world
@@ -300,7 +295,8 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
     elif not world.matches(config):
         raise ValueError("the world was drawn for another config")
 
-    tables = run_tables(world.topo, world.specs, power, delay)
+    tables = run_tables(world.topo, world.specs, default_power_params(),
+                        delay)
     ids = range(len(world.initial_enbs))
     try:
         # Called directly rather than through far_assign: the initial
@@ -309,7 +305,7 @@ def run(config: ScenarioConfig, strategy: str, trace: SolarTrace,
                                                    tables)[0])
     except Infeasible as exc:
         raise Infeasible(f"initial placement: {exc}") from exc
-    records = world.far_records(power, delay)
+    records = world.far_records(delay)
 
     slots: list[SlotMetrics] = []
     for t in range(config.slot_count):

@@ -30,6 +30,11 @@ _TWOPI = 2.0 * math.pi  # random.TWOPI, which random.Random.gauss reads
 # a waypoint takes at most 100 draws on average.
 _WAYPOINT_CHANCE_FLOOR = 0.01
 
+# Bounds that keep a config from running for hours: the site tables grow
+# as grid_dim**4 (32, or 1,024 sites, builds in about a second), and a
+# world's draw and every run on it grow linearly in UEs and in slots.
+_GRID_DIM_MAX, _UE_COUNT_MAX, _SLOT_COUNT_MAX = 32, 100_000, 96 * 365
+
 
 class ParseError(ValueError):
     """A config or trace file line failed to parse."""
@@ -71,16 +76,15 @@ class ScenarioConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"{name} must be finite")
-        if self.grid_dim < 1:
-            raise ValueError("grid_dim must be >= 1")
+        for name, lo, hi in (("grid_dim", 1, _GRID_DIM_MAX),
+                             ("ue_count", 0, _UE_COUNT_MAX),
+                             ("slot_count", 0, _SLOT_COUNT_MAX)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be in [{lo}, {hi}]")
         if self.area_side <= 0:
             raise ValueError("area_side must be positive")
         if self.dest_mean is None:
             object.__setattr__(self, "dest_mean", self.area_side / 2)
-        if self.ue_count < 0:
-            raise ValueError("ue_count must be non-negative")
-        if self.slot_count < 0:
-            raise ValueError("slot_count must be non-negative")
         for name in ("capacity_range", "speed_range", "cpu_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -103,6 +107,10 @@ class ScenarioConfig:
                     "dest_stddev is too wide for area_side: a waypoint lands "
                     f"inside the area with chance {inside * inside:.2g}, "
                     f"under {_WAYPOINT_CHANCE_FLOOR}")
+        if self.panel_area < 0:
+            raise ValueError("panel_area must be non-negative")
+        if not 0 < self.panel_efficiency <= 1:
+            raise ValueError("panel_efficiency must be in (0, 1]")
         if not 0 <= self.kappa <= 1:
             raise ValueError("kappa must be in [0, 1]")
         if not (0 <= self.cpu_range[0] and self.cpu_range[1] <= 100):
@@ -188,19 +196,20 @@ def enb_indices(xs: Iterable[float], ys: Iterable[float], grid_dim: int,
 
 def _draw_destination(config: ScenarioConfig,
                       rng: random.Random) -> tuple[float, float]:
-    # Redraw until inside the area rather than clamping, so no probability
-    # mass piles up on the boundary. Both coordinates are drawn before the
-    # test: `gauss` keeps a second deviate between calls.
-    side = config.area_side
+    # One Box-Muller pair a try, as `random.Random.gauss` computes a pair,
+    # redrawn until inside the area rather than clamped, so no probability
+    # mass piles up on the boundary.
+    mu, sigma, side = config.dest_mean, config.dest_stddev, config.area_side
     while True:
-        x = rng.gauss(config.dest_mean, config.dest_stddev)
-        y = rng.gauss(config.dest_mean, config.dest_stddev)
+        x2pi = rng.random() * _TWOPI
+        g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+        x = mu + (_cos(x2pi) * g2rad) * sigma
+        y = mu + (_sin(x2pi) * g2rad) * sigma
         if 0.0 <= x <= side and 0.0 <= y <= side:
             return (x, y)
 
 
-def init_ues(config: ScenarioConfig, topo: SiteTopology,
-             rng: random.Random) -> UEColumns:
+def init_ues(config: ScenarioConfig, rng: random.Random) -> UEColumns:
     """Scatter UEs uniformly over the area, each with a first waypoint, in
     ascending avatar id.
 
@@ -220,12 +229,12 @@ def init_ues(config: ScenarioConfig, topo: SiteTopology,
     return ues
 
 
-def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
+def step_mobility(ues: UEColumns, config: ScenarioConfig,
                   rng: random.Random) -> tuple[array, array]:
-    """Advance every UE by one slot of random-waypoint motion and draw its
-    avatar's CPU for the slot; return the slot's CPU (percent, kernel floor
-    included) and eNB index per avatar, the eNBs in the smallest unsigned
-    array type that holds the grid's site indices.
+    """Advance every UE by one slot (`SLOT_HOURS`) of random-waypoint
+    motion and draw its avatar's CPU for the slot; return the slot's CPU
+    (percent, kernel floor included) and eNB index per avatar, the eNBs in
+    the smallest unsigned array type that holds the grid's site indices.
 
     Each UE draws a fresh speed, moves straight toward its waypoint and
     stops there exactly (no overshoot); on arrival the next waypoint is
@@ -235,15 +244,11 @@ def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
 
     The waypoint draw and the cell rule are `_draw_destination`'s and
     `enb_indices`'s, inlined so each UE is drawn and located in one pass.
-    Each waypoint is one Box-Muller pair computed as `random.Random.gauss`
-    computes it. That is exact because waypoints always take their
-    deviates in pairs, so `gauss_next` is None whenever one is drawn. When
-    `rng.gauss_next` is set on entry, or `rng`'s class overrides `gauss`,
-    every waypoint is drawn through `_draw_destination` instead.
+    Every draw reads `rng.random()` alone.
     """
     xs, ys, wxs, wys = ues.x, ues.y, ues.wx, ues.wy
     random_, hypot = rng.random, math.hypot
-    pair = rng.gauss_next is None and type(rng).gauss is random.Random.gauss
+    slot_seconds = SLOT_HOURS * 3600.0
     side, mu, sigma = config.area_side, config.dest_mean, config.dest_stddev
     speed_lo, cpu_lo = config.speed_range[0], config.cpu_range[0]
     speed_span = config.speed_range[1] - speed_lo
@@ -261,17 +266,14 @@ def step_mobility(ues: UEColumns, slot_seconds: float, config: ScenarioConfig,
         travel = speed * slot_seconds / 1000.0  # km per slot
         if travel >= remaining:
             px, py = wxs[k], wys[k]
-            if pair:
-                while True:  # _draw_destination, one gauss pair a try
-                    x2pi = random_() * _TWOPI
-                    g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
-                    wx = mu + (_cos(x2pi) * g2rad) * sigma
-                    wy = mu + (_sin(x2pi) * g2rad) * sigma
-                    if 0.0 <= wx <= side and 0.0 <= wy <= side:
-                        break
-                wxs[k], wys[k] = wx, wy
-            else:
-                wxs[k], wys[k] = _draw_destination(config, rng)
+            while True:  # _draw_destination
+                x2pi = random_() * _TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+                wx = mu + (_cos(x2pi) * g2rad) * sigma
+                wy = mu + (_sin(x2pi) * g2rad) * sigma
+                if 0.0 <= wx <= side and 0.0 <= wy <= side:
+                    break
+            wxs[k], wys[k] = wx, wy
         else:
             frac = travel / remaining
             px, py = px + dx * frac, py + dy * frac

@@ -44,13 +44,12 @@ _SCALE = 1 << 20
 # Relative-gap denominator floor, to keep gap finite at zero objective.
 _TINY = 1e-12
 
+# The most placements `brute_force` enumerates.
+_ENUMERATION_LIMIT = 1_000_000
+
 
 class Infeasible(Exception):
     """No complete assignment satisfies the constraints."""
-
-
-def _to_units(watts: float) -> int:
-    return round(watts * _SCALE)
 
 
 def _to_watts(units: int) -> float:
@@ -58,9 +57,10 @@ def _to_watts(units: int) -> float:
 
 
 def fixed_point(watts: Iterable[float]) -> tuple[int, ...]:
-    """`_to_units` of each float, without a Python frame per value:
-    float.__round__ is what round calls on a float, and a float scale
-    (2**20 exactly) multiplies without converting."""
+    """Each float in fixed-point units, `round(watts * _SCALE)`, without a
+    Python frame per value: float.__round__ is what round calls on a
+    float, and a float scale (2**20 exactly) multiplies without
+    converting."""
     return tuple(map(float.__round__, map(mul, watts, repeat(float(_SCALE)))))
 
 
@@ -564,21 +564,21 @@ def _search(inst: MilpInstance, cfg: SolverConfig, root_bound: int,
             i = next(pending, -1)
 
 
-def brute_force(inst: MilpInstance, enumeration_limit: int = 1_000_000) -> Solution:
+def brute_force(inst: MilpInstance) -> Solution:
     """Exhaustive oracle: enumerate every feasible placement.
 
     Enumerates the product of the avatars' ascending feasible sets, first
     avatar outermost, skips placements that overfill a cloudlet and keeps
     the first one that attains the minimum; `nodes_explored` counts the
     placements within capacity. Raises ValueError when the feasible-set
-    product exceeds `enumeration_limit`, Infeasible when nothing fits.
+    product exceeds `_ENUMERATION_LIMIT`, Infeasible when nothing fits.
     """
     combos = 1
     for fs in inst.feasible_sets:
         combos *= len(fs)
-        if combos > enumeration_limit:
+        if combos > _ENUMERATION_LIMIT:
             raise ValueError(
-                f"enumeration would exceed {enumeration_limit} placements")
+                f"enumeration would exceed {_ENUMERATION_LIMIT} placements")
     iw, ig = inst._iw, inst._ig
     cap = inst.count_capacity
     best_obj: int | None = None

@@ -20,7 +20,7 @@ from gcnsim import (
     solve,
 )
 from gcnsim.cli import main
-from gcnsim.solver import Infeasible, _SCALE, _to_units
+from gcnsim.solver import Infeasible, _SCALE, fixed_point
 from gcnsim.engine import run
 
 from conftest import aggregate_bound
@@ -68,10 +68,10 @@ def _perfect_absorption_instances(count: int):
         weights = tuple(rng.uniform(5.0, 25.0) for _ in range(n))
         groups = [rng.randrange(m) for _ in range(n)]
         unit_loads = [0] * m
-        for k, g in enumerate(groups):
-            unit_loads[g] += _to_units(weights[k])
+        for g, units in zip(groups, fixed_point(weights)):
+            unit_loads[g] += units
         # green never exceeds the load that lands on the cloudlet
-        deltas = [rng.choice([0, _to_units(rng.uniform(0.0, 3.0))])
+        deltas = [rng.choice([0, fixed_point([rng.uniform(0.0, 3.0)])[0]])
                   for _ in range(m)]
         green = tuple(max(0, unit_loads[i] - deltas[i]) / _SCALE
                       for i in range(m))

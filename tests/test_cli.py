@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,80 @@ def read_rows(path):
 def header_of(path):
     with open(path) as f:
         return f.readline().rstrip("\n")
+
+
+def in_own_process(*args):
+    """`python *args` with the package importable, in a process of its own
+    under a time bound, so that a run that never finishes fails the test
+    instead of hanging the suite."""
+    src = Path(gcnsim.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+# Runs `gcnsim run --strategy both` on each (config file, output directory)
+# pair of the JSON list in argv[1], and prints each run's exit code and
+# stderr as a JSON list.
+EDGE_RUNNER = """
+import contextlib, io, json, sys
+from gcnsim.cli import main
+results = []
+for cfg, out in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--strategy", "both", "--config", cfg,
+                     "--out", out])
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def edge_values(default):
+    """Config-file values at the edges of a key whose default is
+    `default`: 0, negative, NaN, +-inf, 1e300, the wrong type, 10**6 for
+    integer keys, and for a tuple key each of those in every place and
+    the default inverted."""
+    first = default[0] if isinstance(default, tuple) else default
+    values = ["0", "-1", "nan", "inf", "-inf", "1e300", "ten"]
+    if type(first) is int:
+        values.append(str(10**6))
+    if not isinstance(default, tuple):
+        return values
+    return ([",".join([v] * len(default)) for v in values]
+            + [",".join(map(str, reversed(default)))])
+
+
+def test_every_config_key_at_its_edge_values(tmp_path):
+    # 20 UEs and 2 slots, unless the key under test is one of those; each
+    # case runs twice
+    cases, runs = [], []
+    for key, default in vars(gcnsim.ScenarioConfig()).items():
+        for value in edge_values(default):
+            lines = {"ue_count": "20", "slot_count": "2", key: value}
+            cfg = tmp_path / f"{len(cases)}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+            outs = [tmp_path / f"{len(cases)}{run}" for run in "ab"]
+            cases.append((key, value, cfg, outs))
+            runs += [(str(cfg), str(out)) for out in outs]
+    done = in_own_process("-c", EDGE_RUNNER, json.dumps(runs))
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    wrong = []
+    for (key, value, cfg, (a, b)), first, again in zip(cases, results[::2],
+                                                       results[1::2]):
+        code, err = first
+        if code == 0:
+            ok = again == first and all(
+                (a / name).read_bytes() == (b / name).read_bytes()
+                for name in ("slots.csv", "summary.csv"))
+        elif code == 1:
+            ok = key in err and str(cfg) in err
+        else:
+            ok = code == 2
+        if not ok:
+            wrong.append((key, value, code, err))
+    assert len(results) == len(runs) and wrong == []
 
 
 class TestRunCommand:
@@ -64,19 +139,18 @@ class TestRunCommand:
         ("urban_region = nan,0,1,1", "urban_region must be finite"),
         ("panel_area = nan", "panel_area must be finite"),
         ("area_side = nan", "area_side must be finite"),
+        # refused without the config file's path
+        ("panel_area = -5", "panel_area must be non-negative"),
+        ("panel_efficiency = -1", "panel_efficiency must be in (0, 1]"),
+        # the site tables grow as grid_dim**4
+        ("grid_dim = 300", "grid_dim must be in [1, 32]"),
     ])
     def test_config_the_world_cannot_draw_exits_one(self, tmp_path, line,
                                                     message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{line}\nue_count = 50\nslot_count = 10\n")
-        # in a process of its own, so that a world that never finishes
-        # drawing fails the time bound instead of hanging the suite
-        src = Path(gcnsim.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "gcnsim.cli", "run", "--config", str(cfg),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        done = in_own_process("-m", "gcnsim.cli", "run", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
         assert (done.returncode, done.stderr) == (1,
                                                   f"error: {cfg}: {message}\n")
 
@@ -213,8 +287,9 @@ class TestSweeps:
         ("sweep-ues", "10,10.5", "ue_count values must be integers, "
                                  "got '10.5'"),
         ("sweep-kappa", "0.5,x", "kappa values must be numbers, got 'x'"),
+        ("sweep-ues", "10,100001", "ue_count must be in [0, 100000]"),
     ], ids=["sweep-ues", "sweep-kappa", "sweep-ues-not-integer",
-            "sweep-kappa-not-number"])
+            "sweep-kappa-not-number", "sweep-ues-above-the-bound"])
     def test_sweep_values_checked_before_any_point_runs(
             self, tmp_path, capsys, command, values, message):
         out = tmp_path / "never"

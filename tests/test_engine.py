@@ -16,7 +16,6 @@ from gcnsim import (
     World,
     compute_slot_metrics,
     default_delay_params,
-    default_power_params,
     enb_indices,
     init_topology,
     init_ues,
@@ -332,9 +331,10 @@ class TestWorld:
         cfg = ScenarioConfig(grid_dim=grid_dim, ue_count=200, slot_count=3)
         world = World(cfg)
         rng = random.Random(cfg.rng_seed)
-        ues = init_ues(cfg, init_topology(cfg, rng)[0], rng)
+        init_topology(cfg, rng)
+        ues = init_ues(cfg, rng)
         for t in range(cfg.slot_count):
-            _, enbs = step_mobility(ues, 900.0, cfg, rng)
+            _, enbs = step_mobility(ues, cfg, rng)
             assert enbs.typecode == code
             assert world.columns(t)[1] == enbs
             assert list(enbs) == enb_indices(ues.x, ues.y, grid_dim,
@@ -440,8 +440,7 @@ class TestFarRecord:
                 kept.extend(value)
             elif isinstance(value, strategy.Tally):
                 kept.extend([value.greedy, value.loads, value.exact])
-        records = world.far_records(default_power_params(),
-                                    default_delay_params())
+        records = world.far_records(default_delay_params())
         assert len(records) == cfg.slot_count
         for record in records:
             place, counts = record.greedy

@@ -66,7 +66,7 @@ class TestInitUes:
     def test_empty_world(self, power, delay):
         cfg = ScenarioConfig(ue_count=0)
         topo, specs = init_topology(cfg, random.Random(4))
-        ues = init_ues(cfg, topo, random.Random(4))
+        ues = init_ues(cfg, random.Random(4))
         assignment = initial_placement(ues, cfg, topo, specs, power, delay)
         assert ues.x == [] and assignment.placement == {}
 
@@ -74,7 +74,7 @@ class TestInitUes:
         cfg = ScenarioConfig(ue_count=300)
         rng = random.Random(5)
         topo, specs = init_topology(cfg, rng)
-        ues = init_ues(cfg, topo, rng)
+        ues = init_ues(cfg, rng)
         assignment = initial_placement(ues, cfg, topo, specs, power, delay)
         enbs = enb_indices(ues.x, ues.y, cfg.grid_dim, cfg.area_side)
         for k, e in enumerate(enbs):
@@ -87,7 +87,7 @@ class TestInitUes:
         def build():
             rng = random.Random(cfg.rng_seed)
             topo, specs = init_topology(cfg, rng)
-            ues = init_ues(cfg, topo, rng)
+            ues = init_ues(cfg, rng)
             return ues, initial_placement(ues, cfg, topo, specs, power, delay)
 
         assert build() == build()
@@ -103,7 +103,7 @@ class TestMobility:
     def test_fixed_speed_straight_line_step(self):
         cfg = ScenarioConfig(speed_range=(1.0, 1.0))
         ue = one_ue((0.0, 4.0), (4.0, 4.0))
-        step_mobility(ue, 900.0, cfg, random.Random(0))
+        step_mobility(ue, cfg, random.Random(0))
         # 1 m/s for 900 s = 0.9 km toward the waypoint
         assert ue.x[0] == pytest.approx(0.9, rel=1e-12)
         assert ue.y[0] == pytest.approx(4.0)
@@ -111,14 +111,14 @@ class TestMobility:
     def test_zero_speed_stays_put(self):
         cfg = ScenarioConfig(speed_range=(0.0, 0.0))
         ue = one_ue((2.0, 2.0), (6.0, 6.0))
-        step_mobility(ue, 900.0, cfg, random.Random(1))
+        step_mobility(ue, cfg, random.Random(1))
         assert (ue.x[0], ue.y[0]) == (2.0, 2.0)
         assert (ue.wx[0], ue.wy[0]) == (6.0, 6.0)
 
     def test_arrival_clamps_and_redraws_waypoint(self):
         cfg = ScenarioConfig(speed_range=(10.0, 10.0))
         ue = one_ue((4.0, 4.0), (4.5, 4.0))
-        step_mobility(ue, 900.0, cfg, random.Random(2))
+        step_mobility(ue, cfg, random.Random(2))
         assert (ue.x[0], ue.y[0]) == (4.5, 4.0)  # no overshoot past the waypoint
         assert (ue.wx[0], ue.wy[0]) != (4.5, 4.0)
         assert 0 <= ue.wx[0] <= 8 and 0 <= ue.wy[0] <= 8
@@ -128,16 +128,16 @@ class TestMobility:
         rng = random.Random(6)
         ue = one_ue((rng.uniform(0, 8), rng.uniform(0, 8)), (4.0, 4.0))
         for _ in range(200):
-            step_mobility(ue, 900.0, cfg, rng)
+            step_mobility(ue, cfg, rng)
             assert 0 <= ue.x[0] <= 8 and 0 <= ue.y[0] <= 8
 
     def test_waypoints_concentrate_at_area_center(self):
-        cfg = ScenarioConfig(speed_range=(10.0, 10.0))
+        cfg = ScenarioConfig(speed_range=(1e9, 1e9))
         rng = random.Random(7)
         ue = one_ue((4.0, 4.0), (4.0, 4.0))
         xs, ys = [], []
         for _ in range(4000):
-            step_mobility(ue, 1e9, cfg, rng)  # teleport to each waypoint
+            step_mobility(ue, cfg, rng)  # teleport to each waypoint
             xs.append(ue.x[0])
             ys.append(ue.y[0])
         assert sum(xs) / len(xs) == pytest.approx(4.0, abs=0.07)
@@ -147,7 +147,7 @@ class TestMobility:
         cfg = ScenarioConfig(speed_range=(0.0, 0.0))
         ues = UEColumns([1.0, 3.9, 8.0], [1.0, 0.1, 8.0], [1.0, 3.9, 8.0],
                         [1.0, 0.1, 8.0])
-        _, enbs = step_mobility(ues, 900.0, cfg, random.Random(3))
+        _, enbs = step_mobility(ues, cfg, random.Random(3))
         assert list(enbs) == [0, 1, 15]
 
 
@@ -161,28 +161,31 @@ class CountingGauss(random.Random):
         return super().gauss(mu, sigma)
 
 
-class NarrowGauss(random.Random):
-    """A stream whose `gauss` is not `random.Random.gauss`."""
+def gauss_destination(cfg, rng):
+    """A waypoint drawn through `rng.gauss`, one coordinate a call,
+    redrawn until inside the area."""
+    while True:
+        x = rng.gauss(cfg.dest_mean, cfg.dest_stddev)
+        y = rng.gauss(cfg.dest_mean, cfg.dest_stddev)
+        if 0.0 <= x <= cfg.area_side and 0.0 <= y <= cfg.area_side:
+            return (x, y)
 
-    def gauss(self, mu=0.0, sigma=1.0):
-        return super().gauss(mu, sigma / 2)
 
-
-def reference_step(ues, slot_seconds, cfg, rng):
+def reference_step(ues, cfg, rng):
     """`step_mobility`'s contract one UE at a time: every waypoint through
-    `_draw_destination`, so through `rng.gauss`, and the cells by
-    `enb_indices`. Returns the CPU and eNB lists and the arrival count."""
+    `rng.gauss`, and the cells by `enb_indices`. Returns the CPU and eNB
+    lists and the arrival count."""
     cpu, arrivals = [], 0
     for k in range(len(ues.x)):
         speed = rng.uniform(*cfg.speed_range)
         px, py = ues.x[k], ues.y[k]
         dx, dy = ues.wx[k] - px, ues.wy[k] - py
         remaining = math.hypot(dx, dy)
-        travel = speed * slot_seconds / 1000.0
+        travel = speed * 900.0 / 1000.0
         if travel >= remaining:
             arrivals += 1
             ues.x[k], ues.y[k] = ues.wx[k], ues.wy[k]
-            ues.wx[k], ues.wy[k] = _draw_destination(cfg, rng)
+            ues.wx[k], ues.wy[k] = gauss_destination(cfg, rng)
         else:
             frac = travel / remaining
             ues.x[k], ues.y[k] = px + dx * frac, py + dy * frac
@@ -204,21 +207,18 @@ def random_config(seed, **fixed):
     return ScenarioConfig(**{**fields, **fixed})
 
 
-def kernel_against_reference(cfg, kernel_rng, ref_rng, prime=False, slots=8):
+def kernel_against_reference(cfg, kernel_rng, ref_rng, slots=8):
     """Draw the same world with the kernel and with `reference_step`, each
     from its own stream, and assert after each slot that positions,
-    waypoints, CPU, eNBs and stream state agree. With `prime`, one
-    `gauss()` call on each stream precedes each slot. Returns the
-    reference's arrivals per slot."""
-    ues = init_ues(cfg, init_topology(cfg, kernel_rng)[0], kernel_rng)
-    ref = init_ues(cfg, init_topology(cfg, ref_rng)[0], ref_rng)
+    waypoints, CPU, eNBs and stream state agree. Returns the reference's
+    arrivals per slot."""
+    init_topology(cfg, kernel_rng)
+    init_topology(cfg, ref_rng)
+    ues, ref = init_ues(cfg, kernel_rng), init_ues(cfg, ref_rng)
     arrivals = []
     for _ in range(slots):
-        if prime:
-            kernel_rng.gauss()
-            ref_rng.gauss()
-        cpu, enbs = step_mobility(ues, 900.0, cfg, kernel_rng)
-        ref_cpu, ref_enbs, arrived = reference_step(ref, 900.0, cfg, ref_rng)
+        cpu, enbs = step_mobility(ues, cfg, kernel_rng)
+        ref_cpu, ref_enbs, arrived = reference_step(ref, cfg, ref_rng)
         assert ues == ref
         assert (list(cpu), list(enbs)) == (ref_cpu, ref_enbs)
         assert kernel_rng.getstate() == ref_rng.getstate()
@@ -240,9 +240,8 @@ KERNEL_CASES = {
     "large area": ({"area_side": 500.0}, None),
     "out-of-area redraws": (
         {"area_side": 8.0, "dest_stddev": 8.0},
-        # two gauss calls per destination drawn, more when one is redrawn
-        lambda cfg, arrivals, calls: calls > 2 * (cfg.ue_count
-                                                  + sum(arrivals))),
+        # two gauss calls per arrival, more when a waypoint is redrawn
+        lambda cfg, arrivals, calls: calls > 2 * sum(arrivals)),
     "17x17 grid": ({"grid_dim": 17}, None),
     "3x3 cells over 7 km": ({"grid_dim": 3, "area_side": 7.0}, None),
     "random 1": ({}, None),
@@ -260,14 +259,14 @@ class TestKernel:
                                             ref_rng)
         assert exercised is None or exercised(cfg, arrivals, ref_rng.calls)
 
-    def test_pending_gauss_deviate_is_drawn_through_gauss(self):
-        cfg = random_config(20, speed_range=(10.0, 10.0), area_side=5.0)
-        kernel_against_reference(cfg, random.Random(20), random.Random(20),
-                                 prime=True)
-
-    def test_overridden_gauss_is_called(self):
-        cfg = random_config(21, speed_range=(10.0, 10.0), area_side=5.0)
-        kernel_against_reference(cfg, NarrowGauss(21), NarrowGauss(21))
+    def test_draw_destination_is_the_gauss_pair(self):
+        # wide enough that about half of the pairs are redrawn
+        cfg = ScenarioConfig(dest_stddev=4.0)
+        ours, ref = random.Random(22), CountingGauss(22)
+        for _ in range(500):
+            assert _draw_destination(cfg, ours) == gauss_destination(cfg, ref)
+            assert ours.getstate() == ref.getstate()
+        assert ref.calls > 2 * 500
 
 
 def enb_of(position, cfg=ScenarioConfig()):
@@ -294,15 +293,15 @@ class TestUtilization:
         cfg = ScenarioConfig()
 
         def first_draw():
-            cpu, _ = step_mobility(one_ue((4.0, 4.0), (5.0, 5.0)), 900.0,
-                                   cfg, random.Random(8))
+            cpu, _ = step_mobility(one_ue((4.0, 4.0), (5.0, 5.0)), cfg,
+                                   random.Random(8))
             return cpu[0]
 
         draws = [first_draw() for _ in range(5)]
         assert len(set(draws)) == 1  # fresh seed, same first draw
         rng = random.Random(9)
         ue = one_ue((4.0, 4.0), (5.0, 5.0))
-        samples = [step_mobility(ue, 900.0, cfg, rng)[0][0]
+        samples = [step_mobility(ue, cfg, rng)[0][0]
                    for _ in range(2000)]
         assert all(10.0 <= u <= 100.0 for u in samples)
 
@@ -462,6 +461,12 @@ class TestConfigValidation:
         {"panel_area": math.nan},
         {"area_side": math.nan},
         {"dest_stddev": 40.0},
+        {"panel_area": -5.0},
+        {"panel_efficiency": -1.0},
+        {"panel_efficiency": 1.5},
+        {"grid_dim": 33},
+        {"ue_count": 100_001},
+        {"slot_count": 96 * 365 + 1},
     ])
     def test_rejects(self, kwargs):
         # the message names the first key given

@@ -31,8 +31,8 @@ from gcnsim import (
 )
 from gcnsim.refine import (_state, _widest_chain, descent, flow_bound,
                            transfer_chains)
-from gcnsim.solver import (_int_objective, _search, _take, _to_units,
-                           _to_watts)
+from gcnsim.solver import (_int_objective, _search, _take, _to_watts,
+                           fixed_point)
 
 from conftest import (aggregate_bound, class_instance, from_map,
                       instance_from_loads, line_topology, random_instance)
@@ -562,7 +562,8 @@ class TestRootBound:
             m.setattr(solver, "_search", walk)
             sol = decide()
         assert bool(handed) is (sol.stage != "seed")
-        return (handed[0] if handed else _to_units(sol.lower_bound)), sol.stage
+        return ((handed[0] if handed else fixed_point([sol.lower_bound])[0]),
+                sol.stage)
 
     @staticmethod
     def expected(inst) -> int:
@@ -694,8 +695,8 @@ class TestVisitOrder:
         # the seed avatar 0 moves to cloudlet 0, which gives that same 4 W
         # leaf, no lower than the incumbent.
         assert _flow_bound(inst) == 0
-        assert _descent(inst, [0, 2]) == ([0, 2], _to_units(4.0))
-        assert _descent(inst, [1, 2]) == ([0, 2], _to_units(4.0))
+        assert _descent(inst, [0, 2]) == ([0, 2], fixed_point([4.0])[0])
+        assert _descent(inst, [1, 2]) == ([0, 2], fixed_point([4.0])[0])
         sol = solve(inst, SolverConfig(seed_assignment=seed))
         assert sol.assignment.placement == {0: 1, 1: 0}
         assert sol.objective == brute_force(inst).objective == 3.0
@@ -822,8 +823,8 @@ class TestAfterTheDive:
                 continue
             checked += 1
             flow = _flow_bound(inst)
-            aggregate = _to_units(aggregate_bound(inst, {}))
-            assert aggregate <= flow <= _to_units(optimum)
+            aggregate = fixed_point([aggregate_bound(inst, {})])[0]
+            assert aggregate <= flow <= fixed_point([optimum])[0]
             above += flow > aggregate
         assert above > 30  # reach binds often enough for the test to bite
 
@@ -944,7 +945,7 @@ class TestAfterTheDive:
         # the lighter avatar on cloudlet 1, the first it reaches.
         place, obj = self._scan_order_instance((10.0, 4.0, 4.0), [0, 1, 8],
                                                greens, (1,) * 9)
-        assert (place, obj) == ([1, 0, 8], _to_units(4.0))
+        assert (place, obj) == ([1, 0, 8], fixed_point([4.0])[0])
 
     def test_descent_proves_what_the_dive_left_open(self):
         # No avatar reaches cloudlet 1, whose 12 W of green the aggregate
@@ -997,7 +998,8 @@ class TestAfterTheDive:
         inst = MilpInstance(weights=(7.0, 7.0),
                             feasible_sets=(frozenset({0, 1}), frozenset({0})),
                             green_power=(10.0, 8.0), count_capacity=(2, 2))
-        assert _flow_bound(inst) == _to_units(aggregate_bound(inst, {})) == 0
+        assert (_flow_bound(inst) == fixed_point([aggregate_bound(inst, {})])[0]
+                == 0)
         dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1))
         assert (dive.stage, dive.objective) == ("dive", 4.0)
         sol = solve(inst)
@@ -1023,7 +1025,7 @@ class TestAfterTheDive:
                                         seed_assignment=seed))
         assert dive.assignment.placement == {0: 2, 1: 0}
         assert dive.objective == 2.0
-        assert _descent(inst, [2, 0])[1] == _to_units(2.0)
+        assert _descent(inst, [2, 0])[1] == fixed_point([2.0])[0]
         assert _descent(inst, [0, 2]) == ([0, 1], 0)
         sol = solve(inst, SolverConfig(seed_assignment=seed))
         assert sol.stage == "descent" and sol.proven_optimal
@@ -1045,11 +1047,11 @@ class TestAfterTheDive:
                             green_power=(8.0, 0.0, 2.0, 5.0),
                             count_capacity=(2, 1, 1, 1))
         assert aggregate_bound(inst, {}) == 0.0
-        assert _flow_bound(inst) == _to_units(5.0)
+        assert _flow_bound(inst) == fixed_point([5.0])[0]
         dive = solve(inst, SolverConfig(node_limit=inst.n_avatars + 1))
         assert dive.assignment.placement == {0: 3, 1: 1}
         assert dive.objective == 7.0
-        assert _descent(inst, [3, 1]) == ([3, 1], _to_units(7.0))
+        assert _descent(inst, [3, 1]) == ([3, 1], fixed_point([7.0])[0])
         ex, room, on = _state([3, 1], inst._iw, inst._ig, inst.count_capacity)
         assert _widest_chain(ex, room, on, inst._iw,
                              [(1, 2, 3), (1, 3)]) == [(1, 3), (0, 2)]
@@ -1162,8 +1164,8 @@ class TestAfterTheDive:
                 seed_place, _, seed_obj, _ = inst.evaluate(seed)
             root = max(0, sum(inst._iw) - sum(inst._ig))
             plain = _search(inst, config, root, seed_obj, seed_place)[0]
-            assert _to_units(sol.objective) <= plain
-            better += _to_units(sol.objective) < plain
+            assert fixed_point([sol.objective])[0] <= plain
+            better += fixed_point([sol.objective])[0] < plain
             if sol.proven_optimal:
                 assert sol.objective == brute_force(inst).objective
         assert better > 20
